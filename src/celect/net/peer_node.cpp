@@ -8,102 +8,29 @@
 
 namespace celect::net {
 
-// sim::Context implemented against Transport primitives.
-class PeerNode::Ctx final : public sim::Context {
- public:
-  explicit Ctx(PeerNode* node) : node_(node) {}
-
-  sim::NodeId address() const override { return node_->transport_.self(); }
-  sim::Id id() const override { return node_->config_.id; }
-  std::uint32_t n() const override { return node_->transport_.n(); }
-  sim::Time now() const override { return node_->SimNow(); }
-  bool has_sense_of_direction() const override {
-    return node_->config_.sense_of_direction;
-  }
-
-  void Send(sim::Port port, wire::Packet p) override {
-    CELECT_DCHECK(port >= 1 && port < n());
-    node_->traversed_.insert(port);
-    node_->SendTraced(node_->PeerOf(port), p);
-  }
-
-  std::optional<sim::Port> SendFresh(wire::Packet p) override {
-    // Deterministic mapper policy: lowest untraversed port first.
-    for (sim::Port port = 1; port < n(); ++port) {
-      if (node_->traversed_.count(port)) continue;
-      Send(port, std::move(p));
-      return port;
-    }
-    return std::nullopt;
-  }
-
-  void SendAll(wire::Packet p) override {
-    for (sim::Port port = 1; port < n(); ++port) Send(port, p);
-  }
-
-  sim::TimerId SetTimer(sim::Time delay) override {
-    sim::TimerId id = node_->next_timer_++;
-    Micros deadline =
-        node_->transport_.Now() + node_->DelayToMicros(delay);
-    node_->timers_.insert({deadline, id});
-    node_->TraceEvent(sim::TraceRecord::Kind::kTimerSet, 0, 0, 0,
-                      node_->lamport_, static_cast<std::uint64_t>(id));
-    return id;
-  }
-
-  void CancelTimer(sim::TimerId timer) override {
-    if (timer == sim::kInvalidTimer) return;
-    node_->cancelled_.insert(timer);
-    node_->TraceEvent(sim::TraceRecord::Kind::kTimerCancel, 0, 0, 0,
-                      node_->lamport_, static_cast<std::uint64_t>(timer));
-  }
-
-  void DeclareLeader() override {
-    node_->declared_self_ = true;
-    node_->Believe(node_->config_.id);
-  }
-
-  void AddCounter(std::string_view name, std::int64_t delta) override {
-    node_->counters_[std::string(name)] += delta;
-  }
-
-  void MaxCounter(std::string_view name, std::int64_t value) override {
-    auto& slot = node_->counters_[std::string(name)];
-    if (value > slot) slot = value;
-  }
-
- private:
-  PeerNode* node_;
-};
-
 PeerNode::PeerNode(const PeerNodeConfig& config, Transport& transport,
                    const sim::ProcessFactory& factory)
-    : config_(config), transport_(transport) {
+    : config_(config),
+      transport_(transport),
+      mapper_(transport.n()),
+      stores_(&mapper_, config.trace, config.trace_cap),
+      core_(static_cast<sim::NodeHost&>(*this), stores_, transport.self(),
+            config.id) {
   CELECT_CHECK(config_.unit_us > 0);
-  ctx_ = std::make_unique<Ctx>(this);
   process_ = factory(sim::ProcessInit{transport_.self(), config_.id,
                                       transport_.n()});
   // High 44 bits identify this incarnation (epoch is unique per node
   // incarnation); the low 20 bits count sends. A node that sends more
   // than 2^20 messages rolls into + carry — mids stay unique, they just
   // stop being prefix-groupable, which nothing relies on.
-  mid_base_ = SplitMix64(transport_.epoch() ^
-                         (std::uint64_t{transport_.self()} << 32) ^
-                         0x5a1de5a1deULL)
-                  .Next()
-              << 20;
+  stores_.mid_base = SplitMix64(transport_.epoch() ^
+                                (std::uint64_t{transport_.self()} << 32) ^
+                                0x5a1de5a1deULL)
+                         .Next()
+                     << 20;
 }
 
 PeerNode::~PeerNode() = default;
-
-PeerId PeerNode::PeerOf(sim::Port port) const {
-  return (transport_.self() + port) % transport_.n();
-}
-
-sim::Port PeerNode::PortOf(PeerId peer) const {
-  std::uint32_t n = transport_.n();
-  return static_cast<sim::Port>((peer + n - transport_.self()) % n);
-}
 
 std::int64_t PeerNode::TicksOf(Micros at) const {
   // Split to keep at * 2^20 well inside int64 even for long runs.
@@ -114,7 +41,7 @@ std::int64_t PeerNode::TicksOf(Micros at) const {
              static_cast<std::int64_t>(config_.unit_us);
 }
 
-sim::Time PeerNode::SimNow() const {
+sim::Time PeerNode::Now() {
   return sim::Time::FromTicks(TicksOf(transport_.Now()));
 }
 
@@ -127,11 +54,37 @@ Micros PeerNode::DelayToMicros(sim::Time delay) const {
                                  sim::Time::kTicksPerUnit);
 }
 
+void PeerNode::Transmit(sim::NodeId /*from*/, sim::NodeId to,
+                        wire::Packet packet, std::uint64_t clock,
+                        std::uint64_t mid) {
+  transport_.Send(to, packet, TraceContext{clock, mid});
+}
+
+sim::TimerId PeerNode::ArmTimer(sim::NodeId /*node*/, sim::Time delay) {
+  const sim::TimerId id = next_timer_++;
+  timers_.insert({transport_.Now() + DelayToMicros(delay), id});
+  return id;
+}
+
+bool PeerNode::DisarmTimer(sim::TimerId timer) {
+  const auto it = std::find_if(
+      timers_.begin(), timers_.end(),
+      [timer](const auto& armed) { return armed.second == timer; });
+  if (it == timers_.end()) return false;
+  timers_.erase(it);
+  return true;
+}
+
+void PeerNode::DeclareLeader(sim::NodeId /*node*/) {
+  declared_self_ = true;
+  Believe(config_.id);
+}
+
 void PeerNode::Believe(sim::Id leader) {
   if (leader_ && *leader_ >= leader) return;
   leader_ = leader;
-  TraceEvent(sim::TraceRecord::Kind::kLeader, 0, 0, 0, lamport_,
-             static_cast<std::uint64_t>(leader));
+  core_.Record(sim::TraceRecord::Kind::kLeader, transport_.self(),
+               sim::kInvalidPort, 0, static_cast<std::uint64_t>(leader));
   // Announce promptly so a fresh belief propagates within one pump.
   next_announce_ = transport_.Now();
 }
@@ -140,49 +93,17 @@ void PeerNode::Start() {
   if (started_) return;
   started_ = true;
   if (config_.rejoin) {
-    TraceEvent(sim::TraceRecord::Kind::kRejoin, 0, 0, 0, lamport_, 0);
-    process_->OnRejoin(*ctx_);
+    core_.Rejoin(*process_);
   } else {
-    ++lamport_;
-    TraceEvent(sim::TraceRecord::Kind::kWakeup, 0, 0, 0, lamport_, 0);
-    process_->OnWakeup(*ctx_);
+    core_.Wakeup(*process_);
   }
-}
-
-void PeerNode::TraceEvent(sim::TraceRecord::Kind kind, PeerId peer,
-                          sim::Port port, std::uint16_t type,
-                          std::uint64_t clock, std::uint64_t mid) {
-  if (!config_.trace) return;
-  if (trace_.size() >= config_.trace_cap) {
-    ++trace_dropped_;
-    return;
-  }
-  sim::TraceRecord r{};
-  r.kind = kind;
-  r.at = SimNow();
-  r.node = transport_.self();
-  r.peer = peer;
-  r.port = port;
-  r.type = type;
-  r.seq = trace_seq_++;
-  r.clock = clock;
-  r.mid = mid;
-  trace_.push_back(r);
-}
-
-void PeerNode::SendTraced(PeerId peer, const wire::Packet& p) {
-  ++lamport_;
-  std::uint64_t mid = mid_base_ + ++mid_counter_;
-  TraceEvent(sim::TraceRecord::Kind::kSend, peer, PortOf(peer), p.type,
-             lamport_, mid);
-  transport_.Send(peer, p, TraceContext{lamport_, mid});
 }
 
 void PeerNode::Dispatch(const TransportEvent& ev) {
   ++events_dispatched_;
   digest_.Update(static_cast<std::uint8_t>(ev.kind));
   digest_.Update(static_cast<std::uint8_t>(ev.peer));
-  sim::Port port = PortOf(ev.peer);
+  const sim::Port port = mapper_.PortToward(transport_.self(), ev.peer);
   switch (ev.kind) {
     case TransportEvent::Kind::kPacket: {
       digest_.Update(static_cast<std::uint8_t>(ev.packet.type));
@@ -193,23 +114,20 @@ void PeerNode::Dispatch(const TransportEvent& ev) {
               static_cast<std::uint64_t>(f) >> (8 * i)));
         }
       }
-      // Join the sender's clock before anything runs in response —
-      // announce interception included, so gossip stays on the causal
-      // timeline too.
-      lamport_ = std::max(lamport_, ev.tc_clock) + 1;
-      TraceEvent(sim::TraceRecord::Kind::kDeliver, ev.peer, port,
-                 ev.packet.type, lamport_, ev.tc_mid);
+      // Gossip joins the sender's clock too, so it stays on the causal
+      // timeline, but it is no protocol delivery.
       if (ev.packet.type == kAnnouncePacketType) {
+        core_.Receive(ev.peer, port, ev.packet.type, ev.tc_clock, ev.tc_mid);
         if (!ev.packet.fields.empty()) Believe(ev.packet.field(0));
         return;
       }
-      traversed_.insert(port);
-      process_->OnMessage(*ctx_, port, ev.packet);
+      core_.Deliver(*process_, ev.peer, port, ev.packet, ev.tc_clock,
+                    ev.tc_mid);
       return;
     }
     case TransportEvent::Kind::kSuspect:
       ++suspicions_seen_;
-      process_->OnPeerSuspected(*ctx_, port);
+      process_->OnPeerSuspected(core_, port);
       return;
     case TransportEvent::Kind::kPeerRestart:
       // The reliability layer already resynced; nothing protocol-level
@@ -223,13 +141,9 @@ void PeerNode::FireDueTimers() {
     auto [deadline, id] = *timers_.begin();
     if (deadline > transport_.Now()) break;
     timers_.erase(timers_.begin());
-    if (cancelled_.erase(id) > 0) continue;
     digest_.Update(0x7D);  // timer-fired marker
     digest_.Update(static_cast<std::uint8_t>(id));
-    ++lamport_;
-    TraceEvent(sim::TraceRecord::Kind::kTimerFire, 0, 0, 0, lamport_,
-               static_cast<std::uint64_t>(id));
-    process_->OnTimer(*ctx_, id);
+    core_.FireTimer(*process_, id);
   }
 }
 
@@ -238,8 +152,7 @@ void PeerNode::Announce() {
   p.type = kAnnouncePacketType;
   p.fields.push_back(*leader_);
   for (PeerId peer = 0; peer < transport_.n(); ++peer) {
-    if (peer == transport_.self()) continue;
-    SendTraced(peer, p);
+    if (peer != transport_.self()) core_.SendHost(peer, p);
   }
   next_announce_ = transport_.Now() + config_.announce_interval_us;
 }
@@ -255,14 +168,14 @@ void PeerNode::Pump() {
 
 obs::MetricsRegistry PeerNode::SnapshotMetrics() const {
   obs::MetricsRegistry m;
-  for (const auto& [name, value] : counters_) {
+  for (const auto& [name, value] : stores_.metrics.counters()) {
     if (value > 0) {
       m.AddCounter("proto." + name, static_cast<std::uint64_t>(value));
     }
   }
   m.AddCounter("node.events_dispatched", events_dispatched_);
   m.AddCounter("node.suspicions_seen", suspicions_seen_);
-  m.AddCounter("node.trace_dropped", trace_dropped_);
+  m.AddCounter("node.trace_dropped", stores_.trace.dropped());
   TransportStats st = transport_.Stats();
   m.AddCounter("net.datagrams_sent", st.datagrams_sent);
   m.AddCounter("net.datagrams_received", st.datagrams_received);
@@ -285,9 +198,9 @@ obs::TraceShard PeerNode::MakeShard(bool complete) const {
   s.node = transport_.self();
   s.epoch = transport_.epoch();
   s.complete = complete;
-  s.dropped = trace_dropped_;
+  s.dropped = stores_.trace.dropped();
   s.label = "id=" + std::to_string(config_.id);
-  s.records = trace_;
+  s.records = stores_.trace.records();
   if (const obs::FlightRecorder* rec = transport_.recorder()) {
     s.flight = rec->Snapshot();
     for (auto& f : s.flight) {

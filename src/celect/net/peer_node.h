@@ -1,11 +1,12 @@
 // Hosts one sim::Process on top of a Transport.
 //
 // This is the seam that lets the protocol engines run unmodified over
-// real sockets: PeerNode implements sim::Context against Transport
-// primitives — ports map to peers ((self + port) mod n, so port
-// numbers stay 1..n-1 and never reveal identities), sim::Time maps to
-// transport microseconds through a configurable unit, timers live in a
-// local deadline queue, and transport suspect events surface as
+// real sockets: PeerNode attaches one sim::NodeCore (the Context the
+// process sees) to a Transport. Ports map to peers through a
+// sim::SodPortMapper ((self + port) mod n, so port numbers stay 1..n-1
+// and never reveal identities), sim::Time maps to transport
+// microseconds through a configurable unit, timers live in a local
+// deadline set, and transport suspect events surface as
 // Process::OnPeerSuspected.
 //
 // On top of the hosted election it runs a tiny gossip layer: once any
@@ -17,8 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -26,8 +25,9 @@
 
 #include "celect/net/transport.h"
 #include "celect/obs/shard.h"
+#include "celect/sim/node_core.h"
+#include "celect/sim/port_mapper.h"
 #include "celect/sim/process.h"
-#include "celect/sim/trace.h"
 #include "celect/wire/checksum.h"
 
 namespace celect::net {
@@ -44,19 +44,18 @@ struct PeerNodeConfig {
   // comfortably above the reliability layer's RTO.
   Micros unit_us = 20'000;
   Micros announce_interval_us = 100'000;
-  bool sense_of_direction = false;
   // True for a process revived after a crash: it enters via OnRejoin
   // (passive, quarantine-aware) instead of OnWakeup.
   bool rejoin = false;
-  // Record causal trace records (sends, deliveries, timers, leader
-  // changes) for MakeShard. Lamport clocks and wire mids are minted
-  // regardless — the trace context always travels — this only controls
-  // record retention.
+  // Record causal trace records (sends, deliveries, timers, phases,
+  // leader changes) for MakeShard. Lamport clocks and wire mids are
+  // minted regardless — the trace context always travels — this only
+  // controls record retention.
   bool trace = false;
   std::size_t trace_cap = 200'000;
 };
 
-class PeerNode {
+class PeerNode : private sim::NodeHost {
  public:
   PeerNode(const PeerNodeConfig& config, Transport& transport,
            const sim::ProcessFactory& factory);
@@ -82,7 +81,6 @@ class PeerNode {
   // bit-reproducibility witness for deterministic transports.
   std::uint64_t EventDigest() const { return digest_.Digest64(); }
   std::uint64_t events_dispatched() const { return events_dispatched_; }
-  std::uint64_t suspicions_seen() const { return suspicions_seen_; }
 
   // This incarnation's observability dump: trace records, the
   // transport's flight-recorder ring (rebased to trace ticks), and a
@@ -92,42 +90,37 @@ class PeerNode {
   // Counters + histograms spanning the protocol engine (Context
   // counters) and the reliability layer (session stats).
   obs::MetricsRegistry SnapshotMetrics() const;
-  const std::vector<sim::TraceRecord>& trace() const { return trace_; }
-  std::uint64_t trace_dropped() const { return trace_dropped_; }
-
-  sim::Process& process() { return *process_; }
 
  private:
-  class Ctx;
+  // sim::NodeHost: the Transport half of the node.
+  sim::Time Now() override;
+  void Transmit(sim::NodeId from, sim::NodeId to, wire::Packet packet,
+                std::uint64_t clock, std::uint64_t mid) override;
+  sim::TimerId ArmTimer(sim::NodeId node, sim::Time delay) override;
+  bool DisarmTimer(sim::TimerId timer) override;
+  void DeclareLeader(sim::NodeId node) override;
 
-  PeerId PeerOf(sim::Port port) const;
-  sim::Port PortOf(PeerId peer) const;
-  sim::Time SimNow() const;
   std::int64_t TicksOf(Micros at) const;
   Micros DelayToMicros(sim::Time delay) const;
   void Dispatch(const TransportEvent& ev);
   void FireDueTimers();
   void Announce();
   void Believe(sim::Id leader);
-  // Mints the Lamport tick + mid and records kSend before handing the
-  // packet to the transport with its trace context.
-  void SendTraced(PeerId peer, const wire::Packet& p);
-  void TraceEvent(sim::TraceRecord::Kind kind, PeerId peer, sim::Port port,
-                  std::uint16_t type, std::uint64_t clock,
-                  std::uint64_t mid);
 
   PeerNodeConfig config_;
   Transport& transport_;
+  sim::SodPortMapper mapper_;
+  // Trace, counters and the mid mint. The mid base is derived from the
+  // transport epoch, so mids are globally unique across nodes AND
+  // incarnations — the property the cross-process flow pairing keys on.
+  sim::HostStores stores_;
+  sim::NodeCore core_;
   std::unique_ptr<sim::Process> process_;
-  std::unique_ptr<Ctx> ctx_;
 
   // Armed timers by deadline; ties fire in arming order (TimerIds are
   // monotone), so dispatch is deterministic.
   std::set<std::pair<Micros, sim::TimerId>> timers_;
-  std::set<sim::TimerId> cancelled_;
   sim::TimerId next_timer_ = 1;
-
-  std::set<sim::Port> traversed_;  // SendFresh bookkeeping
 
   std::optional<sim::Id> leader_;
   bool declared_self_ = false;
@@ -137,19 +130,6 @@ class PeerNode {
   wire::Fnv1aStream digest_;
   std::uint64_t events_dispatched_ = 0;
   std::uint64_t suspicions_seen_ = 0;
-  std::map<std::string, std::int64_t, std::less<>> counters_;
-
-  // Causal tracing: the node's Lamport clock (ticked on sends,
-  // deliveries, wakeup, timer fires; deliveries join the sender's
-  // wire clock with max+1) and the mid mint. mid_base_ is derived from
-  // the transport epoch, so mids are globally unique across nodes AND
-  // incarnations — the property the cross-process flow pairing keys on.
-  std::uint64_t lamport_ = 0;
-  std::uint64_t mid_base_ = 0;
-  std::uint64_t mid_counter_ = 0;
-  std::uint64_t trace_seq_ = 0;
-  std::uint64_t trace_dropped_ = 0;
-  std::vector<sim::TraceRecord> trace_;
 
   std::vector<TransportEvent> events_;  // reused poll buffer
 };

@@ -105,23 +105,4 @@ void Telemetry::Merge(const Telemetry& o) {
   if (inflight.samples_seen() == 0) inflight = o.inflight;
 }
 
-void TelemetryAccumulator::Merge(const Telemetry& shard) {
-  std::lock_guard<std::mutex> lock(mu_);
-  merged_.latency.Merge(shard.latency);
-  merged_.queue_depth.Merge(shard.queue_depth);
-  merged_.capture_width.Merge(shard.capture_width);
-  merged_.election_latency.Merge(shard.election_latency);
-  ++shards_;
-}
-
-Telemetry TelemetryAccumulator::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return merged_;
-}
-
-std::uint64_t TelemetryAccumulator::shards_merged() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return shards_;
-}
-
 }  // namespace celect::obs

@@ -11,11 +11,8 @@
 
 #include <array>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <vector>
-
-#include "celect/util/thread_annotations.h"
 
 namespace celect::obs {
 
@@ -122,32 +119,6 @@ struct Telemetry {
   void Merge(const Telemetry& o);
 
   friend bool operator==(const Telemetry&, const Telemetry&) = default;
-};
-
-// Thread-safe telemetry reducer for concurrent producers — sweep
-// worker threads today, the distributed sweep farm's shard streams
-// tomorrow. Only the histograms are folded in: Histogram::Merge is
-// commutative and associative, so the accumulated result is the same
-// for every arrival order (and therefore every --threads). The
-// TimeSeries keep-first-non-empty rule is order-dependent, so the
-// accumulated inflight series deliberately stays empty; reductions
-// that need the series must merge Telemetry values in grid-index
-// order instead.
-class TelemetryAccumulator {
- public:
-  // Folds one producer's histograms into the running totals.
-  void Merge(const Telemetry& shard);
-
-  // Copy of the totals so far (inflight series always empty).
-  Telemetry Snapshot() const;
-
-  // Number of Merge calls absorbed (empty shards included).
-  std::uint64_t shards_merged() const;
-
- private:
-  mutable std::mutex mu_;
-  Telemetry merged_ CELECT_GUARDED_BY(mu_);
-  std::uint64_t shards_ CELECT_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace celect::obs

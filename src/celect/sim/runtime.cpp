@@ -41,119 +41,32 @@ NodeId EventTarget(const EventBody& body) {
       body);
 }
 
-// Context handed to a process for the duration of one event dispatch.
-class Runtime::ContextImpl : public Context {
- public:
-  ContextImpl(Runtime& rt, NodeId node) : rt_(rt), node_(node) {}
-
-  NodeId address() const override { return node_; }
-  Id id() const override { return rt_.ids_[node_]; }
-  std::uint32_t n() const override { return rt_.config_.n; }
-  Time now() const override { return rt_.now_; }
-  bool has_sense_of_direction() const override {
-    return rt_.config_.mapper->HasSenseOfDirection();
-  }
-
-  void Send(Port port, wire::Packet p) override {
-    rt_.SendFrom(node_, port, std::move(p));
-  }
-
-  std::optional<Port> SendFresh(wire::Packet p) override {
-    auto port = rt_.config_.mapper->FreshPort(node_);
-    if (!port) return std::nullopt;
-    rt_.SendFrom(node_, *port, std::move(p));
-    return port;
-  }
-
-  void SendAll(wire::Packet p) override {
-    for (Port port = 1; port <= n() - 1; ++port) {
-      rt_.SendFrom(node_, port, p);
-    }
-  }
-
-  TimerId SetTimer(Time delay) override {
-    return rt_.ScheduleTimer(node_, delay);
-  }
-
-  void CancelTimer(TimerId timer) override {
-    rt_.CancelTimer(node_, timer);
-  }
-
-  void DeclareLeader() override {
-    rt_.metrics_.RecordLeader(node_, id(), rt_.now_);
-    rt_.TraceEvent(TraceRecord::Kind::kLeader, node_, node_, kInvalidPort,
-                   0, 0);
-    if (rt_.options_.stop_on_leader) rt_.stop_requested_ = true;
-  }
-
-  void RecordLease(LeaseEvent event) override {
-    rt_.metrics_.RecordLeaseEvent(event);
-  }
-
-  void BeginPhase(obs::PhaseId phase, std::int64_t level) override {
-    rt_.BeginPhase(node_, phase, level);
-  }
-
-  void EndPhase(obs::PhaseId phase) override { rt_.EndPhase(node_, phase); }
-
-  void AddCounter(std::string_view name, std::int64_t delta) override {
-    rt_.metrics_.AddCounter(name, delta);
-  }
-
-  void MaxCounter(std::string_view name, std::int64_t value) override {
-    rt_.metrics_.MaxCounter(name, value);
-  }
-
-  CounterRef ResolveCounter(std::string_view name) override {
-    return CounterRef{name, rt_.metrics_.InternCounter(name)};
-  }
-
-  void AddCounter(const CounterRef& c, std::int64_t delta) override {
-    if (c.slot == CounterRef::kUnresolved) {
-      rt_.metrics_.AddCounter(c.name, delta);
-    } else {
-      rt_.metrics_.AddCounter(c.slot, delta);
-    }
-  }
-
-  void MaxCounter(const CounterRef& c, std::int64_t value) override {
-    if (c.slot == CounterRef::kUnresolved) {
-      rt_.metrics_.MaxCounter(c.name, value);
-    } else {
-      rt_.metrics_.MaxCounter(c.slot, value);
-    }
-  }
-
- private:
-  Runtime& rt_;
-  NodeId node_;
-};
-
 Runtime::Runtime(NetworkConfig config, const ProcessFactory& factory,
                  RuntimeOptions options)
     : config_(std::move(config)),
       options_(options),
       factory_(factory),
+      stores_(config_.mapper.get(), options.enable_trace,
+              options.trace_cap),
       queue_(options.use_reference_queue),
-      links_(config_.n),
-      trace_(options.enable_trace, options.trace_cap) {
+      links_(config_.n) {
   CELECT_CHECK(config_.n >= 2);
   CELECT_CHECK(config_.mapper && config_.delays);
   ids_ = config_.identities.empty() ? IdentitiesAscending(config_.n)
                                     : config_.identities;
   CELECT_CHECK(ids_.size() == config_.n);
   processes_.reserve(config_.n);
+  cores_.reserve(config_.n);
   for (NodeId i = 0; i < config_.n; ++i) {
     processes_.push_back(factory(ProcessInit{i, ids_[i], config_.n}));
     CELECT_CHECK(processes_.back() != nullptr);
+    cores_.emplace_back(static_cast<NodeHost&>(*this), stores_, i, ids_[i]);
   }
   failed_ = config_.failed.empty() ? std::vector<bool>(config_.n, false)
                                    : config_.failed;
   CELECT_CHECK(failed_.size() == config_.n);
-  lamport_.assign(config_.n, 0);
-  phase_stack_.resize(config_.n);
   if (options_.enable_telemetry) {
-    telemetry_ = std::make_unique<obs::Telemetry>();
+    stores_.telemetry = std::make_unique<obs::Telemetry>();
     pending_deliveries_.assign(config_.n, 0);
   }
   pending_rejoins_.assign(config_.n, 0);
@@ -185,34 +98,35 @@ Process& Runtime::process(NodeId address) {
   return *processes_[address];
 }
 
-TimerId Runtime::ScheduleTimer(NodeId node, Time delay) {
+TimerId Runtime::ArmTimer(NodeId node, Time delay) {
   CELECT_CHECK(delay >= Time::Zero()) << "timer delay must be non-negative";
   TimerId id = ++next_timer_;
   const EventTicket ticket =
       queue_.PushTicketed(now_ + delay, TimerEvent{node, id});
   active_timers_.emplace(id, TimerRec{node, ticket});
-  metrics_.RecordTimerSet();
-  TraceEvent(TraceRecord::Kind::kTimerSet, node, node, kInvalidPort, 0, id);
   return id;
 }
 
-void Runtime::CancelTimer(NodeId node, TimerId timer) {
+bool Runtime::DisarmTimer(TimerId timer) {
   auto it = active_timers_.find(timer);
-  if (it == active_timers_.end()) return;  // fired or cancelled
+  if (it == active_timers_.end()) return false;
   // Tombstone the queued event right away: it still pops (and is
   // discarded below in Dispatch), but no longer counts as pending.
   queue_.Cancel(it->second.ticket);
   active_timers_.erase(it);
-  metrics_.RecordTimerCancelled();
-  TraceEvent(TraceRecord::Kind::kTimerCancel, node, node, kInvalidPort, 0,
-             timer);
+  return true;
+}
+
+void Runtime::DeclareLeader(NodeId node) {
+  stores_.metrics.RecordLeader(node, ids_[node], now_);
+  cores_[node].Record(TraceRecord::Kind::kLeader, node, kInvalidPort, 0, 0);
+  if (options_.stop_on_leader) stop_requested_ = true;
 }
 
 void Runtime::MarkCrashed(NodeId node) {
   if (failed_[node]) return;  // already dead; triggers fire at most once
   failed_[node] = true;
-  metrics_.RecordCrash();
-  TraceEvent(TraceRecord::Kind::kCrash, node, node, kInvalidPort, 0, 0);
+  stores_.metrics.RecordCrash();
   // The node's timers die with it. Externally identical to the old
   // "discard at dispatch" rule (no metrics either way), but necessary
   // for churn: were a pre-crash timer left live, it would fire into the
@@ -226,8 +140,7 @@ void Runtime::MarkCrashed(NodeId node) {
       ++it;
     }
   }
-  // A dead node's spans end at its death, not at quiescence.
-  while (!phase_stack_[node].empty()) CloseTopPhase(node);
+  cores_[node].Crash();
 }
 
 void Runtime::MarkRejoined(NodeId node) {
@@ -237,75 +150,13 @@ void Runtime::MarkRejoined(NodeId node) {
   // process instance; nothing of its previous life survives.
   processes_[node] = factory_(ProcessInit{node, ids_[node], config_.n});
   CELECT_CHECK(processes_[node] != nullptr);
-  metrics_.RecordRejoin();
-  ++lamport_[node];
-  TraceEvent(TraceRecord::Kind::kRejoin, node, node, kInvalidPort, 0, 0);
-  ContextImpl ctx(*this, node);
-  processes_[node]->OnRejoin(ctx);
+  stores_.metrics.RecordRejoin();
+  cores_[node].Rejoin(*processes_[node]);
 }
 
-void Runtime::TraceEvent(TraceRecord::Kind kind, NodeId node, NodeId peer,
-                         Port port, std::uint16_t type, std::uint64_t mid) {
-  if (!trace_.enabled()) return;
-  TraceRecord r{kind, now_, node, peer, port, type, 0};
-  r.clock = lamport_[node];
-  r.mid = mid;
-  if (!phase_stack_[node].empty()) {
-    const PhaseFrame& top = phase_stack_[node].back();
-    r.phase = top.id;
-    r.phase_level = top.level;
-  }
-  trace_.Record(r);
-}
-
-void Runtime::BeginPhase(NodeId node, obs::PhaseId phase,
-                         std::int64_t level) {
-  if (phase == obs::PhaseId::kNone) return;
-  obs::PhaseAgg& agg =
-      phase_agg_[{static_cast<std::uint16_t>(phase), level}];
-  phase_stack_[node].push_back(
-      PhaseFrame{phase, level, now_, 0, &agg});
-  // After the push the new span is top-of-stack, so TraceEvent stamps
-  // the record with the span being opened.
-  TraceEvent(TraceRecord::Kind::kPhaseBegin, node, node, kInvalidPort, 0,
-             0);
-}
-
-void Runtime::EndPhase(NodeId node, obs::PhaseId phase) {
-  auto& stack = phase_stack_[node];
-  std::size_t keep = stack.size();
-  while (keep > 0 && stack[keep - 1].id != phase) --keep;
-  if (keep == 0) return;  // no open span of this phase: defensive no-op
-  // Close the matching span and anything still nested inside it.
-  while (stack.size() >= keep) CloseTopPhase(node);
-}
-
-void Runtime::CloseTopPhase(NodeId node) {
-  auto& stack = phase_stack_[node];
-  if (stack.empty()) return;
-  // Record while the frame is still top-of-stack so the kPhaseEnd record
-  // carries the span's own phase.
-  TraceEvent(TraceRecord::Kind::kPhaseEnd, node, node, kInvalidPort, 0, 0);
-  const PhaseFrame f = stack.back();
-  stack.pop_back();
-  f.agg->spans += 1;
-  f.agg->ticks += (now_ - f.since).ticks();
-  if (telemetry_ && (f.id == obs::PhaseId::kCapture1 ||
-                     f.id == obs::PhaseId::kCapture2)) {
-    telemetry_->capture_width.Add(f.messages);
-  }
-}
-
-void Runtime::SendFrom(NodeId from, Port port, wire::Packet packet) {
-  // A node that crashed earlier in this very handler sends nothing more.
-  if (failed_[from]) return;
-  CELECT_CHECK(port >= 1 && port <= config_.n - 1)
-      << "node " << from << " sent on invalid port " << port;
-  PortMapper& mapper = *config_.mapper;
-  NodeId to = mapper.Resolve(from, port);
-  CELECT_DCHECK(to != from);
-  mapper.MarkTraversed(from, port);
-
+void Runtime::Transmit(NodeId from, NodeId to, wire::Packet packet,
+                       std::uint64_t clock, std::uint64_t mid) {
+  Metrics& metrics = stores_.metrics;
   std::size_t bytes;
   if (options_.serialize_packets) {
     // Round-trip through the codec: catches any packet the wire format
@@ -318,27 +169,18 @@ void Runtime::SendFrom(NodeId from, Port port, wire::Packet packet) {
   } else {
     bytes = wire::EncodedSize(packet);
   }
-  metrics_.RecordSend(packet.type, bytes);
-  // Every send is a local Lamport event and mints a fresh message uid;
-  // the kDeliver/kDrop/kLoss/kDuplicate outcomes all carry the same uid,
-  // which is what makes trace flows pair exactly.
-  ++lamport_[from];
-  const std::uint64_t mid = ++next_mid_;
-  TraceEvent(TraceRecord::Kind::kSend, from, to, port, packet.type, mid);
-  if (!phase_stack_[from].empty()) {
-    PhaseFrame& top = phase_stack_[from].back();
-    ++top.messages;
-    ++top.agg->messages;
-  }
+  metrics.RecordSend(packet.type, bytes);
 
   // A send-count crash trigger fires *after* this send completes: the
   // message still goes out, later sends in the same handler do not.
   const bool crash_sender = injector_ && injector_->NoteSend(from);
 
+  // Drop, loss and duplicate records belong to the destination's track.
+  NodeCore& dest = cores_[to];
   if (failed_[to]) {
-    metrics_.RecordDrop(DropCause::kCrashedDestination);
-    TraceEvent(TraceRecord::Kind::kDrop, to, from, kInvalidPort,
-               packet.type, mid);
+    metrics.RecordDrop(DropCause::kCrashedDestination);
+    dest.Record(TraceRecord::Kind::kDrop, from, kInvalidPort, packet.type,
+                mid);
   } else {
     // One table probe serves both the delay model's sent-count input and
     // the admission — the second lookup was ~10% of hot-path time.
@@ -347,14 +189,14 @@ void Runtime::SendFrom(NodeId from, Port port, wire::Packet packet) {
     DelayDecision d = config_.delays->Decide(info);
     Admission adm = links_.AdmitWithFaults(link, from, to, now_, d);
     if (adm.lost) {
-      metrics_.RecordDrop(DropCause::kInjectedLoss);
-      TraceEvent(TraceRecord::Kind::kLoss, to, from, kInvalidPort,
-                 packet.type, mid);
+      metrics.RecordDrop(DropCause::kInjectedLoss);
+      dest.Record(TraceRecord::Kind::kLoss, from, kInvalidPort, packet.type,
+                  mid);
     } else {
-      if (adm.reordered) metrics_.RecordReorder();
-      Port arrival_port = mapper.PortToward(to, from);
+      if (adm.reordered) metrics.RecordReorder();
+      Port arrival_port = stores_.mapper->PortToward(to, from);
       const auto mid32 = static_cast<std::uint32_t>(mid);
-      const auto send_clock = static_cast<std::uint32_t>(lamport_[from]);
+      const auto send_clock = static_cast<std::uint32_t>(clock);
       auto latency = [&](Time arrival) {
         constexpr std::int64_t kCeiling =
             std::numeric_limits<std::uint32_t>::max();
@@ -362,24 +204,24 @@ void Runtime::SendFrom(NodeId from, Port port, wire::Packet packet) {
         // The 32-bit field clips at ~4096 units of FIFO backlog. Rare,
         // but silence would quietly corrupt the latency histogram — make
         // it loud via counters["sim.latency_saturated"].
-        if (ticks > kCeiling) metrics_.RecordLatencySaturated();
+        if (ticks > kCeiling) metrics.RecordLatencySaturated();
         return static_cast<std::uint32_t>(std::min(ticks, kCeiling));
       };
       if (adm.duplicate_arrival) {
-        metrics_.RecordDuplicate();
-        TraceEvent(TraceRecord::Kind::kDuplicate, to, from, kInvalidPort,
-                   packet.type, mid);
+        metrics.RecordDuplicate();
+        dest.Record(TraceRecord::Kind::kDuplicate, from, kInvalidPort,
+                    packet.type, mid);
         queue_.Push(*adm.duplicate_arrival,
                     DeliveryEvent{from, to, arrival_port, mid32, send_clock,
                                   latency(*adm.duplicate_arrival), packet});
         ++deliveries_inflight_;
-        if (telemetry_) ++pending_deliveries_[to];
+        if (stores_.telemetry) ++pending_deliveries_[to];
       }
       queue_.Push(adm.arrival,
                   DeliveryEvent{from, to, arrival_port, mid32, send_clock,
                                 latency(adm.arrival), std::move(packet)});
       ++deliveries_inflight_;
-      if (telemetry_) ++pending_deliveries_[to];
+      if (stores_.telemetry) ++pending_deliveries_[to];
     }
   }
   if (crash_sender) MarkCrashed(from);
@@ -393,12 +235,7 @@ void Runtime::Dispatch(const Event& e) {
     if (active_timers_.erase(t->timer) == 0) return;  // cancelled
     if (failed_[t->node]) return;  // timers die with their node
     now_ = std::max(now_, e.at);
-    metrics_.RecordTimerFired();
-    ++lamport_[t->node];
-    TraceEvent(TraceRecord::Kind::kTimerFire, t->node, t->node,
-               kInvalidPort, 0, t->timer);
-    ContextImpl ctx(*this, t->node);
-    processes_[t->node]->OnTimer(ctx, t->timer);
+    cores_[t->node].FireTimer(*processes_[t->node], t->timer);
     return;
   }
   // Monotone clock: under controlled scheduling events dispatch out of
@@ -407,54 +244,43 @@ void Runtime::Dispatch(const Event& e) {
   now_ = std::max(now_, e.at);
   if (const auto* w = std::get_if<WakeupEvent>(&e.body)) {
     if (failed_[w->node]) return;  // crashed before its wakeup fired
-    ++lamport_[w->node];
-    TraceEvent(TraceRecord::Kind::kWakeup, w->node, w->node, kInvalidPort,
-               0, 0);
-    ContextImpl ctx(*this, w->node);
-    processes_[w->node]->OnWakeup(ctx);
+    cores_[w->node].Wakeup(*processes_[w->node]);
   } else if (const auto* d = std::get_if<DeliveryEvent>(&e.body)) {
     // The link hands the message over either way — in-flight accounting
     // must stay exact even when the destination is gone.
     CELECT_DCHECK(deliveries_inflight_ > 0);
     --deliveries_inflight_;
-    if (telemetry_) {
+    obs::Telemetry* telemetry = stores_.telemetry.get();
+    if (telemetry) {
       CELECT_DCHECK(pending_deliveries_[d->to] > 0);
       --pending_deliveries_[d->to];
     }
     links_.NotifyDelivered(d->from, d->to);
-    if (failed_[d->to]) {
-      metrics_.RecordDrop(DropCause::kCrashedDestination);
-      TraceEvent(TraceRecord::Kind::kDrop, d->to, d->from,
-                 d->arrival_port, d->packet.type, d->mid);
-      return;
-    }
-    auto fate = injector_ ? injector_->NoteDelivery(d->to, d->packet.type)
-                          : FaultInjector::DeliveryFate::kProcess;
+    NodeCore& core = cores_[d->to];
+    const auto fate = failed_[d->to] || !injector_
+                          ? FaultInjector::DeliveryFate::kProcess
+                          : injector_->NoteDelivery(d->to, d->packet.type);
+    // Mid-handshake death: the node dies with the message unread.
     if (fate == FaultInjector::DeliveryFate::kCrashBeforeProcessing) {
-      // Mid-handshake death: the node dies with the message unread.
       MarkCrashed(d->to);
-      metrics_.RecordDrop(DropCause::kCrashedDestination);
-      TraceEvent(TraceRecord::Kind::kDrop, d->to, d->from,
-                 d->arrival_port, d->packet.type, d->mid);
+    }
+    if (failed_[d->to]) {
+      stores_.metrics.RecordDrop(DropCause::kCrashedDestination);
+      core.Record(TraceRecord::Kind::kDrop, d->from, d->arrival_port,
+                  d->packet.type, d->mid);
       return;
     }
-    config_.mapper->MarkTraversed(d->to, d->arrival_port);
-    metrics_.RecordDelivery();
-    // A processed delivery joins the sender's send-time clock: the
-    // Lamport rule max(local, sender) + 1. Unprocessed drops above do
-    // not advance the clock — only protocol-visible events do.
-    lamport_[d->to] =
-        std::max<std::uint64_t>(lamport_[d->to], d->send_clock) + 1;
-    TraceEvent(TraceRecord::Kind::kDeliver, d->to, d->from,
-               d->arrival_port, d->packet.type, d->mid);
-    if (telemetry_) {
-      telemetry_->latency.Add(d->latency_ticks);
-      telemetry_->queue_depth.Add(pending_deliveries_[d->to]);
-      telemetry_->inflight.Sample(
+    stores_.metrics.RecordDelivery();
+    if (telemetry) {
+      telemetry->latency.Add(d->latency_ticks);
+      telemetry->queue_depth.Add(pending_deliveries_[d->to]);
+      telemetry->inflight.Sample(
           now_.ticks(), static_cast<std::int64_t>(deliveries_inflight_));
     }
-    ContextImpl ctx(*this, d->to);
-    processes_[d->to]->OnMessage(ctx, d->arrival_port, d->packet);
+    // Unprocessed drops above do not advance the clock — only
+    // protocol-visible events do.
+    core.Deliver(*processes_[d->to], d->from, d->arrival_port, d->packet,
+                 d->send_clock, d->mid);
     if (fate == FaultInjector::DeliveryFate::kCrashAfterProcessing) {
       MarkCrashed(d->to);
     }
@@ -473,7 +299,7 @@ RunInspect Runtime::MakeInspect() {
   in.ids = &ids_;
   in.failed = &failed_;
   in.processes = processes_.data();
-  in.metrics = &metrics_;
+  in.metrics = &stores_.metrics;
   in.now = now_;
   in.deliveries_inflight = deliveries_inflight_;
   return in;
@@ -565,6 +391,7 @@ void Runtime::RunControlled(std::uint64_t& events) {
 RunResult Runtime::Run() {
   CELECT_CHECK(!ran_) << "Runtime::Run may be called only once";
   ran_ = true;
+  Metrics& metrics = stores_.metrics;
 
   const std::uint64_t wall_start = WallClockNowNs();
   std::uint64_t events = 0;
@@ -576,7 +403,7 @@ RunResult Runtime::Run() {
       if (!e) break;
       CELECT_CHECK(++events <= options_.max_events)
           << "event budget exceeded — protocol is not quiescing "
-          << "(messages so far: " << metrics_.messages_sent() << ")";
+          << "(messages so far: " << metrics.messages_sent() << ")";
       Dispatch(*e);
       NotifyObserver(*e);
     }
@@ -588,89 +415,69 @@ RunResult Runtime::Run() {
   // Spans still open at quiescence (protocols that never close their
   // final phase) are closed here so every Begin has a matching End in
   // the aggregates and the export.
-  for (NodeId node = 0; node < config_.n; ++node) {
-    while (!phase_stack_[node].empty()) CloseTopPhase(node);
-  }
-  metrics_.RecordWallClock(WallClockNowNs() - wall_start, events);
+  for (NodeCore& core : cores_) core.CloseAllPhases();
+  metrics.RecordWallClock(WallClockNowNs() - wall_start, events);
 
   RunResult r;
-  r.leader_id = metrics_.leader_id();
-  r.leader_node = metrics_.leader_node();
-  r.leader_declarations = metrics_.leader_declarations();
-  r.leader_time = metrics_.first_leader_time();
+  r.leader_id = metrics.leader_id();
+  r.leader_node = metrics.leader_node();
+  r.leader_declarations = metrics.leader_declarations();
+  r.leader_time = metrics.first_leader_time();
   r.quiesce_time = now_;
-  r.total_messages = metrics_.messages_sent();
-  r.total_bytes = metrics_.bytes_sent();
+  r.total_messages = metrics.messages_sent();
+  r.total_bytes = metrics.bytes_sent();
   r.events_processed = events;
   r.max_link_load = links_.MaxLinkLoad();
   r.max_link_inflight = links_.MaxLinkInflight();
-  r.faults_injected = metrics_.crashes_injected();
-  r.messages_lost = metrics_.dropped_to_loss();
-  r.messages_duplicated = metrics_.messages_duplicated();
-  r.messages_reordered = metrics_.messages_reordered();
-  r.timers_set = metrics_.timers_set();
-  r.timers_fired = metrics_.timers_fired();
-  r.invariant_violations = metrics_.invariant_violations();
-  r.wall_ns = metrics_.wall_ns();
-  r.events_per_sec = metrics_.events_per_sec();
+  r.faults_injected = metrics.crashes_injected();
+  r.messages_lost = metrics.dropped_to_loss();
+  r.messages_duplicated = metrics.messages_duplicated();
+  r.messages_reordered = metrics.messages_reordered();
+  r.timers_set = metrics.timers_set();
+  r.timers_fired = metrics.timers_fired();
+  r.invariant_violations = metrics.invariant_violations();
+  r.wall_ns = metrics.wall_ns();
+  r.events_per_sec = metrics.events_per_sec();
   r.aborted_by_controller = aborted_by_controller_;
-  r.messages_by_type = metrics_.by_type();
-  r.counters = metrics_.counters();
-  // Per-cause drop counters ride in the generic counter map so harness
-  // tables and fingerprints pick them up without schema changes.
-  if (metrics_.dropped_to_crashed() > 0) {
-    r.counters["sim.dropped_to_crashed"] =
-        static_cast<std::int64_t>(metrics_.dropped_to_crashed());
-  }
-  if (metrics_.dropped_to_loss() > 0) {
-    r.counters["sim.dropped_to_loss"] =
-        static_cast<std::int64_t>(metrics_.dropped_to_loss());
-  }
-  if (metrics_.rejoins() > 0) {
-    r.counters["sim.rejoins"] =
-        static_cast<std::int64_t>(metrics_.rejoins());
-  }
-  if (metrics_.timers_cancelled() > 0) {
-    r.counters["sim.timers_cancelled"] =
-        static_cast<std::int64_t>(metrics_.timers_cancelled());
-  }
-  // Clipped DeliveryEvent::latency_ticks fields: absent on healthy runs,
-  // loud when a backlog outgrew the 32-bit latency range.
-  if (metrics_.latency_saturated() > 0) {
-    r.counters["sim.latency_saturated"] =
-        static_cast<std::int64_t>(metrics_.latency_saturated());
-  }
-  // Per-cause lease counters ride the counter map like the drop causes:
-  // absent on lease-free runs, so fingerprints of existing workloads are
-  // untouched.
-  const std::pair<const char*, std::uint64_t> lease_counters[] = {
-      {"lease.granted", metrics_.leases_granted()},
-      {"lease.renewed", metrics_.leases_renewed()},
-      {"lease.expired", metrics_.leases_expired()},
-      {"lease.revoked", metrics_.leases_revoked()},
+  r.messages_by_type = metrics.by_type();
+  r.counters = metrics.counters();
+  // Per-cause tallies ride in the generic counter map so harness tables
+  // and fingerprints pick them up without schema changes. Each appears
+  // only once nonzero, so fingerprints of runs without drops, rejoins,
+  // leases, clipped DeliveryEvent::latency_ticks fields or a capped trace
+  // are untouched.
+  const std::pair<const char*, std::uint64_t> tallies[] = {
+      {"sim.dropped_to_crashed", metrics.dropped_to_crashed()},
+      {"sim.dropped_to_loss", metrics.dropped_to_loss()},
+      {"sim.rejoins", metrics.rejoins()},
+      {"sim.timers_cancelled", metrics.timers_cancelled()},
+      {"sim.latency_saturated", metrics.latency_saturated()},
+      {"sim.trace_truncated", stores_.trace.dropped()},
+      {"lease.granted", metrics.leases_granted()},
+      {"lease.renewed", metrics.leases_renewed()},
+      {"lease.expired", metrics.leases_expired()},
+      {"lease.revoked", metrics.leases_revoked()},
   };
-  for (const auto& [name, count] : lease_counters) {
+  for (const auto& [name, count] : tallies) {
     if (count > 0) r.counters[name] = static_cast<std::int64_t>(count);
   }
   // Per-cause invariant violations ride the counter map too, so harness
   // tables and fingerprints surface them without schema changes.
-  for (const auto& [kind, count] : metrics_.invariant_violations_by_kind()) {
+  for (const auto& [kind, count] : metrics.invariant_violations_by_kind()) {
     r.counters["invariant." + kind] = static_cast<std::int64_t>(count);
   }
-  for (const auto& [key, agg] : phase_agg_) {
+  for (const auto& [key, agg] : stores_.phases) {
     r.phases.emplace(
         obs::PhaseKey(static_cast<obs::PhaseId>(key.first), key.second),
         agg);
   }
-  if (telemetry_) r.telemetry = *telemetry_;
-  if (trace_.truncated()) {
-    // A capped trace must be loud: the counter rides into harness tables
-    // and fingerprints, and the warning tells an interactive user that
-    // the exported trace is a prefix.
-    r.counters["sim.trace_truncated"] =
-        static_cast<std::int64_t>(trace_.dropped());
-    std::cerr << "[celect] warning: trace truncated — " << trace_.dropped()
-              << " records past the cap of " << options_.trace_cap
+  if (stores_.telemetry) r.telemetry = *stores_.telemetry;
+  if (stores_.trace.truncated()) {
+    // A capped trace must be loud: besides the counter, warn an
+    // interactive user that the exported trace is a prefix.
+    std::cerr << "[celect] warning: trace truncated — "
+              << stores_.trace.dropped() << " records past the cap of "
+              << options_.trace_cap
               << " were dropped; raise RuntimeOptions::trace_cap\n";
   }
   return r;

@@ -37,6 +37,7 @@
 #include "celect/sim/link.h"
 #include "celect/sim/metrics.h"
 #include "celect/sim/network.h"
+#include "celect/sim/node_core.h"
 #include "celect/sim/process.h"
 #include "celect/sim/trace.h"
 
@@ -115,7 +116,7 @@ struct RunResult {
   obs::Telemetry telemetry;
 };
 
-class Runtime {
+class Runtime : private NodeHost {
  public:
   Runtime(NetworkConfig config, const ProcessFactory& factory,
           RuntimeOptions options = {});
@@ -128,8 +129,8 @@ class Runtime {
   RunResult Run();
 
   // Introspection (valid after Run).
-  const Metrics& metrics() const { return metrics_; }
-  const Trace& trace() const { return trace_; }
+  const Metrics& metrics() const { return stores_.metrics; }
+  const Trace& trace() const { return stores_.trace; }
   const NetworkConfig& config() const { return config_; }
   // failed[address] after the run: initial failures plus every mid-run
   // crash that fired, minus nodes revived by a later rejoin.
@@ -139,8 +140,13 @@ class Runtime {
   Process& process(NodeId address);
 
  private:
-  class ContextImpl;
-  friend class ContextImpl;
+  // NodeHost: the event-queue and LinkTable half of every node.
+  Time Now() override { return now_; }
+  void Transmit(NodeId from, NodeId to, wire::Packet packet,
+                std::uint64_t clock, std::uint64_t mid) override;
+  TimerId ArmTimer(NodeId node, Time delay) override;
+  bool DisarmTimer(TimerId timer) override;
+  void DeclareLeader(NodeId node) override;
 
   void Dispatch(const Event& e);
   // The controlled-scheduling loop (options_.controller set).
@@ -152,19 +158,8 @@ class Runtime {
   void DrainInert(std::uint64_t& events);
   RunInspect MakeInspect();
   void NotifyObserver(const Event& e);
-  void SendFrom(NodeId from, Port port, wire::Packet packet);
-  TimerId ScheduleTimer(NodeId node, Time delay);
-  void CancelTimer(NodeId node, TimerId timer);
   void MarkCrashed(NodeId node);
   void MarkRejoined(NodeId node);
-  void BeginPhase(NodeId node, obs::PhaseId phase, std::int64_t level);
-  void EndPhase(NodeId node, obs::PhaseId phase);
-  // Closes one open span (aggregating its duration up to now_).
-  void CloseTopPhase(NodeId node);
-  // Records a trace event stamped with `node`'s Lamport clock and
-  // current (top-of-stack) phase. No-op when tracing is off.
-  void TraceEvent(TraceRecord::Kind kind, NodeId node, NodeId peer,
-                  Port port, std::uint16_t type, std::uint64_t mid);
 
   NetworkConfig config_;
   RuntimeOptions options_;
@@ -172,10 +167,13 @@ class Runtime {
   ProcessFactory factory_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<Id> ids_;
+  // Mids are 1-based and global; duplicates share the original's uid so
+  // trace flows pair exactly even under loss.
+  HostStores stores_;
+  // A node's core, and so its Lamport clock, outlives crash and rejoin.
+  std::vector<NodeCore> cores_;
   DualQueue queue_;
   LinkTable links_;
-  Metrics metrics_;
-  Trace trace_;
   Time now_ = Time::Zero();
   bool ran_ = false;
   bool stop_requested_ = false;
@@ -197,7 +195,7 @@ class Runtime {
 
   // Live timers (id → owner + queue ticket); a fired or cancelled timer
   // leaves the map, so stale TimerEvents are discarded at dispatch. The
-  // ticket lets CancelTimer tombstone the queued event the moment it is
+  // ticket lets DisarmTimer tombstone the queued event the moment it is
   // cancelled, so Size()/PeekTime() and queue-depth telemetry never
   // count it. A crash erases (and cancels) all of the owner's timers,
   // which keeps a pre-crash timer from ever firing into the fresh
@@ -209,29 +207,6 @@ class Runtime {
   std::unordered_map<TimerId, TimerRec> active_timers_;
   TimerId next_timer_ = kInvalidTimer;
 
-  // --- Observability (obs/) ------------------------------------------
-  // Per-node Lamport clocks: ticked on send/wakeup/timer-fire; a
-  // delivery joins the sender's send-time clock with max(...) + 1.
-  // Always on — two array ops per event, and determinism means traces
-  // can be correlated with untraced runs of the same seed.
-  std::vector<std::uint64_t> lamport_;
-  // Message uids, 1-based; stamped on every send (duplicates share the
-  // original's uid) so trace flows pair exactly even under loss.
-  std::uint64_t next_mid_ = 0;
-  // Open phase spans per node (innermost last). `agg` points into
-  // phase_agg_ (std::map nodes are stable).
-  struct PhaseFrame {
-    obs::PhaseId id;
-    std::int64_t level;
-    Time since;
-    std::uint64_t messages;
-    obs::PhaseAgg* agg;
-  };
-  std::vector<std::vector<PhaseFrame>> phase_stack_;
-  std::map<std::pair<std::uint16_t, std::int64_t>, obs::PhaseAgg>
-      phase_agg_;
-  // Null unless options_.enable_telemetry.
-  std::unique_ptr<obs::Telemetry> telemetry_;
   // Pending (queued, undelivered) deliveries per destination — the
   // queue-depth histogram's source. Maintained only with telemetry on.
   std::vector<std::uint32_t> pending_deliveries_;

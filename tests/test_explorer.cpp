@@ -53,13 +53,24 @@ InvariantOptions ExploreInvariants() {
 
 // ---- Exhaustive exploration of the paper's protocols -----------------
 
-// (protocol, N, base nodes; 0 = every node). N=4 runs restrict to two
-// base nodes: with four concurrent broadcasters the Mazurkiewicz-trace
-// count exceeds any practical budget, and two candidates already cover
-// every contested race (capture vs. capture, delivery vs. wakeup).
-class ExhaustiveTest
-    : public ::testing::TestWithParam<
-          std::tuple<const char*, std::uint32_t, std::uint32_t>> {
+// N=4 runs restrict to two base nodes: with four concurrent broadcasters
+// the Mazurkiewicz-trace count exceeds any practical budget, and two
+// candidates already cover every contested race (capture vs. capture,
+// delivery vs. wakeup).
+struct ExhaustiveCase {
+  const char* protocol;
+  std::uint32_t n;
+  std::uint32_t bases;  // 0 = every node
+};
+
+// --gtest_list_tests prints the parameter into each test's name; the
+// default printer would print the protocol string's address, which ASLR
+// changes from build to build.
+void PrintTo(const ExhaustiveCase& c, std::ostream* os) {
+  *os << c.protocol << ',' << c.n << ',' << c.bases;
+}
+
+class ExhaustiveTest : public ::testing::TestWithParam<ExhaustiveCase> {
  protected:
   static sim::ProcessFactory Factory(const std::string& name) {
     if (name == "D") return proto::nosod::MakeProtocolD();
@@ -87,13 +98,11 @@ TEST_P(ExhaustiveTest, AllSchedulesSatisfyEveryInvariant) {
 
 INSTANTIATE_TEST_SUITE_P(
     SmallComplete, ExhaustiveTest,
-    ::testing::Values(std::make_tuple("D", 3u, 0u),
-                      std::make_tuple("D", 4u, 2u),
-                      std::make_tuple("E", 3u, 0u),
-                      std::make_tuple("E", 4u, 2u)),
+    ::testing::Values(ExhaustiveCase{"D", 3, 0}, ExhaustiveCase{"D", 4, 2},
+                      ExhaustiveCase{"E", 3, 0}, ExhaustiveCase{"E", 4, 2}),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_N" +
-             std::to_string(std::get<1>(info.param));
+      return std::string(info.param.protocol) + "_N" +
+             std::to_string(info.param.n);
     });
 
 // ---- A seeded bug the explorer must find -----------------------------

@@ -10,7 +10,6 @@
 #include "celect/analysis/explorer.h"
 #include "celect/harness/chaos.h"
 #include "celect/harness/experiment.h"
-#include "celect/harness/sweep.h"
 #include "celect/obs/phase.h"
 #include "celect/obs/telemetry.h"
 #include "celect/obs/trace_export.h"
@@ -115,35 +114,6 @@ TEST(Telemetry, MergeAndEmpty) {
   EXPECT_FALSE(t.Empty());
   EXPECT_EQ(t.latency.count(), 1u);
   EXPECT_EQ(t.inflight.samples_seen(), 1u);
-}
-
-TEST(TelemetryAccumulator, ConcurrentMergeMatchesSerialFold) {
-  // Shards arrive in whatever order the worker threads race to; the
-  // histogram totals must match a serial fold because Merge only
-  // touches the (commutative, associative) histograms.
-  obs::TelemetryAccumulator acc;
-  const std::size_t kShards = 32;
-  harness::ParallelFor(kShards, 8, [&](std::size_t i) {
-    obs::Telemetry shard;
-    shard.latency.Add(i);
-    shard.queue_depth.Add(2 * i + 1);
-    shard.inflight.Sample(static_cast<std::int64_t>(i), 1);
-    acc.Merge(shard);
-  });
-  EXPECT_EQ(acc.shards_merged(), kShards);
-  obs::Telemetry total = acc.Snapshot();
-  obs::Telemetry serial;
-  for (std::size_t i = 0; i < kShards; ++i) {
-    obs::Telemetry shard;
-    shard.latency.Add(i);
-    shard.queue_depth.Add(2 * i + 1);
-    serial.Merge(shard);
-  }
-  EXPECT_EQ(total.latency, serial.latency);
-  EXPECT_EQ(total.queue_depth, serial.queue_depth);
-  // The order-dependent series is deliberately left out of the
-  // accumulated result.
-  EXPECT_EQ(total.inflight.samples_seen(), 0u);
 }
 
 // --- runtime telemetry -----------------------------------------------

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -66,11 +67,15 @@ TEST(ParallelFor, WorkerExceptionRethrownOnCaller) {
 TEST(ParallelFor, FailureShortCircuitsRemainingWork) {
   // After the throw, workers stop claiming indices: with the failure
   // planted at the front of the grid, far fewer than all indices run.
+  // Each other body takes a fixed ~50 us, so the remaining workers
+  // cannot drain the grid before the failure is published — the test
+  // checks the short-circuit, not the scheduler.
   std::atomic<int> ran{0};
   const std::size_t kCount = 10000;
   try {
     ParallelFor(kCount, 4, [&](std::size_t i) {
       if (i == 0) throw std::runtime_error("first cell");
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
       ran++;
     });
     FAIL() << "expected rethrow";
