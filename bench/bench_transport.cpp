@@ -37,17 +37,11 @@ struct Accum {
   Summary rtt_p99;
   std::uint32_t runs = 0;
   std::uint32_t failures = 0;
-  obs::Histogram rtt_us;
-  obs::Histogram backoff_us;
-  obs::Histogram window_occupancy;
-  obs::Histogram suspicion_us;
+  obs::MetricsRegistry metrics;
 
   void Fold(const net::ClusterResult& r, net::Micros unit_us) {
     ++runs;
-    rtt_us.Merge(r.rtt_us);
-    backoff_us.Merge(r.backoff_us);
-    window_occupancy.Merge(r.window_occupancy);
-    suspicion_us.Merge(r.suspicion_us);
+    metrics.MergeFrom(r.metrics);
     if (!r.agreed) {
       ++failures;
       return;
@@ -60,13 +54,6 @@ struct Accum {
     datagrams += r.datagrams;
     rtt_p50.Add(static_cast<double>(r.rtt_p50_us));
     rtt_p99.Add(static_cast<double>(r.rtt_p99_us));
-  }
-
-  void Publish(harness::BenchReporter& reporter) const {
-    reporter.MergeNamedHistogram("rtt_us", rtt_us);
-    reporter.MergeNamedHistogram("backoff_us", backoff_us);
-    reporter.MergeNamedHistogram("window_occupancy", window_occupancy);
-    reporter.MergeNamedHistogram("suspicion_us", suspicion_us);
   }
 
   harness::BenchRow Row(const std::string& protocol, std::uint32_t n,
@@ -134,7 +121,7 @@ int main(int argc, char** argv) {
               << " rtt_p99_us=" << acc.rtt_p99.mean() << "\n";
     any_failure |= acc.failures > 0;
     env.reporter().Add(acc.Row("FT-sim", sim_n, loss, wall_ns));
-    acc.Publish(env.reporter());
+    env.reporter().MergeMetrics(acc.metrics);
   }
 
   std::cout << "\n  udp rows: n=" << udp_n << ", " << udp_seeds
@@ -166,7 +153,7 @@ int main(int argc, char** argv) {
               << acc.rtt_p50.mean() << "\n";
     any_failure |= acc.failures > 0;
     env.reporter().Add(acc.Row("FT-udp", udp_n, loss, wall_ns));
-    acc.Publish(env.reporter());
+    env.reporter().MergeMetrics(acc.metrics);
   }
 
   if (any_failure) {

@@ -143,14 +143,7 @@ std::string BenchReporter::ToJson() const {
     os << "}";
   }
   os << (rows_.empty() ? "]" : "\n  ]");
-  bool any_named = false;
-  for (const auto& [name, h] : named_) {
-    if (h.count() > 0) {
-      any_named = true;
-      break;
-    }
-  }
-  if (!telemetry_.Empty() || any_named) {
+  if (!telemetry_.Empty() || !metrics_.histograms().empty()) {
     os << ",\n  \"histograms\": {";
     bool first = true;
     auto emit = [&](const std::string& name, const obs::Histogram& h) {
@@ -168,11 +161,9 @@ std::string BenchReporter::ToJson() const {
         emit("election_latency", telemetry_.election_latency);
       }
     }
-    // Named histograms after the fixed telemetry trio, in name order;
-    // zero-count entries are skipped so empty merges leave no residue.
-    for (const auto& [name, h] : named_) {
-      if (h.count() > 0) emit(name, h);
-    }
+    // Named histograms after the fixed telemetry trio, in name order
+    // (the registry holds no empty ones).
+    for (const auto& [name, h] : metrics_.histograms()) emit(name, h);
     os << "\n  }";
   }
   os << "\n}\n";

@@ -40,7 +40,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -90,13 +89,10 @@ class BenchReporter {
   // omitted while the merged bundle is Empty().
   void MergeTelemetry(const obs::Telemetry& t) { telemetry_.Merge(t); }
 
-  // Suite-specific named distributions (rtt_us, backoff_us, ...): they
-  // join the same "histograms" section in name order. Empty histograms
-  // are skipped at render time, so merging zero-count data is a no-op.
-  void MergeNamedHistogram(const std::string& name,
-                           const obs::Histogram& h) {
-    named_[name].Merge(h);
-  }
+  // Suite-specific named distributions (rtt_us, backoff_us, ...): the
+  // registry's histograms join the same "histograms" section, after the
+  // telemetry ones, in name order. Its counters are not rendered.
+  void MergeMetrics(const obs::MetricsRegistry& m) { metrics_.MergeFrom(m); }
 
   const std::string& suite() const { return suite_; }
   const std::vector<BenchRow>& rows() const { return rows_; }
@@ -114,7 +110,7 @@ class BenchReporter {
   std::string suite_;
   std::vector<BenchRow> rows_;
   obs::Telemetry telemetry_;
-  std::map<std::string, obs::Histogram> named_;
+  obs::MetricsRegistry metrics_;
 };
 
 // Renders one Histogram as the JSON object used by the "histograms"

@@ -50,16 +50,14 @@ Agreement CheckAgreement(const NodeVec& nodes,
   return a;
 }
 
-void FoldStats(ClusterResult& r, const TransportStats& st) {
+// Folds one incarnation's transport stats and metrics snapshot.
+void Fold(ClusterResult& r, const PeerNode& node, const TransportStats& st) {
   r.datagrams += st.datagrams_sent;
   r.retransmits += st.sessions.data_retransmits;
   r.suspicions += st.sessions.suspicions;
   r.peer_restarts += st.sessions.peer_restarts;
   r.delivered += st.sessions.delivered;
-  r.rtt_us.Merge(st.sessions.rtt_us);
-  r.backoff_us.Merge(st.sessions.backoff_us);
-  r.window_occupancy.Merge(st.sessions.window);
-  r.suspicion_us.Merge(st.sessions.suspicion_us);
+  r.metrics.MergeFrom(node.SnapshotMetrics());
 }
 
 void FillRtt(ClusterResult& r, std::vector<Micros>& samples) {
@@ -120,7 +118,7 @@ ClusterResult RunSimElection(const ClusterConfig& config,
     for (int b = 0; b < 8; ++b) {
       fp.Update(static_cast<std::uint8_t>(d >> (8 * b)));
     }
-    FoldStats(result, net.at(i).Stats());
+    Fold(result, *nodes[i], net.at(i).Stats());
     if (config.trace) result.shards.push_back(nodes[i]->MakeShard(survived));
   };
 
@@ -233,7 +231,7 @@ std::optional<ClusterResult> RunUdpElection(
   std::vector<Micros> rtt;
   for (PeerId i = 0; i < config.n; ++i) {
     auto st = transports[i]->Stats();
-    FoldStats(result, st);
+    Fold(result, *nodes[i], st);
     if (config.trace) result.shards.push_back(nodes[i]->MakeShard(true));
     rtt.insert(rtt.end(), st.sessions.rtt_samples.begin(),
                st.sessions.rtt_samples.end());

@@ -65,11 +65,9 @@ struct ClusterResult {
   // RTT percentiles over never-retransmitted frames (0 when no samples).
   Micros rtt_p50_us = 0;
   Micros rtt_p99_us = 0;
-  // Session-layer distributions aggregated over every incarnation.
-  obs::Histogram rtt_us;
-  obs::Histogram backoff_us;
-  obs::Histogram window_occupancy;
-  obs::Histogram suspicion_us;
+  // Every incarnation's PeerNode::SnapshotMetrics, folded: cluster-wide
+  // counters and session-layer histograms (rtt_us, backoff_us, ...).
+  obs::MetricsRegistry metrics;
   // One shard per node incarnation when ClusterConfig::trace is set,
   // in capture order (deaths first, then survivors in node order).
   std::vector<obs::TraceShard> shards;

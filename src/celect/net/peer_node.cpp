@@ -168,10 +168,8 @@ void PeerNode::Pump() {
 
 obs::MetricsRegistry PeerNode::SnapshotMetrics() const {
   obs::MetricsRegistry m;
-  for (const auto& [name, value] : stores_.metrics.counters()) {
-    if (value > 0) {
-      m.AddCounter("proto." + name, static_cast<std::uint64_t>(value));
-    }
+  for (const auto& [name, value] : stores_.metrics.registry().counters()) {
+    if (value > 0) m.AddCounter("proto." + name, value);
   }
   m.AddCounter("node.events_dispatched", events_dispatched_);
   m.AddCounter("node.suspicions_seen", suspicions_seen_);

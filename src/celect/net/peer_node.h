@@ -88,7 +88,9 @@ class PeerNode : private sim::NodeHost {
   // SIGKILLed victim leaves behind); complete=true an orderly exit.
   obs::TraceShard MakeShard(bool complete) const;
   // Counters + histograms spanning the protocol engine (Context
-  // counters) and the reliability layer (session stats).
+  // counters) and the reliability layer (session stats). The one place
+  // the session histograms get their names: rtt_us, backoff_us,
+  // window_occupancy, suspicion_us.
   obs::MetricsRegistry SnapshotMetrics() const;
 
  private:

@@ -1,8 +1,6 @@
 #include "celect/obs/shard.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -23,35 +21,12 @@ constexpr FlightKind kAllFlightKinds[] = {
     FlightKind::kVersionMismatch,
 };
 
-std::optional<std::uint64_t> ParseU64(const std::string& s) {
-  if (s.empty() || s[0] == '-') return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return std::nullopt;
-  return v;
-}
-
 // "key=value" → value, checking the key; nullopt on mismatch.
 std::optional<std::string> TakeField(const std::string& token,
                                      const char* key) {
   const std::string prefix = std::string(key) + "=";
   if (token.rfind(prefix, 0) != 0) return std::nullopt;
   return token.substr(prefix.size());
-}
-
-std::vector<std::string> SplitOn(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t pos = s.find(sep, start);
-    if (pos == std::string::npos) {
-      out.push_back(s.substr(start));
-      return out;
-    }
-    out.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
 }
 
 }  // namespace
@@ -103,103 +78,6 @@ std::vector<FlightEvent> FlightRecorder::Snapshot() const {
     out.push_back(ring_[(first + i) % ring_.size()]);
   }
   return out;
-}
-
-// --- MetricsRegistry ------------------------------------------------
-
-void MetricsRegistry::AddCounter(const std::string& name,
-                                 std::uint64_t delta) {
-  counters_[name] += delta;
-}
-
-void MetricsRegistry::MergeHistogram(const std::string& name,
-                                     const Histogram& h) {
-  if (h.count() == 0) return;
-  histograms_[name].Merge(h);
-}
-
-void MetricsRegistry::MergeFrom(const MetricsRegistry& o) {
-  for (const auto& [name, v] : o.counters_) counters_[name] += v;
-  for (const auto& [name, h] : o.histograms_) MergeHistogram(name, h);
-}
-
-std::string MetricsRegistry::SerializeCompact() const {
-  if (Empty()) return "-";
-  std::ostringstream os;
-  bool wrote = false;
-  if (!counters_.empty()) {
-    os << "c:";
-    bool first = true;
-    for (const auto& [name, v] : counters_) {
-      if (!first) os << ",";
-      os << name << "=" << v;
-      first = false;
-    }
-    wrote = true;
-  }
-  if (!histograms_.empty()) {
-    if (wrote) os << " ";
-    os << "h:";
-    bool first = true;
-    for (const auto& [name, h] : histograms_) {
-      if (!first) os << ",";
-      os << name << "=" << h.count() << ";" << h.sum() << ";" << h.min()
-         << ";" << h.max() << ";";
-      const std::size_t used = h.BucketsUsed();
-      for (std::size_t b = 0; b < used; ++b) {
-        if (b > 0) os << ":";
-        os << h.buckets()[b];
-      }
-      first = false;
-    }
-  }
-  return os.str();
-}
-
-std::optional<MetricsRegistry> MetricsRegistry::ParseCompact(
-    const std::string& line) {
-  MetricsRegistry reg;
-  if (line == "-") return reg;
-  std::istringstream in(line);
-  std::string section;
-  while (in >> section) {
-    if (section.rfind("c:", 0) == 0) {
-      for (const std::string& item : SplitOn(section.substr(2), ',')) {
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos || eq == 0) return std::nullopt;
-        const auto v = ParseU64(item.substr(eq + 1));
-        if (!v) return std::nullopt;
-        reg.counters_[item.substr(0, eq)] += *v;
-      }
-    } else if (section.rfind("h:", 0) == 0) {
-      for (const std::string& item : SplitOn(section.substr(2), ',')) {
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos || eq == 0) return std::nullopt;
-        const std::string name = item.substr(0, eq);
-        const auto parts = SplitOn(item.substr(eq + 1), ';');
-        if (parts.size() != 5) return std::nullopt;
-        const auto count = ParseU64(parts[0]);
-        const auto sum = ParseU64(parts[1]);
-        const auto min = ParseU64(parts[2]);
-        const auto max = ParseU64(parts[3]);
-        if (!count || !sum || !min || !max) return std::nullopt;
-        std::vector<std::uint64_t> buckets;
-        if (!parts[4].empty()) {
-          for (const std::string& b : SplitOn(parts[4], ':')) {
-            const auto bv = ParseU64(b);
-            if (!bv) return std::nullopt;
-            buckets.push_back(*bv);
-          }
-        }
-        auto h = Histogram::FromParts(buckets, *count, *sum, *min, *max);
-        if (!h) return std::nullopt;
-        reg.MergeHistogram(name, *h);
-      }
-    } else {
-      return std::nullopt;
-    }
-  }
-  return reg;
 }
 
 // --- shard serialization --------------------------------------------
@@ -255,10 +133,10 @@ std::optional<std::vector<TraceShard>> ParseShards(const std::string& text,
       if (!node || !epoch || !complete || !dropped) {
         return fail("malformed shard header field");
       }
-      const auto node_v = ParseU64(*node);
-      const auto epoch_v = ParseU64(*epoch);
-      const auto complete_v = ParseU64(*complete);
-      const auto dropped_v = ParseU64(*dropped);
+      const auto node_v = ParseUint(*node);
+      const auto epoch_v = ParseUint(*epoch);
+      const auto complete_v = ParseUint(*complete);
+      const auto dropped_v = ParseUint(*dropped);
       if (!node_v || !epoch_v || !complete_v || *complete_v > 1 ||
           !dropped_v) {
         return fail("non-numeric shard header field");
@@ -298,11 +176,11 @@ std::optional<std::vector<TraceShard>> ParseShards(const std::string& text,
       if (!at || !peer || !kind || !a || !b) {
         return fail("malformed flight field");
       }
-      const auto at_v = ParseU64(*at);
-      const auto peer_v = ParseU64(*peer);
+      const auto at_v = ParseUint(*at);
+      const auto peer_v = ParseUint(*peer);
       const auto kind_v = FlightKindFromName(*kind);
-      const auto a_v = ParseU64(*a);
-      const auto b_v = ParseU64(*b);
+      const auto a_v = ParseUint(*a);
+      const auto b_v = ParseUint(*b);
       if (!at_v || !peer_v || !kind_v || !a_v || !b_v) {
         return fail("bad flight field value");
       }

@@ -86,42 +86,6 @@ class FlightRecorder {
   std::vector<FlightEvent> ring_;
 };
 
-// --- metrics registry -----------------------------------------------
-
-// Named counters + named power-of-two histograms with an associative,
-// commutative merge. One registry snapshot is one process's view; the
-// supervisor folds registries from every child (latest snapshot per
-// incarnation) into cluster-wide totals.
-class MetricsRegistry {
- public:
-  void AddCounter(const std::string& name, std::uint64_t delta);
-  void MergeHistogram(const std::string& name, const Histogram& h);
-  void MergeFrom(const MetricsRegistry& o);
-
-  bool Empty() const { return counters_.empty() && histograms_.empty(); }
-
-  const std::map<std::string, std::uint64_t>& counters() const {
-    return counters_;
-  }
-  const std::map<std::string, Histogram>& histograms() const {
-    return histograms_;
-  }
-
-  // Single-line, whitespace-free wire form for shipping snapshots over
-  // a pipe: "c:name=v,... h:name=count;sum;min;max;b0:b1:...,...".
-  // Either section may be absent; an empty registry serializes to "-".
-  std::string SerializeCompact() const;
-  static std::optional<MetricsRegistry> ParseCompact(
-      const std::string& line);
-
-  friend bool operator==(const MetricsRegistry&,
-                         const MetricsRegistry&) = default;
-
- private:
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, Histogram> histograms_;
-};
-
 // --- trace shards ---------------------------------------------------
 
 // One node incarnation's observability dump. `complete` is false for

@@ -1,6 +1,9 @@
 #include "celect/obs/telemetry.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdlib>
+#include <sstream>
 
 namespace celect::obs {
 
@@ -14,6 +17,20 @@ std::size_t BucketOf(std::uint64_t v) {
     v >>= 1;
   }
   return b;
+}
+
+std::vector<std::string> SplitOn(const std::string& s, char sep) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  for (;;) {
+    const std::size_t pos = s.find(sep, start);
+    if (pos == std::string::npos) {
+      out.push_back(s.substr(start));
+      return out;
+    }
+    out.push_back(s.substr(start, pos - start));
+    start = pos + 1;
+  }
 }
 
 }  // namespace
@@ -43,13 +60,27 @@ std::optional<Histogram> Histogram::FromParts(
   std::uint64_t total = 0;
   for (std::size_t b = 0; b < buckets.size(); ++b) {
     h.counts_[b] = buckets[b];
+    if (total + buckets[b] < total) return std::nullopt;
     total += buckets[b];
   }
   if (total != count) return std::nullopt;
-  if (count > 0 && min > max) return std::nullopt;
+  if (count == 0) {
+    if (sum != 0 || min != 0 || max != 0) return std::nullopt;
+    return h;
+  }
+  std::size_t lowest = 0;
+  while (h.counts_[lowest] == 0) ++lowest;
+  if (min > max || BucketOf(min) != lowest ||
+      BucketOf(max) != h.BucketsUsed() - 1) {
+    return std::nullopt;
+  }
+  // count·min <= sum <= count·max, divided through so nothing overflows.
+  if (sum / count < min || sum / count + (sum % count != 0) > max) {
+    return std::nullopt;
+  }
   h.count_ = count;
   h.sum_ = sum;
-  h.min_ = count ? min : 0;
+  h.min_ = min;
   h.max_ = max;
   return h;
 }
@@ -78,31 +109,137 @@ std::size_t Histogram::BucketsUsed() const {
   return 0;
 }
 
-TimeSeries::TimeSeries(std::size_t cap) : cap_(cap < 2 ? 2 : cap) {}
-
-void TimeSeries::Sample(std::int64_t at, std::int64_t value) {
-  if (seen_++ % stride_ != 0) return;
-  if (points_.size() == cap_) {
-    // Thin: keep every other point, double the stride.
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < points_.size(); r += 2) {
-      points_[w++] = points_[r];
-    }
-    points_.resize(w);
-    stride_ *= 2;
-    // The sample that triggered the thinning survives only if it still
-    // lands on the doubled stride.
-    if ((seen_ - 1) % stride_ != 0) return;
-  }
-  points_.push_back({at, value});
-}
-
 void Telemetry::Merge(const Telemetry& o) {
   latency.Merge(o.latency);
   queue_depth.Merge(o.queue_depth);
   capture_width.Merge(o.capture_width);
   election_latency.Merge(o.election_latency);
-  if (inflight.samples_seen() == 0) inflight = o.inflight;
+}
+
+// --- MetricsRegistry ------------------------------------------------
+
+std::uint32_t MetricsRegistry::InternCounter(std::string_view name) {
+  auto it = slots_.find(name);
+  if (it != slots_.end()) return it->second;
+  const auto slot = static_cast<std::uint32_t>(cells_.size());
+  cells_.emplace_back();
+  slots_.emplace(std::string(name), slot);
+  return slot;
+}
+
+void MetricsRegistry::MergeHistogram(const std::string& name,
+                                     const Histogram& h) {
+  if (h.count() == 0) return;
+  histograms_[name].Merge(h);
+}
+
+void MetricsRegistry::MergeFrom(const MetricsRegistry& o) {
+  for (const auto& [name, slot] : o.slots_) {
+    if (o.cells_[slot].recorded) AddCounter(name, o.cells_[slot].value);
+  }
+  for (const auto& [name, h] : o.histograms_) MergeHistogram(name, h);
+}
+
+bool MetricsRegistry::Empty() const {
+  return histograms_.empty() &&
+         std::none_of(cells_.begin(), cells_.end(),
+                      [](const Cell& c) { return c.recorded; });
+}
+
+std::map<std::string, std::int64_t> MetricsRegistry::counters() const {
+  std::map<std::string, std::int64_t> out;
+  for (const auto& [name, slot] : slots_) {
+    if (cells_[slot].recorded) out.emplace_hint(out.end(), name,
+                                                cells_[slot].value);
+  }
+  return out;
+}
+
+bool operator==(const MetricsRegistry& a, const MetricsRegistry& b) {
+  return a.counters() == b.counters() && a.histograms_ == b.histograms_;
+}
+
+std::string MetricsRegistry::SerializeCompact() const {
+  if (Empty()) return "-";
+  std::ostringstream os;
+  const char* sep = "c:";
+  for (const auto& [name, slot] : slots_) {
+    if (!cells_[slot].recorded) continue;
+    os << sep << name << "=" << cells_[slot].value;
+    sep = ",";
+  }
+  sep = *sep == ',' ? " h:" : "h:";
+  for (const auto& [name, h] : histograms_) {
+    os << sep << name << "=" << h.count() << ";" << h.sum() << ";"
+       << h.min() << ";" << h.max() << ";";
+    const std::size_t used = h.BucketsUsed();
+    for (std::size_t b = 0; b < used; ++b) {
+      if (b > 0) os << ":";
+      os << h.buckets()[b];
+    }
+    sep = ",";
+  }
+  return os.str();
+}
+
+std::optional<MetricsRegistry> MetricsRegistry::ParseCompact(
+    const std::string& line) {
+  MetricsRegistry reg;
+  if (line == "-") return reg;
+  std::istringstream in(line);
+  std::string section;
+  while (in >> section) {
+    const bool counters = section.rfind("c:", 0) == 0;
+    if (!counters && section.rfind("h:", 0) != 0) return std::nullopt;
+    for (const std::string& item : SplitOn(section.substr(2), ',')) {
+      const std::size_t eq = item.find('=');
+      if (eq == std::string::npos || eq == 0) return std::nullopt;
+      const std::string name = item.substr(0, eq);
+      if (counters) {
+        const auto v = ParseInt(item.substr(eq + 1));
+        if (!v || reg.slots_.count(name) > 0) return std::nullopt;
+        reg.AddCounter(name, *v);
+        continue;
+      }
+      const auto parts = SplitOn(item.substr(eq + 1), ';');
+      if (parts.size() != 5) return std::nullopt;
+      const auto count = ParseUint(parts[0]);
+      const auto sum = ParseUint(parts[1]);
+      const auto min = ParseUint(parts[2]);
+      const auto max = ParseUint(parts[3]);
+      if (!count || !sum || !min || !max) return std::nullopt;
+      std::vector<std::uint64_t> buckets;
+      if (!parts[4].empty()) {
+        for (const std::string& b : SplitOn(parts[4], ':')) {
+          const auto bv = ParseUint(b);
+          if (!bv) return std::nullopt;
+          buckets.push_back(*bv);
+        }
+      }
+      auto h = Histogram::FromParts(buckets, *count, *sum, *min, *max);
+      if (!h || reg.histograms_.count(name) > 0) return std::nullopt;
+      reg.MergeHistogram(name, *h);
+    }
+  }
+  return reg;
+}
+
+std::optional<std::int64_t> ParseInt(const std::string& s) {
+  if (s.empty()) return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(s.c_str(), &end, 10);
+  if (errno != 0 || end != s.c_str() + s.size()) return std::nullopt;
+  return v;
+}
+
+std::optional<std::uint64_t> ParseUint(const std::string& s) {
+  if (s.empty() || s[0] == '-' || s[0] == '+') return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  if (errno != 0 || end != s.c_str() + s.size()) return std::nullopt;
+  return v;
 }
 
 }  // namespace celect::obs

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <unordered_map>
+
+#include "celect/obs/telemetry.h"
 
 namespace celect::obs {
 
@@ -54,26 +55,6 @@ std::optional<std::string> TakeField(const std::string& token,
   const std::string prefix = std::string(key) + "=";
   if (token.rfind(prefix, 0) != 0) return std::nullopt;
   return token.substr(prefix.size());
-}
-
-std::optional<std::int64_t> ParseInt(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return std::nullopt;
-  return v;
-}
-
-// seq/clock/mid use the full unsigned range (wire mids are random
-// 64-bit values), so they get their own parse instead of ParseInt.
-std::optional<std::uint64_t> ParseUint(const std::string& s) {
-  if (s.empty() || s[0] == '-' || s[0] == '+') return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return std::nullopt;
-  return v;
 }
 
 // "doubling.3" → (kDoubling, 3); "capture1" → (kCapture1, 0).

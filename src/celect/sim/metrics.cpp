@@ -1,20 +1,39 @@
 #include "celect/sim/metrics.h"
 
 #include <algorithm>
-
-#include "celect/util/check.h"
+#include <iterator>
+#include <string_view>
 
 namespace celect::sim {
 
-void Metrics::RecordDrop(DropCause cause) {
-  switch (cause) {
-    case DropCause::kCrashedDestination:
-      ++dropped_to_crashed_;
-      break;
-    case DropCause::kInjectedLoss:
-      ++dropped_to_loss_;
-      break;
+namespace {
+
+// Registry names of the tallies, in Metrics::Tally order.
+constexpr std::string_view kTallyNames[] = {
+    "sim.dropped_to_crashed", "sim.dropped_to_loss", "sim.rejoins",
+    "sim.latency_saturated",  "lease.granted",       "lease.renewed",
+    "lease.expired",          "lease.revoked",
+};
+static_assert(std::size(kTallyNames) == 4 + kLeaseEventCount);
+
+}  // namespace
+
+Metrics::Metrics() {
+  std::fill(std::begin(tally_slots_), std::end(tally_slots_),
+            obs::MetricsRegistry::kNoSlot);
+}
+
+void Metrics::Record(Tally t) {
+  std::uint32_t& s = tally_slots_[t];
+  if (s == obs::MetricsRegistry::kNoSlot) {
+    s = registry_.InternCounter(kTallyNames[t]);
   }
+  registry_.AddCounter(s, 1);
+}
+
+void Metrics::RecordDrop(DropCause cause) {
+  Record(cause == DropCause::kCrashedDestination ? kDroppedToCrashed
+                                                 : kDroppedToLoss);
 }
 
 void Metrics::RecordDuplicate() { ++messages_duplicated_; }
@@ -23,10 +42,10 @@ void Metrics::RecordReorder() { ++messages_reordered_; }
 
 void Metrics::RecordCrash() { ++crashes_injected_; }
 
-void Metrics::RecordRejoin() { ++rejoins_; }
+void Metrics::RecordRejoin() { Record(kRejoins); }
 
 void Metrics::RecordLeaseEvent(LeaseEvent event) {
-  ++lease_events_[static_cast<int>(event)];
+  Record(static_cast<Tally>(kLeaseEvents + static_cast<int>(event)));
 }
 
 void Metrics::RecordTimerSet() { ++timers_set_; }
@@ -35,7 +54,7 @@ void Metrics::RecordTimerFired() { ++timers_fired_; }
 
 void Metrics::RecordTimerCancelled() { ++timers_cancelled_; }
 
-void Metrics::RecordLatencySaturated() { ++latency_saturated_; }
+void Metrics::RecordLatencySaturated() { Record(kLatencySaturated); }
 
 void Metrics::RecordLeader(NodeId node, Id id, Time at) {
   if (leader_declarations_ == 0) {
@@ -48,7 +67,7 @@ void Metrics::RecordLeader(NodeId node, Id id, Time at) {
 
 void Metrics::RecordInvariantViolation(const std::string& kind) {
   ++invariant_violations_total_;
-  ++invariant_violations_by_kind_[kind];
+  registry_.AddCounter("invariant." + kind, 1);
 }
 
 void Metrics::RecordWallClock(std::uint64_t ns, std::uint64_t events) {
@@ -58,51 +77,11 @@ void Metrics::RecordWallClock(std::uint64_t ns, std::uint64_t events) {
              : 0.0;
 }
 
-std::uint32_t Metrics::InternCounter(std::string_view name) {
-  auto it = counter_index_.find(name);
-  if (it != counter_index_.end()) return it->second;
-  const auto slot = static_cast<std::uint32_t>(counter_cells_.size());
-  counter_cells_.push_back(CounterCell{std::string(name), 0, false});
-  counter_index_.emplace(counter_cells_.back().name, slot);
-  return slot;
-}
-
-void Metrics::AddCounter(std::uint32_t slot, std::int64_t delta) {
-  CELECT_DCHECK(slot < counter_cells_.size());
-  CounterCell& c = counter_cells_[slot];
-  c.value += delta;
-  c.touched = true;
-}
-
-void Metrics::MaxCounter(std::uint32_t slot, std::int64_t value) {
-  CELECT_DCHECK(slot < counter_cells_.size());
-  CounterCell& c = counter_cells_[slot];
-  // First record sets the cell outright — same as creating a map entry.
-  c.value = c.touched ? std::max(c.value, value) : value;
-  c.touched = true;
-}
-
-void Metrics::AddCounter(std::string_view name, std::int64_t delta) {
-  AddCounter(InternCounter(name), delta);
-}
-
-void Metrics::MaxCounter(std::string_view name, std::int64_t value) {
-  MaxCounter(InternCounter(name), value);
-}
-
 std::map<std::uint16_t, std::uint64_t> Metrics::by_type() const {
   std::map<std::uint16_t, std::uint64_t> out;
   for (std::size_t t = 0; t < by_type_.size(); ++t) {
     if (by_type_[t] > 0) out.emplace(static_cast<std::uint16_t>(t),
                                      by_type_[t]);
-  }
-  return out;
-}
-
-std::map<std::string, std::int64_t> Metrics::counters() const {
-  std::map<std::string, std::int64_t> out;
-  for (const CounterCell& c : counter_cells_) {
-    if (c.touched) out.emplace(c.name, c.value);
   }
   return out;
 }

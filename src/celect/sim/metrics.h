@@ -1,23 +1,21 @@
 // Run accounting: message counts, bytes on the wire, per-type breakdown,
-// leader declarations, fault-injection tallies, and protocol-specific
-// counters.
+// leader declarations and fault-injection tallies as fixed fields, plus
+// one obs::MetricsRegistry for everything named.
 //
-// Protocol counters are interned: a name resolves once to a dense slot
-// (InternCounter), and the per-event hot path bumps a plain array cell —
-// no string hashing, no allocation. The string-keyed entry points remain
-// for cold callers and intern on the fly; either path lands in the same
-// cell, and counters() materialises only the cells that were actually
-// touched, preserving the original map semantics (a counter exists once
-// something recorded to it).
+// The registry holds the protocols' counters (recorded by NodeCore) and
+// the per-cause tallies under their final names — sim.dropped_to_*,
+// sim.rejoins, sim.latency_saturated, lease.<event>, invariant.<kind>.
+// Each appears only once recorded, so fingerprints of runs without
+// drops, rejoins, leases or violations are untouched.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "celect/obs/telemetry.h"
 #include "celect/sim/time.h"
 #include "celect/sim/types.h"
 
@@ -32,6 +30,8 @@ enum class DropCause {
 
 class Metrics {
  public:
+  Metrics();
+
   // The send/delivery tallies run once per simulated message — inline so
   // the hot loop pays two increments, not a call.
   void RecordSend(std::uint16_t type, std::size_t bytes) {
@@ -46,71 +46,52 @@ class Metrics {
   void RecordReorder();
   void RecordCrash();
   void RecordRejoin();
-  // Per-cause lease lifecycle tally (granted / renewed / expired /
-  // revoked). Mirrors the per-cause drop counters: zero entries on
-  // lease-free runs, surfaced in RunResult::counters otherwise.
+  // Per-cause lease lifecycle tally: lease.granted / renewed / expired /
+  // revoked.
   void RecordLeaseEvent(LeaseEvent event);
   void RecordTimerSet();
   void RecordTimerFired();
   void RecordTimerCancelled();
   // A DeliveryEvent's 32-bit latency field clipped at its ceiling — the
-  // telemetry histogram under-reports that delivery. Surfaced as
-  // counters["sim.latency_saturated"] so saturation is loud instead of
-  // silent.
+  // telemetry histogram under-reports that delivery. Counted as
+  // sim.latency_saturated so saturation is loud instead of silent.
   void RecordLatencySaturated();
   void RecordLeader(NodeId node, Id id, Time at);
   // Per-cause invariant-violation tally (analysis/invariants.h kinds,
-  // e.g. "multiple_leaders"). Mirrors the per-cause drop counters: zero
-  // entries on clean runs, surfaced in RunResult::counters otherwise.
+  // e.g. "multiple_leaders"), counted as invariant.<kind>.
   void RecordInvariantViolation(const std::string& kind);
   // Host wall-clock spent inside Runtime::Run, recorded once at the end
   // of the run. Non-deterministic by nature: excluded from result
   // fingerprints, reported for throughput (events/sec) accounting only.
   void RecordWallClock(std::uint64_t ns, std::uint64_t events);
 
-  // Resolves `name` to a dense counter slot, creating it (untouched) on
-  // first sight. Stable for the lifetime of this Metrics. Call once at
-  // setup; then record through the slot overloads below.
-  std::uint32_t InternCounter(std::string_view name);
-  void AddCounter(std::uint32_t slot, std::int64_t delta);
-  void MaxCounter(std::uint32_t slot, std::int64_t value);
-  // String-keyed fallbacks: intern on the fly, then record. Cold path.
-  void AddCounter(std::string_view name, std::int64_t delta);
-  void MaxCounter(std::string_view name, std::int64_t value);
+  // Named counters; NodeCore records the protocols' counters here.
+  obs::MetricsRegistry& registry() { return registry_; }
+  const obs::MetricsRegistry& registry() const { return registry_; }
 
   std::uint64_t messages_sent() const { return messages_sent_; }
   std::uint64_t messages_delivered() const { return messages_delivered_; }
   // Total drops, all causes.
   std::uint64_t messages_dropped() const {
-    return dropped_to_crashed_ + dropped_to_loss_;
+    return static_cast<std::uint64_t>(
+        registry_.counter(tally_slots_[kDroppedToCrashed]) +
+        registry_.counter(tally_slots_[kDroppedToLoss]));
   }
-  std::uint64_t dropped_to_crashed() const { return dropped_to_crashed_; }
-  std::uint64_t dropped_to_loss() const { return dropped_to_loss_; }
+  std::uint64_t dropped_to_loss() const {
+    return static_cast<std::uint64_t>(
+        registry_.counter(tally_slots_[kDroppedToLoss]));
+  }
   std::uint64_t messages_duplicated() const { return messages_duplicated_; }
   std::uint64_t messages_reordered() const { return messages_reordered_; }
   std::uint64_t crashes_injected() const { return crashes_injected_; }
-  std::uint64_t rejoins() const { return rejoins_; }
-  std::uint64_t leases_granted() const { return lease_events_[0]; }
-  std::uint64_t leases_renewed() const { return lease_events_[1]; }
-  std::uint64_t leases_expired() const { return lease_events_[2]; }
-  std::uint64_t leases_revoked() const { return lease_events_[3]; }
   std::uint64_t timers_set() const { return timers_set_; }
   std::uint64_t timers_fired() const { return timers_fired_; }
   std::uint64_t timers_cancelled() const { return timers_cancelled_; }
-  std::uint64_t latency_saturated() const { return latency_saturated_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
   // Per-type send counts, materialised from the flat tally.
   std::map<std::uint16_t, std::uint64_t> by_type() const;
-  // Touched protocol counters, materialised by name. A counter interned
-  // but never recorded to does not appear — same visibility rule as the
-  // original map-backed storage.
-  std::map<std::string, std::int64_t> counters() const;
   std::uint64_t invariant_violations() const {
     return invariant_violations_total_;
-  }
-  const std::map<std::string, std::uint64_t>& invariant_violations_by_kind()
-      const {
-    return invariant_violations_by_kind_;
   }
 
   std::uint32_t leader_declarations() const { return leader_declarations_; }
@@ -121,35 +102,35 @@ class Metrics {
   double events_per_sec() const { return events_per_sec_; }
 
  private:
-  struct CounterCell {
-    std::string name;
-    std::int64_t value = 0;
-    bool touched = false;
+  // The named tallies (lease events in LeaseEvent order). Each is
+  // interned into the registry on its first record, so building a
+  // Metrics allocates nothing.
+  enum Tally : std::uint8_t {
+    kDroppedToCrashed,
+    kDroppedToLoss,
+    kRejoins,
+    kLatencySaturated,
+    kLeaseEvents,
+    kTallyCount = kLeaseEvents + kLeaseEventCount,
   };
+  void Record(Tally t);
 
   std::uint64_t messages_sent_ = 0;
   std::uint64_t messages_delivered_ = 0;
-  std::uint64_t dropped_to_crashed_ = 0;
-  std::uint64_t dropped_to_loss_ = 0;
   std::uint64_t messages_duplicated_ = 0;
   std::uint64_t messages_reordered_ = 0;
   std::uint64_t crashes_injected_ = 0;
-  std::uint64_t rejoins_ = 0;
-  std::uint64_t lease_events_[kLeaseEventCount] = {0, 0, 0, 0};
   std::uint64_t timers_set_ = 0;
   std::uint64_t timers_fired_ = 0;
   std::uint64_t timers_cancelled_ = 0;
-  std::uint64_t latency_saturated_ = 0;
   std::uint64_t bytes_sent_ = 0;
   // Flat per-type send tally, grown on demand (packet types are small
   // dense enums). One indexed add per send instead of a map walk.
   std::vector<std::uint64_t> by_type_;
-  // Interned protocol counters: cells indexed by slot, name→slot lookup
-  // with heterogeneous find so string-keyed calls don't allocate.
-  std::vector<CounterCell> counter_cells_;
-  std::map<std::string, std::uint32_t, std::less<>> counter_index_;
+  obs::MetricsRegistry registry_;
+  // Registry slot of each tally; kNoSlot until its first record.
+  std::uint32_t tally_slots_[kTallyCount];
   std::uint64_t invariant_violations_total_ = 0;
-  std::map<std::string, std::uint64_t> invariant_violations_by_kind_;
   std::uint32_t leader_declarations_ = 0;
   std::optional<NodeId> leader_node_;
   std::optional<Id> leader_id_;

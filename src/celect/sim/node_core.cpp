@@ -121,18 +121,20 @@ void NodeCore::CancelTimer(TimerId timer) {
 }
 
 void NodeCore::AddCounter(const CounterRef& c, std::int64_t delta) {
+  obs::MetricsRegistry& r = stores_.metrics.registry();
   if (c.slot == CounterRef::kUnresolved) {
-    stores_.metrics.AddCounter(c.name, delta);
+    r.AddCounter(c.name, delta);
   } else {
-    stores_.metrics.AddCounter(c.slot, delta);
+    r.AddCounter(c.slot, delta);
   }
 }
 
 void NodeCore::MaxCounter(const CounterRef& c, std::int64_t value) {
+  obs::MetricsRegistry& r = stores_.metrics.registry();
   if (c.slot == CounterRef::kUnresolved) {
-    stores_.metrics.MaxCounter(c.name, value);
+    r.MaxCounter(c.name, value);
   } else {
-    stores_.metrics.MaxCounter(c.slot, value);
+    r.MaxCounter(c.slot, value);
   }
 }
 

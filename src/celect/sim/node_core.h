@@ -114,13 +114,13 @@ class NodeCore final : public Context {
     stores_.metrics.RecordLeaseEvent(event);
   }
   void AddCounter(std::string_view name, std::int64_t delta) override {
-    stores_.metrics.AddCounter(name, delta);
+    stores_.metrics.registry().AddCounter(name, delta);
   }
   void MaxCounter(std::string_view name, std::int64_t value) override {
-    stores_.metrics.MaxCounter(name, value);
+    stores_.metrics.registry().MaxCounter(name, value);
   }
   CounterRef ResolveCounter(std::string_view name) override {
-    return CounterRef{name, stores_.metrics.InternCounter(name)};
+    return CounterRef{name, stores_.metrics.registry().InternCounter(name)};
   }
   void AddCounter(const CounterRef& c, std::int64_t delta) override;
   void MaxCounter(const CounterRef& c, std::int64_t value) override;

@@ -274,8 +274,6 @@ void Runtime::Dispatch(const Event& e) {
     if (telemetry) {
       telemetry->latency.Add(d->latency_ticks);
       telemetry->queue_depth.Add(pending_deliveries_[d->to]);
-      telemetry->inflight.Sample(
-          now_.ticks(), static_cast<std::int64_t>(deliveries_inflight_));
     }
     // Unprocessed drops above do not advance the clock — only
     // protocol-visible events do.
@@ -440,31 +438,16 @@ RunResult Runtime::Run() {
   r.events_per_sec = metrics.events_per_sec();
   r.aborted_by_controller = aborted_by_controller_;
   r.messages_by_type = metrics.by_type();
-  r.counters = metrics.counters();
-  // Per-cause tallies ride in the generic counter map so harness tables
-  // and fingerprints pick them up without schema changes. Each appears
-  // only once nonzero, so fingerprints of runs without drops, rejoins,
-  // leases, clipped DeliveryEvent::latency_ticks fields or a capped trace
-  // are untouched.
-  const std::pair<const char*, std::uint64_t> tallies[] = {
-      {"sim.dropped_to_crashed", metrics.dropped_to_crashed()},
-      {"sim.dropped_to_loss", metrics.dropped_to_loss()},
-      {"sim.rejoins", metrics.rejoins()},
-      {"sim.timers_cancelled", metrics.timers_cancelled()},
-      {"sim.latency_saturated", metrics.latency_saturated()},
-      {"sim.trace_truncated", stores_.trace.dropped()},
-      {"lease.granted", metrics.leases_granted()},
-      {"lease.renewed", metrics.leases_renewed()},
-      {"lease.expired", metrics.leases_expired()},
-      {"lease.revoked", metrics.leases_revoked()},
-  };
-  for (const auto& [name, count] : tallies) {
-    if (count > 0) r.counters[name] = static_cast<std::int64_t>(count);
+  r.counters = metrics.registry().counters();
+  // Two tallies stay outside the registry and are named here: timer
+  // cancels (a fixed field, because a PeerNode reports every registry
+  // counter as proto.*) and trace truncation (the trace's own count).
+  // Each appears only once nonzero.
+  if (const auto c = metrics.timers_cancelled(); c > 0) {
+    r.counters["sim.timers_cancelled"] = static_cast<std::int64_t>(c);
   }
-  // Per-cause invariant violations ride the counter map too, so harness
-  // tables and fingerprints surface them without schema changes.
-  for (const auto& [kind, count] : metrics.invariant_violations_by_kind()) {
-    r.counters["invariant." + kind] = static_cast<std::int64_t>(count);
+  if (const auto d = stores_.trace.dropped(); d > 0) {
+    r.counters["sim.trace_truncated"] = static_cast<std::int64_t>(d);
   }
   for (const auto& [key, agg] : stores_.phases) {
     r.phases.emplace(

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,43 @@ TEST(MetricsRegistryTest, CompactRoundTrip) {
   EXPECT_EQ(*back, m);
 }
 
+TEST(MetricsRegistryTest, CompactFormRejectsMalformedLines) {
+  const char* bad[] = {
+      "x",                      // no section tag
+      "c:",                     // empty item
+      "c:=1",                   // empty name
+      "c:a=1x",                 // trailing junk
+      "c:a=9223372036854775808",  // int64 overflow
+      "c:a=1,a=2",              // repeated name
+      "h:h=1;1;1;1",            // missing bucket part
+      "h:h=1;-1;1;1;0:1",       // signed histogram part
+      "h:h=2;1;1;1;0:1",        // bucket total != count
+      "h:rtt_us=1;9;9;9;0:1",   // min/max outside the only bucket
+      "h:rtt_us=2;1;0;0;2",     // mean 0.5 > max 0
+      "h:h=0;0;0;5;",           // empty histogram with a max
+  };
+  for (const char* line : bad) {
+    EXPECT_FALSE(MetricsRegistry::ParseCompact(line).has_value()) << line;
+  }
+  auto neg = MetricsRegistry::ParseCompact("c:a=-3,b=+4");
+  ASSERT_TRUE(neg.has_value());
+  EXPECT_EQ(neg->counters().at("a"), -3);
+  EXPECT_EQ(neg->SerializeCompact(), "c:a=-3,b=4");
+}
+
+TEST(MetricsRegistryTest, CounterExistsOnlyOnceRecorded) {
+  MetricsRegistry m;
+  const std::uint32_t peak = m.InternCounter("peak");
+  EXPECT_TRUE(m.Empty());
+  EXPECT_EQ(m.SerializeCompact(), "-");
+  m.MaxCounter(peak, -5);  // the first record sets the value outright
+  m.MaxCounter(peak, -9);
+  m.AddCounter("zero", 0);
+  EXPECT_EQ(m.counters(), (std::map<std::string, std::int64_t>{
+                              {"peak", -5}, {"zero", 0}}));
+  EXPECT_EQ(m.InternCounter("peak"), peak);
+}
+
 TEST(MetricsRegistryTest, EmptyRegistrySerializesToDash) {
   MetricsRegistry m;
   EXPECT_EQ(m.SerializeCompact(), "-");
@@ -90,7 +128,7 @@ TEST(MetricsRegistryTest, MergeIsCommutative) {
   MetricsRegistry ba = b;
   ba.MergeFrom(a);
   EXPECT_EQ(ab, ba);
-  EXPECT_EQ(ab.counters().at("x"), 3u);
+  EXPECT_EQ(ab.counters().at("x"), 3);
 }
 
 TraceShard SampleShard(std::uint32_t node, std::uint64_t epoch,
@@ -304,9 +342,10 @@ TEST(TracedElectionTest, SessionHistogramsReachTheClusterResult) {
   config.link.loss = 0.15;
   ClusterResult result = RunSimElection(config, MakeFaultTolerant(1));
   ASSERT_TRUE(result.agreed);
-  EXPECT_GT(result.rtt_us.count(), 0u);
-  EXPECT_GT(result.window_occupancy.count(), 0u);
-  EXPECT_GT(result.backoff_us.count(), 0u) << "15% loss must retransmit";
+  const auto& h = result.metrics.histograms();
+  ASSERT_EQ(h.count("rtt_us"), 1u);
+  ASSERT_EQ(h.count("window_occupancy"), 1u);
+  EXPECT_EQ(h.count("backoff_us"), 1u) << "15% loss must retransmit";
 }
 
 }  // namespace
