@@ -5,10 +5,13 @@
 //   ./election_playground --protocol=A --wakeup=staggered --trace=true
 //
 // Use --help for the full knob list and the protocol catalogue.
+#include <algorithm>
 #include <iostream>
+#include <vector>
 
 #include "celect/harness/experiment.h"
 #include "celect/harness/registry.h"
+#include "celect/obs/trace_inspect.h"
 #include "celect/sim/runtime.h"
 #include "celect/util/flags.h"
 
@@ -85,8 +88,12 @@ int main(int argc, char** argv) {
     }
   }
   if (trace) {
+    const auto& records = runtime.trace().records();
     std::cout << "\nfirst 100 trace records:\n"
-              << runtime.trace().ToString(100);
+              << obs::SerializeRecords(std::vector<sim::TraceRecord>(
+                     records.begin(),
+                     records.begin() + std::min<std::size_t>(
+                                           records.size(), 100)));
   }
   return r.leader_declarations == 1 ? 0 : 2;
 }

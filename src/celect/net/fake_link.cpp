@@ -58,6 +58,4 @@ void FakeLink::DeliverDue(Micros now,
   }
 }
 
-void FakeLink::DropAll() { in_flight_.clear(); }
-
 }  // namespace celect::net

@@ -42,8 +42,6 @@ class FakeLink {
   // order (ties broken by send order — deterministically).
   void DeliverDue(Micros now, std::vector<std::vector<std::uint8_t>>& out);
 
-  void DropAll();  // e.g. when the receiving process is killed
-
   std::uint64_t sent() const { return sent_; }
   std::uint64_t delivered() const { return delivered_; }
   std::uint64_t lost() const { return lost_; }

@@ -1,6 +1,7 @@
 #include "celect/obs/shard.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -20,6 +21,14 @@ constexpr FlightKind kAllFlightKinds[] = {
     FlightKind::kResetSent,    FlightKind::kResetReceived,
     FlightKind::kVersionMismatch,
 };
+
+// A record's clock is meaningful (ticked by its node) on these kinds;
+// the rest merely snapshot the node's current clock.
+bool IsClocked(sim::TraceRecord::Kind k) {
+  using Kind = sim::TraceRecord::Kind;
+  return k == Kind::kSend || k == Kind::kDeliver || k == Kind::kWakeup ||
+         k == Kind::kTimerFire;
+}
 
 // "key=value" → value, checking the key; nullopt on mismatch.
 std::optional<std::string> TakeField(const std::string& token,
@@ -133,7 +142,8 @@ std::optional<std::vector<TraceShard>> ParseShards(const std::string& text,
       if (!node || !epoch || !complete || !dropped) {
         return fail("malformed shard header field");
       }
-      const auto node_v = ParseUint(*node);
+      const auto node_v =
+          ParseUint(*node, std::numeric_limits<sim::NodeId>::max());
       const auto epoch_v = ParseUint(*epoch);
       const auto complete_v = ParseUint(*complete);
       const auto dropped_v = ParseUint(*dropped);
@@ -177,7 +187,8 @@ std::optional<std::vector<TraceShard>> ParseShards(const std::string& text,
         return fail("malformed flight field");
       }
       const auto at_v = ParseUint(*at);
-      const auto peer_v = ParseUint(*peer);
+      const auto peer_v =
+          ParseUint(*peer, std::numeric_limits<std::uint32_t>::max());
       const auto kind_v = FlightKindFromName(*kind);
       const auto a_v = ParseUint(*a);
       const auto b_v = ParseUint(*b);
@@ -256,10 +267,19 @@ std::string ShardReducer::SerializeMerged() const {
   return os.str();
 }
 
-MetricsRegistry ShardReducer::MergedMetrics() const {
-  MetricsRegistry reg;
-  for (const TraceShard& s : Merged()) reg.MergeFrom(s.metrics);
-  return reg;
+std::vector<TraceShard> ShardsFromRecords(
+    const std::vector<sim::TraceRecord>& records) {
+  std::map<sim::NodeId, TraceShard> by_node;
+  for (const sim::TraceRecord& r : records) {
+    TraceShard& s = by_node[r.node];
+    s.node = r.node;
+    s.complete = true;
+    s.records.push_back(r);
+  }
+  std::vector<TraceShard> out;
+  out.reserve(by_node.size());
+  for (auto& [node, s] : by_node) out.push_back(std::move(s));
+  return out;
 }
 
 // --- CheckShards ----------------------------------------------------
@@ -279,7 +299,7 @@ std::vector<std::string> CheckShards(const std::vector<TraceShard>& shards,
   };
 
   // Nodes with an incomplete shard: their unflushed tail is the one
-  // legitimate source of deliveries whose send no shard contains.
+  // legitimate source of outcomes whose send no shard contains.
   std::set<sim::NodeId> incomplete_nodes;
   for (const TraceShard& s : shards) {
     if (!s.complete) incomplete_nodes.insert(s.node);
@@ -291,13 +311,6 @@ std::vector<std::string> CheckShards(const std::vector<TraceShard>& shards,
     std::uint64_t clock;
   };
   std::unordered_map<std::uint64_t, SendRef> send_of;
-
-  const auto is_clocked = [](TraceRecord::Kind k) {
-    return k == TraceRecord::Kind::kSend ||
-           k == TraceRecord::Kind::kDeliver ||
-           k == TraceRecord::Kind::kWakeup ||
-           k == TraceRecord::Kind::kTimerFire;
-  };
 
   // Pass 1: per-shard clock discipline + the global send index. Clocks
   // are per incarnation — a restarted node's shard starts over at 0.
@@ -326,7 +339,7 @@ std::vector<std::string> CheckShards(const std::vector<TraceShard>& shards,
       }
       last_clock = r.clock;
       have_clock = true;
-      if (is_clocked(r.kind)) {
+      if (IsClocked(r.kind)) {
         if (r.clock == 0) {
           problem(si, shard, where, "clocked event with clock 0");
         }
@@ -340,28 +353,32 @@ std::vector<std::string> CheckShards(const std::vector<TraceShard>& shards,
     }
   }
 
-  // Pass 2: cross-shard delivery joins and per-session FIFO. A session
-  // is a (sender incarnation, receiver incarnation) pair; the reliable
-  // layer promises send-order delivery within it.
+  // Pass 2: every message outcome pairs with a send; deliveries also
+  // get the cross-shard join and per-session FIFO. A session is a
+  // (sender incarnation, receiver incarnation) pair; the reliable layer
+  // promises send-order delivery within it. Outcomes sit on the
+  // receiver's shard with the sender as peer.
   std::map<std::pair<std::size_t, std::size_t>, std::size_t> fifo_last;
   for (std::size_t si = 0; si < shards.size(); ++si) {
     const TraceShard& shard = shards[si];
     for (std::size_t i = 0; i < shard.records.size(); ++i) {
       const auto& r = shard.records[i];
-      if (r.kind != TraceRecord::Kind::kDeliver) continue;
+      if (!IsMessageOutcome(r.kind)) continue;
       const std::string where = "record " + std::to_string(i);
+      const std::string kind = sim::ToString(r.kind);
       if (r.mid == 0) {
-        problem(si, shard, where, "delivery without a mid");
+        problem(si, shard, where, kind + " without a mid");
         continue;
       }
       const auto it = send_of.find(r.mid);
       if (it == send_of.end()) {
         if (incomplete_nodes.count(r.peer) == 0) {
           problem(si, shard, where,
-                  "delivery with no matching send in any shard");
+                  kind + " with no matching send in any shard");
         }
         continue;
       }
+      if (r.kind != TraceRecord::Kind::kDeliver) continue;
       const SendRef& s = it->second;
       if (r.clock <= s.clock) {
         problem(si, shard, where,

@@ -100,6 +100,7 @@ struct TraceShard {
   std::vector<FlightEvent> flight;
   MetricsRegistry metrics;
   std::vector<sim::TraceRecord> records;
+  friend bool operator==(const TraceShard&, const TraceShard&) = default;
 };
 
 std::string SerializeShard(const TraceShard& shard);
@@ -121,8 +122,6 @@ class ShardReducer {
 
   const std::vector<TraceShard>& Merged() const;
   std::string SerializeMerged() const;
-  // Cluster-wide fold of every merged shard's registry.
-  MetricsRegistry MergedMetrics() const;
 
   std::size_t added() const { return added_; }
 
@@ -132,29 +131,44 @@ class ShardReducer {
   mutable std::vector<TraceShard> shards_;
 };
 
+// A single-process trace as the shard set it already is: one complete
+// shard per node that appears, epoch 0, in node order, each holding the
+// node's records in trace order with their seq. A sim rejoin keeps the
+// node's Lamport clock, so a node is one shard, not one per
+// incarnation.
+std::vector<TraceShard> ShardsFromRecords(
+    const std::vector<sim::TraceRecord>& records);
+
 // --- cross-process validation ---------------------------------------
 
 struct ShardCheckOptions {
   // Assert per-session FIFO: for every (sender incarnation, receiver
   // incarnation) pair, matched sends are delivered in send order. The
-  // reliable session guarantees this even over lossy, reordering UDP.
+  // reliable session guarantees this even over lossy, reordering UDP;
+  // in a single-process trace the pair is a directed link, so turn it
+  // off for runs with injected reordering or duplication.
   bool expect_fifo = true;
 };
 
-// Semantic validation of a merged shard set:
+// Semantic validation of a shard set — a merged multi-process trace,
+// or a single-process one via ShardsFromRecords:
 //   - per-shard Lamport monotonicity (an incarnation restarts at 0, so
 //     clocks are checked per shard, never across shards of one node),
 //   - global mid uniqueness (each wire mid minted by exactly one send
 //     across all shards),
+//   - outcome pairing (every kDeliver/kDrop/kLoss/kDuplicate carries a
+//     mid that some shard's kSend minted),
 //   - the cross-process join rule (a delivery's clock exceeds the clock
 //     carried by the matching send in the sender's shard),
-//   - per-session FIFO when opted in,
-//   - orphan deliveries (no shard contains the send) are tolerated only
+//   - per-session FIFO of deliveries when opted in,
+//   - orphan outcomes (no shard contains the send) are tolerated only
 //     when some shard of the sending node is incomplete — a SIGKILLed
 //     sender's unflushed tail is the one legitimate gap. Under SimNet
-//     every shard is complete, so tolerance is zero.
-// Returns human-readable problems; empty means the merged trace is
-// coherent.
+//     and in single-process traces every shard is complete, so
+//     tolerance is zero.
+// Shards share no record order, so "an outcome follows its send" is
+// not a rule here; only a single-process trace could state it.
+// Returns human-readable problems; empty means the trace is coherent.
 std::vector<std::string> CheckShards(const std::vector<TraceShard>& shards,
                                      const ShardCheckOptions& opts = {});
 

@@ -233,12 +233,15 @@ std::optional<std::int64_t> ParseInt(const std::string& s) {
   return v;
 }
 
-std::optional<std::uint64_t> ParseUint(const std::string& s) {
+std::optional<std::uint64_t> ParseUint(const std::string& s,
+                                       std::uint64_t max) {
   if (s.empty() || s[0] == '-' || s[0] == '+') return std::nullopt;
   errno = 0;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return std::nullopt;
+  if (errno != 0 || end != s.c_str() + s.size() || v > max) {
+    return std::nullopt;
+  }
   return v;
 }
 

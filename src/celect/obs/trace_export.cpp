@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "celect/obs/phase.h"
+#include "celect/obs/trace_inspect.h"
 #include "celect/util/logging.h"
 
 namespace celect::obs {
@@ -45,11 +46,7 @@ void Args(std::ostringstream& os, const TraceRecord& r) {
   os << ", \"args\": {\"seq\": " << r.seq << ", \"clock\": " << r.clock;
   if (r.mid != 0) os << ", \"mid\": " << r.mid;
   if (r.port != sim::kInvalidPort) os << ", \"port\": " << r.port;
-  if (r.kind == TraceRecord::Kind::kSend ||
-      r.kind == TraceRecord::Kind::kDeliver ||
-      r.kind == TraceRecord::Kind::kDrop ||
-      r.kind == TraceRecord::Kind::kLoss ||
-      r.kind == TraceRecord::Kind::kDuplicate) {
+  if (r.kind == TraceRecord::Kind::kSend || IsMessageOutcome(r.kind)) {
     os << ", \"type\": " << r.type << ", \"peer\": " << r.peer;
   }
   if (r.phase != PhaseId::kNone) {

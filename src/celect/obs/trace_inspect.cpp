@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
-#include <unordered_map>
 
 #include "celect/obs/telemetry.h"
 
@@ -34,21 +33,6 @@ std::optional<TraceRecord::Kind> KindFromName(const std::string& name) {
   return std::nullopt;
 }
 
-// A record's clock is meaningful (ticked by the runtime) on these kinds;
-// the rest merely snapshot the node's current clock.
-bool IsClocked(TraceRecord::Kind k) {
-  return k == TraceRecord::Kind::kSend ||
-         k == TraceRecord::Kind::kDeliver ||
-         k == TraceRecord::Kind::kWakeup ||
-         k == TraceRecord::Kind::kTimerFire;
-}
-
-bool IsMessageOutcome(TraceRecord::Kind k) {
-  return k == TraceRecord::Kind::kDeliver ||
-         k == TraceRecord::Kind::kDrop || k == TraceRecord::Kind::kLoss ||
-         k == TraceRecord::Kind::kDuplicate;
-}
-
 // "key=value" → value, checking the key; nullopt on mismatch.
 std::optional<std::string> TakeField(const std::string& token,
                                      const char* key) {
@@ -73,6 +57,12 @@ std::optional<std::pair<PhaseId, std::int64_t>> ParsePhaseKey(
 }
 
 }  // namespace
+
+bool IsMessageOutcome(sim::TraceRecord::Kind k) {
+  return k == TraceRecord::Kind::kDeliver ||
+         k == TraceRecord::Kind::kDrop || k == TraceRecord::Kind::kLoss ||
+         k == TraceRecord::Kind::kDuplicate;
+}
 
 std::string SerializeRecord(const sim::TraceRecord& r) {
   std::ostringstream os;
@@ -118,16 +108,18 @@ std::optional<sim::TraceRecord> ParseRecordLine(const std::string& line,
       !phase) {
     return fail("malformed field");
   }
+  constexpr std::uint64_t kMax32 = std::numeric_limits<std::uint32_t>::max();
   const auto at_v = ParseInt(*at);
-  const auto node_v = ParseInt(*node);
-  const auto peer_v = ParseInt(*peer);
-  const auto port_v = ParseInt(*port);
-  const auto type_v = ParseInt(*type);
+  const auto node_v = ParseUint(*node, kMax32);
+  const auto peer_v = ParseUint(*peer, kMax32);
+  const auto port_v = ParseUint(*port, kMax32);
+  const auto type_v =
+      ParseUint(*type, std::numeric_limits<std::uint16_t>::max());
   const auto clock_v = ParseUint(*clock);
   const auto mid_v = ParseUint(*mid);
   if (!at_v || !node_v || !peer_v || !port_v || !type_v || !clock_v ||
       !mid_v) {
-    return fail("non-numeric field");
+    return fail("non-numeric or out-of-range field");
   }
   r.at = sim::Time::FromTicks(*at_v);
   r.node = static_cast<sim::NodeId>(*node_v);
@@ -190,80 +182,6 @@ std::vector<sim::TraceRecord> FilterRecords(
     if (f.Matches(r)) out.push_back(r);
   }
   return out;
-}
-
-std::vector<std::string> CheckRecords(
-    const std::vector<sim::TraceRecord>& records, const CheckOptions& opts) {
-  std::vector<std::string> problems;
-  const auto problem = [&](std::size_t i, const std::string& why) {
-    if (problems.size() >= 50) return;  // enough to act on
-    std::ostringstream os;
-    os << "record " << i << " (" << SerializeRecord(records[i]) << "): " << why;
-    problems.push_back(os.str());
-  };
-
-  // mid → index of the minting kSend.
-  std::unordered_map<std::uint64_t, std::size_t> send_of;
-  // node → clock of its last record / last clocked record.
-  std::unordered_map<sim::NodeId, std::uint64_t> last_clock;
-  std::unordered_map<sim::NodeId, std::uint64_t> last_ticked;
-  // directed link (from,to) → send seq of the last matched delivery.
-  std::unordered_map<std::uint64_t, std::uint64_t> fifo_last;
-
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const auto& r = records[i];
-    if (r.kind == TraceRecord::Kind::kSend) {
-      if (r.mid == 0) problem(i, "send without a mid");
-      if (!send_of.emplace(r.mid, i).second) {
-        problem(i, "mid minted twice");
-      }
-    } else if (IsMessageOutcome(r.kind)) {
-      if (r.mid == 0) {
-        problem(i, "message outcome without a mid");
-      } else {
-        auto it = send_of.find(r.mid);
-        if (it == send_of.end()) {
-          problem(i, "outcome precedes its send");
-        } else if (r.kind == TraceRecord::Kind::kDeliver) {
-          const auto& s = records[it->second];
-          if (r.clock <= s.clock) {
-            problem(i, "delivery clock does not exceed the send clock");
-          }
-          if (opts.expect_fifo) {
-            const std::uint64_t link =
-                (static_cast<std::uint64_t>(r.peer) << 32) | r.node;
-            auto [fit, fresh] = fifo_last.try_emplace(link, s.seq);
-            if (!fresh) {
-              if (s.seq <= fit->second) {
-                problem(i, "per-link FIFO violated (delivery overtook an "
-                           "earlier send)");
-              }
-              fit->second = s.seq;
-            }
-          }
-        }
-      }
-    }
-
-    auto [lit, first] = last_clock.try_emplace(r.node, r.clock);
-    if (!first) {
-      if (r.clock < lit->second) {
-        problem(i, "node clock went backwards");
-      }
-      lit->second = r.clock;
-    }
-    if (IsClocked(r.kind)) {
-      auto [tit, tfirst] = last_ticked.try_emplace(r.node, r.clock);
-      if (!tfirst) {
-        if (r.clock <= tit->second) {
-          problem(i, "clocked event did not advance the node clock");
-        }
-        tit->second = r.clock;
-      }
-      if (r.clock == 0) problem(i, "clocked event with clock 0");
-    }
-  }
-  return problems;
 }
 
 std::optional<std::string> DiffRecords(

@@ -1,6 +1,8 @@
 // Trace inspection: a parseable on-disk record format plus the analyses
-// behind the celect_trace CLI — semantic validation (Lamport rules, flow
-// pairing, per-link FIFO), filtering, diffing, and causal chains.
+// behind the celect_trace CLI — filtering, diffing, and causal chains.
+// Semantic validation (Lamport rules, flow pairing, per-link FIFO) is
+// CheckShards (shard.h), which checks a single-process trace as one
+// shard per node.
 //
 // The compact format is one record per line,
 //
@@ -38,27 +40,11 @@ std::optional<sim::TraceRecord> ParseRecordLine(const std::string& line,
 std::optional<std::vector<sim::TraceRecord>> ParseRecords(
     const std::string& text, std::string* error);
 
+// True for the records that report what became of a sent message —
+// kDeliver, kDrop, kLoss, kDuplicate — and so carry the send's mid.
+bool IsMessageOutcome(sim::TraceRecord::Kind k);
+
 // --- validation -----------------------------------------------------
-
-struct CheckOptions {
-  // Assert per-link FIFO (matched send order equals delivery order on
-  // every directed link). Off for runs with injected reordering,
-  // duplication or controlled schedules.
-  bool expect_fifo = true;
-};
-
-// Semantic validation of a record stream:
-//   - per-node Lamport monotonicity (strictly increasing across the
-//     node's clocked events: send, deliver, wakeup, timer fire),
-//   - the delivery join rule (a kDeliver's clock exceeds the clock on
-//     the matching kSend),
-//   - flow pairing (every kDeliver/kDrop/kLoss/kDuplicate mid has a
-//     preceding kSend with that mid; every phase record is well formed),
-//   - per-link FIFO when opted in.
-// Returns human-readable problems; empty means the trace is coherent.
-std::vector<std::string> CheckRecords(
-    const std::vector<sim::TraceRecord>& records,
-    const CheckOptions& opts = {});
 
 // Structural well-formedness scan of a JSON document (objects, arrays,
 // strings, numbers, literals — validation only, no tree). nullopt when

@@ -1,7 +1,5 @@
 #include "celect/sim/trace.h"
 
-#include <sstream>
-
 namespace celect::sim {
 
 void Trace::Record(TraceRecord r) {
@@ -47,26 +45,6 @@ const char* ToString(TraceRecord::Kind kind) {
       return "pend";
   }
   return "?";
-}
-
-std::string Trace::ToString(std::size_t max_lines) const {
-  std::ostringstream os;
-  std::size_t shown = 0;
-  for (const auto& r : records_) {
-    if (shown++ >= max_lines) {
-      os << "... (" << records_.size() - max_lines << " more)\n";
-      break;
-    }
-    os << r.at.ToString() << " " << celect::sim::ToString(r.kind)
-       << " node=" << r.node << " peer=" << r.peer << " port=" << r.port
-       << " type=" << r.type << " clock=" << r.clock;
-    if (r.mid != 0) os << " mid=" << r.mid;
-    if (r.phase != obs::PhaseId::kNone) {
-      os << " phase=" << obs::PhaseKey(r.phase, r.phase_level);
-    }
-    os << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace celect::sim

@@ -55,6 +55,7 @@ struct TraceRecord {
   // span's phase for kPhaseBegin/kPhaseEnd.
   obs::PhaseId phase = obs::PhaseId::kNone;
   std::int64_t phase_level = 0;
+  friend bool operator==(const TraceRecord&, const TraceRecord&) = default;
 };
 
 // Human-readable one-line label ("send", "tcxl", ...).
@@ -74,8 +75,6 @@ class Trace {
   // as RunResult::counters["sim.trace_truncated"] and warn-logs once —
   // a capped trace must never silently masquerade as a complete one.
   std::uint64_t dropped() const { return dropped_; }
-
-  std::string ToString(std::size_t max_lines = 100) const;
 
  private:
   bool enabled_;

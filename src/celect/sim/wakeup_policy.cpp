@@ -51,16 +51,6 @@ WakeupPlan WakeStaggeredChain(std::uint32_t n, Time spacing) {
   return plan;
 }
 
-WakeupPlan WakePrefixAtZero(std::uint32_t n, std::uint32_t count) {
-  CELECT_CHECK(count >= 1 && count <= n);
-  WakeupPlan plan;
-  plan.wakeups.reserve(count);
-  for (NodeId i = 0; i < count; ++i) {
-    plan.wakeups.emplace_back(i, Time::Zero());
-  }
-  return plan;
-}
-
 WakeupPlan WakeEveryKth(std::uint32_t n, std::uint32_t stride) {
   CELECT_CHECK(stride >= 1 && stride <= n);
   WakeupPlan plan;

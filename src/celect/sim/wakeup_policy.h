@@ -41,9 +41,6 @@ WakeupPlan WakeRandomSubset(std::uint32_t n, std::uint32_t count,
 // delay reproduces the Θ(N) chain.
 WakeupPlan WakeStaggeredChain(std::uint32_t n, Time spacing);
 
-// First `count` nodes (by address) wake at zero — a clustered base set.
-WakeupPlan WakePrefixAtZero(std::uint32_t n, std::uint32_t count);
-
 // Every stride-th node (ring positions 0, stride, 2·stride, ...) wakes at
 // zero. Against protocol A with segment length k = stride this is the
 // worst case for the second phase: all N/k candidates survive phase one

@@ -54,8 +54,6 @@ class Rng {
   // Uniform double in (0, 1]: never returns zero (link delays are positive).
   double NextPositiveDouble();
 
-  bool NextBool() { return (Next() >> 63) != 0; }
-
   // Fisher–Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>& v) {

@@ -3,6 +3,7 @@
 // and the trace inspector (parse/check/filter/diff/chain).
 #include <algorithm>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "celect/harness/chaos.h"
 #include "celect/harness/experiment.h"
 #include "celect/obs/phase.h"
+#include "celect/obs/shard.h"
 #include "celect/obs/telemetry.h"
 #include "celect/obs/trace_export.h"
 #include "celect/obs/trace_inspect.h"
@@ -165,6 +167,43 @@ TEST(PhaseAggregation, ProtocolDBroadcastSpans) {
 
 // --- causal trace metadata -------------------------------------------
 
+// The checker entry point for a single-process trace: one shard per node.
+std::vector<std::string> Check(const std::vector<TraceRecord>& records,
+                               bool expect_fifo = true) {
+  obs::ShardCheckOptions so;
+  so.expect_fifo = expect_fifo;
+  return obs::CheckShards(obs::ShardsFromRecords(records), so);
+}
+
+// The one ordering rule no shard checker can state, because processes
+// share no record order: in the simulator's single trace, every message
+// outcome comes after (higher seq than) the send that minted its mid.
+// Returns how many outcomes break it.
+std::size_t OutcomesBeforeTheirSend(const std::vector<TraceRecord>& records) {
+  std::unordered_map<std::uint64_t, std::uint64_t> send_seq;
+  for (const auto& r : records) {
+    if (r.kind == TraceRecord::Kind::kSend) send_seq.emplace(r.mid, r.seq);
+  }
+  std::size_t bad = 0;
+  for (const auto& r : records) {
+    if (!obs::IsMessageOutcome(r.kind)) continue;
+    const auto it = send_seq.find(r.mid);
+    if (it != send_seq.end() && r.seq <= it->second) ++bad;
+  }
+  return bad;
+}
+
+// Protocol D under 20% loss and 20% duplication: every outcome kind.
+TracedRun TraceLossyProtocolD() {
+  RunOptions o;
+  o.n = 8;
+  o.seed = 11;
+  o.fault_plan.seed = 11;
+  o.fault_plan.link.loss = 0.2;
+  o.fault_plan.link.duplicate = 0.2;
+  return harness::RunElectionTraced(proto::nosod::MakeProtocolD(), o);
+}
+
 TracedRun TraceProtocolC(std::uint64_t seed) {
   RunOptions o;
   o.n = 16;
@@ -177,7 +216,8 @@ TEST(TraceCausality, CleanRunIsCoherent) {
   TracedRun run = TraceProtocolC(1);
   ASSERT_FALSE(run.records.empty());
   // Lamport monotonicity, delivery join rule, flow pairing, FIFO.
-  EXPECT_EQ(obs::CheckRecords(run.records), std::vector<std::string>{});
+  EXPECT_EQ(Check(run.records), std::vector<std::string>{});
+  EXPECT_EQ(OutcomesBeforeTheirSend(run.records), 0u);
 }
 
 TEST(TraceCausality, TimerLifecycleIsTraced) {
@@ -193,7 +233,7 @@ TEST(TraceCausality, TimerLifecycleIsTraced) {
   // The happy path cancels watchdogs as acks arrive — cancels must be
   // visible or timer timelines dangle.
   EXPECT_GT(count(TraceRecord::Kind::kTimerCancel), 0);
-  EXPECT_EQ(obs::CheckRecords(run.records), std::vector<std::string>{});
+  EXPECT_EQ(Check(run.records), std::vector<std::string>{});
 }
 
 TEST(TraceCausality, CheckCatchesTampering) {
@@ -206,7 +246,7 @@ TEST(TraceCausality, CheckCatchesTampering) {
       break;
     }
   }
-  EXPECT_FALSE(obs::CheckRecords(tampered).empty());
+  EXPECT_FALSE(Check(tampered).empty());
 
   // Mint a delivery with a mid no send created.
   tampered = run.records;
@@ -216,17 +256,43 @@ TEST(TraceCausality, CheckCatchesTampering) {
       break;
     }
   }
-  EXPECT_FALSE(obs::CheckRecords(tampered).empty());
+  EXPECT_FALSE(Check(tampered).empty());
+
+  // The same for a loss: every outcome kind must pair with a send.
+  TracedRun lossy = TraceLossyProtocolD();
+  ASSERT_TRUE(Check(lossy.records, false).empty());
+  tampered = lossy.records;
+  auto loss = std::find_if(tampered.begin(), tampered.end(),
+                           [](const TraceRecord& r) {
+                             return r.kind == TraceRecord::Kind::kLoss;
+                           });
+  ASSERT_NE(loss, tampered.end());
+  loss->mid = 999999;
+  EXPECT_FALSE(Check(tampered, false).empty());
+
+  // A loss moved ahead of its send (seqs renumbered as the trace would
+  // have them): no shard rule sees it, the record-order rule does.
+  tampered = lossy.records;
+  loss = std::find_if(tampered.begin(), tampered.end(),
+                      [](const TraceRecord& r) {
+                        return r.kind == TraceRecord::Kind::kLoss;
+                      });
+  ASSERT_NE(loss, tampered.end());
+  const TraceRecord moved = *loss;
+  tampered.erase(loss);
+  const auto send = std::find_if(
+      tampered.begin(), tampered.end(), [&moved](const TraceRecord& r) {
+        return r.kind == TraceRecord::Kind::kSend && r.mid == moved.mid;
+      });
+  ASSERT_NE(send, tampered.end());
+  tampered.insert(send, moved);
+  for (std::size_t i = 0; i < tampered.size(); ++i) tampered[i].seq = i;
+  EXPECT_EQ(OutcomesBeforeTheirSend(lossy.records), 0u);
+  EXPECT_EQ(OutcomesBeforeTheirSend(tampered), 1u);
 }
 
 TEST(TraceCausality, FlowsPairUnderLossAndDuplication) {
-  RunOptions o;
-  o.n = 8;
-  o.seed = 11;
-  o.fault_plan.seed = 11;
-  o.fault_plan.link.loss = 0.2;
-  o.fault_plan.link.duplicate = 0.2;
-  auto run = harness::RunElectionTraced(proto::nosod::MakeProtocolD(), o);
+  TracedRun run = TraceLossyProtocolD();
   auto count = [&run](TraceRecord::Kind k) {
     return static_cast<std::uint64_t>(
         std::count_if(run.records.begin(), run.records.end(),
@@ -237,11 +303,10 @@ TEST(TraceCausality, FlowsPairUnderLossAndDuplication) {
   EXPECT_EQ(count(TraceRecord::Kind::kDuplicate),
             run.result.messages_duplicated);
   ASSERT_GT(run.result.messages_lost + run.result.messages_duplicated, 0u);
-  // ...and every outcome still pairs with a minted send. FIFO is off:
-  // duplicates legitimately overtake.
-  obs::CheckOptions co;
-  co.expect_fifo = false;
-  EXPECT_EQ(obs::CheckRecords(run.records, co), std::vector<std::string>{});
+  // ...and every outcome still pairs with a minted send, after it. FIFO
+  // is off: duplicates legitimately overtake.
+  EXPECT_EQ(Check(run.records, false), std::vector<std::string>{});
+  EXPECT_EQ(OutcomesBeforeTheirSend(run.records), 0u);
 }
 
 TEST(TraceCausality, TruncationIsSurfacedNeverSilent) {
@@ -283,6 +348,22 @@ TEST(TraceInspect, ParseRejectsMalformedInput) {
                         "mid=1 phase=bogus\n",
                         &error)
           .has_value());
+  // Out-of-range fields are rejected, never truncated into a different
+  // valid-looking record.
+  for (const char* line :
+       {"0 send at=0 node=4294967296 peer=1 port=1 type=1 clock=1 mid=1 "
+        "phase=none\n",
+        "0 send at=0 node=-1 peer=1 port=1 type=1 clock=1 mid=1 "
+        "phase=none\n",
+        "0 send at=0 node=0 peer=1 port=1 type=70000 clock=1 mid=1 "
+        "phase=none\n"}) {
+    EXPECT_FALSE(obs::ParseRecords(line, &error).has_value()) << line;
+  }
+  EXPECT_TRUE(obs::ParseRecords("0 send at=0 node=4294967295 peer=1 port=1 "
+                                "type=65535 clock=1 mid=1 phase=none\n",
+                                &error)
+                  .has_value())
+      << error;
 }
 
 TEST(TraceInspect, FilterSelects) {
@@ -450,7 +531,7 @@ TEST(ExplorerTrace, ReplayScheduleTracedMatchesUntraced) {
   ASSERT_FALSE(traced.records.empty());
   // Controlled schedules may reorder across links; FIFO stays on here
   // because the controller preserves per-link FIFO by construction.
-  EXPECT_EQ(obs::CheckRecords(traced.records), std::vector<std::string>{});
+  EXPECT_EQ(Check(traced.records), std::vector<std::string>{});
   std::string json = obs::ExportChromeTrace(traced.records);
   EXPECT_FALSE(obs::ValidateJson(json).has_value());
 }

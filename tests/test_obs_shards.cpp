@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "celect/net/cluster.h"
@@ -187,6 +188,24 @@ TEST(TraceShardTest, ParseRejectsTruncatedShard) {
   std::string error;
   EXPECT_FALSE(ParseShards(text, &error).has_value());
   EXPECT_NE(error.find("shard"), std::string::npos) << error;
+}
+
+TEST(TraceShardTest, ParseRejectsOutOfRangeFields) {
+  // A uint32 field past its range must fail the parse, not wrap into a
+  // different, valid-looking shard.
+  const std::string text = SerializeShard(SampleShard(3, 1, 1));
+  ASSERT_TRUE(ParseShards(text, nullptr).has_value());
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"#shard v1 node=3", "#shard v1 node=4294967299"},
+           {"#flight at=7 peer=4", "#flight at=7 peer=4294967300"},
+           {"send at=0 node=3", "send at=0 node=4294967299"}}) {
+    std::string bad = text;
+    ASSERT_NE(bad.find(from), std::string::npos) << from;
+    bad.replace(bad.find(from), from.size(), to);
+    std::string error;
+    EXPECT_FALSE(ParseShards(bad, &error).has_value()) << to;
+  }
 }
 
 TEST(ShardReducerTest, ArrivalOrderDoesNotChangeBytes) {

@@ -6,12 +6,12 @@
 //   celect_trace convert IN.trace --out=OUT.json
 //       Compact -> Chrome trace-event / Perfetto JSON (ui.perfetto.dev).
 //   celect_trace check   IN.trace|IN.json [--fifo=0]
-//       Semantic validation of a compact trace (Lamport monotonicity,
-//       flow pairing, per-link FIFO), or a structural scan of an
-//       exported .json. Shard files (leading "#shard") get the
-//       cross-process checks: per-incarnation clock discipline, global
-//       mid uniqueness, send/deliver pairing across shards, per-session
-//       FIFO. Exit 1 on any problem.
+//       Semantic validation (obs::CheckShards) of a shard file (leading
+//       "#shard") or of a compact trace, checked as one shard per node:
+//       per-shard clock discipline, global mid uniqueness, pairing of
+//       every message outcome with its send, per-session FIFO (per
+//       link in a compact trace). An exported .json gets a structural
+//       scan. Exit 1 on any problem.
 //   celect_trace merge   SHARD... [--out=MERGED] [--perfetto=PATH]
 //       Folds per-process shard files into one canonical merged shard
 //       file (and optionally one Perfetto timeline with a track per
@@ -36,6 +36,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "celect/harness/experiment.h"
@@ -187,9 +188,8 @@ int CmdCheck(Flags& flags) {
   std::string text, error;
   if (!ReadFile(path, &text, &error)) return Fail(error);
 
-  // Exported documents get the structural JSON scan; shard files get
-  // the cross-process checks; everything else is parsed as a compact
-  // trace and checked semantically.
+  // Exported documents get the structural JSON scan. Shard files and
+  // compact traces (one shard per node) both go through CheckShards.
   if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0) {
     if (auto problem = obs::ValidateJson(text)) {
       return Fail(path + ": " + *problem);
@@ -197,30 +197,25 @@ int CmdCheck(Flags& flags) {
     std::cerr << path << ": well-formed JSON\n";
     return 0;
   }
+  std::vector<obs::TraceShard> shards;
   if (text.compare(0, 6, "#shard") == 0) {
-    auto shards = obs::ParseShards(text, &error);
-    if (!shards) return Fail(path + ": " + error);
-    obs::ShardCheckOptions so;
-    so.expect_fifo = fifo;
-    std::vector<std::string> problems = obs::CheckShards(*shards, so);
-    for (const std::string& p : problems) {
-      std::cerr << path << ": " << p << "\n";
-    }
-    if (!problems.empty()) return 1;
-    std::size_t records = 0;
-    for (const auto& s : *shards) records += s.records.size();
-    std::cerr << path << ": " << shards->size() << " shards, " << records
-              << " records, coherent\n";
-    return 0;
+    auto parsed = obs::ParseShards(text, &error);
+    if (!parsed) return Fail(path + ": " + error);
+    shards = std::move(*parsed);
+  } else {
+    auto parsed = obs::ParseRecords(text, &error);
+    if (!parsed) return Fail(path + ": " + error);
+    shards = obs::ShardsFromRecords(*parsed);
   }
-  auto parsed = obs::ParseRecords(text, &error);
-  if (!parsed) return Fail(path + ": " + error);
-  obs::CheckOptions co;
-  co.expect_fifo = fifo;
-  std::vector<std::string> problems = obs::CheckRecords(*parsed, co);
+  obs::ShardCheckOptions so;
+  so.expect_fifo = fifo;
+  std::vector<std::string> problems = obs::CheckShards(shards, so);
   for (const std::string& p : problems) std::cerr << path << ": " << p << "\n";
   if (!problems.empty()) return 1;
-  std::cerr << path << ": " << parsed->size() << " records, coherent\n";
+  std::size_t records = 0;
+  for (const auto& s : shards) records += s.records.size();
+  std::cerr << path << ": " << shards.size() << " shards, " << records
+            << " records, coherent\n";
   return 0;
 }
 
