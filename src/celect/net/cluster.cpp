@@ -122,21 +122,55 @@ ClusterResult RunSimElection(const ClusterConfig& config,
     if (config.trace) result.shards.push_back(nodes[i]->MakeShard(survived));
   };
 
-  for (PeerId i = 0; i < config.n; ++i) nodes[i]->Pump();
-
-  for (;;) {
-    note_declared();
-    Agreement a = CheckAgreement(nodes, alive, declared);
-    if (a.agreed) {
-      result.agreed = true;
-      result.leader = a.leader;
-      break;
+  // Each live node's NextWake as of its last pump. Only the node's own
+  // Pump moves it (timers, announces and session retransmits are all
+  // armed from inside Pump), so the cache stays exact between pumps.
+  std::vector<std::optional<Micros>> wake(config.n);
+  // Nodes that must pump this round whatever their wake: a datagram
+  // landed in their inbox, or they were just restarted.
+  std::vector<bool> due(config.n, false);
+  // Set when some node's leader() or declared_self() moved, or a node
+  // was killed or restarted: the only events agreement depends on.
+  bool beliefs_changed = true;
+  auto pump = [&](PeerId i) {
+    const std::optional<sim::Id> leader = nodes[i]->leader();
+    const bool declared_self = nodes[i]->declared_self();
+    nodes[i]->Pump();
+    wake[i] = nodes[i]->NextWake();
+    if (nodes[i]->leader() != leader ||
+        nodes[i]->declared_self() != declared_self) {
+      beliefs_changed = true;
     }
-    std::optional<Micros> next = net.NextEvent();
+  };
+
+  for (PeerId i = 0; i < config.n; ++i) pump(i);
+
+  // The scheduled loop. Each round advances the clock to the earliest
+  // of: the SimNet arrival index head, the cached node wakes, and the
+  // next chaos event. It applies the chaos due by then, delivers the
+  // due datagrams in (from, to) channel order, then pumps in node order
+  // only the nodes that received a datagram, just restarted, or have a
+  // cached wake <= now. Skipping the other nodes changes no state: a
+  // Pump with an empty inbox and no due hello, retransmit, protocol
+  // timer or announce is a no-op (Tick sends nothing, ack_dirty_ is
+  // only ever set by OnDatagram within the same Poll, and neither
+  // FireDueTimers nor Announce fires). A datagram sent during a round
+  // is delivered no earlier than the next round, even at zero delay.
+  // So the rounds dispatch exactly what pumping every live node would.
+  for (;;) {
+    if (beliefs_changed) {
+      beliefs_changed = false;
+      note_declared();
+      Agreement a = CheckAgreement(nodes, alive, declared);
+      if (a.agreed) {
+        result.agreed = true;
+        result.leader = a.leader;
+        break;
+      }
+    }
+    std::optional<Micros> next = net.NextArrival();
     for (PeerId i = 0; i < config.n; ++i) {
-      if (!alive[i]) continue;
-      auto w = nodes[i]->NextWake();
-      if (w && (!next || *w < *next)) next = w;
+      if (alive[i] && wake[i] && (!next || *wake[i] < *next)) next = wake[i];
     }
     if (chaos_idx < chaos.size() &&
         (!next || chaos[chaos_idx].at < *next)) {
@@ -144,8 +178,8 @@ ClusterResult RunSimElection(const ClusterConfig& config,
     }
     if (!next || *next > config.deadline_us) break;
     net.virtual_clock().AdvanceTo(*next);
-    while (chaos_idx < chaos.size() &&
-           chaos[chaos_idx].at <= net.virtual_clock().Now()) {
+    const Micros now = net.virtual_clock().Now();
+    while (chaos_idx < chaos.size() && chaos[chaos_idx].at <= now) {
       const ChaosEvent& ev = chaos[chaos_idx++];
       if (ev.what == ChaosEvent::What::kKill) {
         if (!alive[ev.node]) continue;
@@ -158,11 +192,15 @@ ClusterResult RunSimElection(const ClusterConfig& config,
         net.Restart(ev.node);
         nodes[ev.node] = make_node(ev.node, /*rejoin=*/true);
         alive[ev.node] = true;
+        due[ev.node] = true;
       }
+      beliefs_changed = true;
     }
-    net.DeliverDue();
+    for (PeerId i : net.DeliverDue()) due[i] = true;
     for (PeerId i = 0; i < config.n; ++i) {
-      if (alive[i]) nodes[i]->Pump();
+      if (!alive[i] || !(due[i] || (wake[i] && *wake[i] <= now))) continue;
+      due[i] = false;
+      pump(i);
     }
   }
 

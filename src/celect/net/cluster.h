@@ -3,9 +3,18 @@
 // RunSimElection drives n PeerNodes over a SimNet to completion on the
 // virtual clock — fully deterministic, with scripted kill/restart chaos
 // — and is what the reliability test suite and the sim rows of
-// bench_transport run. RunUdpElection drives n UdpTransports inside one
-// process on the real clock (the socket rows of the bench, and a
-// smoke-testable miniature of the multi-process demo).
+// bench_transport run. Its loop is scheduled on due work: each round
+// jumps to the earliest of SimNet's arrival index head, the nodes'
+// cached NextWake and the next chaos event, delivers the due datagrams
+// in (from, to) order, then pumps in node order only the nodes that
+// received one, just restarted, or whose wake is due. Any other pump
+// would be a no-op, so results match pumping every node every round.
+// Agreement is re-checked only when some node's belief changed or a
+// node was killed or restarted.
+//
+// RunUdpElection drives n UdpTransports inside one process on the real
+// clock (the socket rows of the bench, and a smoke-testable miniature
+// of the multi-process demo).
 //
 // "Agreed" means: every currently-live node holds the same leader
 // belief, at least one node actually declared itself, and the believed

@@ -12,7 +12,6 @@ void FakeLink::Enqueue(std::vector<std::uint8_t> bytes, Micros now) {
   }
   if (params_.reorder > 0 && rng_.NextDouble() < params_.reorder) {
     delay += params_.reorder_extra;
-    ++reordered_;
   }
   if (params_.corrupt > 0 && rng_.NextDouble() < params_.corrupt &&
       !bytes.empty()) {
@@ -21,27 +20,18 @@ void FakeLink::Enqueue(std::vector<std::uint8_t> bytes, Micros now) {
       std::uint64_t bit = rng_.NextBelow(bytes.size() * 8);
       bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     }
-    ++corrupted_;
   }
   in_flight_.insert(InFlight{now + delay, order_++, std::move(bytes)});
 }
 
-void FakeLink::Send(const std::uint8_t* data, std::size_t size, Micros now) {
-  Send(std::vector<std::uint8_t>(data, data + size), now);
-}
-
 void FakeLink::Send(const std::vector<std::uint8_t>& dgram, Micros now) {
-  ++sent_;
   if (params_.loss > 0 && rng_.NextDouble() < params_.loss) {
     ++lost_;
     return;
   }
   bool dup = params_.duplicate > 0 && rng_.NextDouble() < params_.duplicate;
   Enqueue(dgram, now);
-  if (dup) {
-    ++duplicated_;
-    Enqueue(dgram, now);
-  }
+  if (dup) Enqueue(dgram, now);
 }
 
 std::optional<Micros> FakeLink::NextDelivery() const {

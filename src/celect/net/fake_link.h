@@ -32,7 +32,6 @@ class FakeLink {
  public:
   explicit FakeLink(const FakeLinkParams& params);
 
-  void Send(const std::uint8_t* data, std::size_t size, Micros now);
   void Send(const std::vector<std::uint8_t>& dgram, Micros now);
 
   // Earliest pending delivery, if any.
@@ -42,12 +41,8 @@ class FakeLink {
   // order (ties broken by send order — deterministically).
   void DeliverDue(Micros now, std::vector<std::vector<std::uint8_t>>& out);
 
-  std::uint64_t sent() const { return sent_; }
   std::uint64_t delivered() const { return delivered_; }
   std::uint64_t lost() const { return lost_; }
-  std::uint64_t duplicated() const { return duplicated_; }
-  std::uint64_t corrupted() const { return corrupted_; }
-  std::uint64_t reordered() const { return reordered_; }
 
  private:
   struct InFlight {
@@ -65,12 +60,8 @@ class FakeLink {
   Rng rng_;
   std::set<InFlight> in_flight_;
   std::uint64_t order_ = 0;
-  std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t lost_ = 0;
-  std::uint64_t duplicated_ = 0;
-  std::uint64_t corrupted_ = 0;
-  std::uint64_t reordered_ = 0;
 };
 
 }  // namespace celect::net

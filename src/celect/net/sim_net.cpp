@@ -1,5 +1,7 @@
 #include "celect/net/sim_net.h"
 
+#include <algorithm>
+
 #include "celect/obs/shard.h"
 #include "celect/util/check.h"
 
@@ -101,13 +103,18 @@ class SimNet::Node final : public Transport {
 
   void Flush(PeerId peer) {
     auto& out = Session(peer).outbox();
+    if (out.empty()) return;
     Micros now = Now();
+    const std::size_t c = net_->ChannelIndex(self_, peer);
+    FakeLink& channel = *net_->channels_[c];
+    const std::optional<Micros> old_head = channel.NextDelivery();
     for (auto& dgram : out) {
       stats_.bytes_sent += dgram.size();
       ++stats_.datagrams_sent;
-      net_->Channel(self_, peer).Send(dgram, now);
+      channel.Send(dgram, now);
     }
     out.clear();
+    net_->Reindex(c, old_head);
   }
 
   SimNet* net_;
@@ -130,8 +137,7 @@ SimNet::SimNet(const SimNetConfig& config)
       lp.seed = SplitMix64(config_.seed ^
                            (std::uint64_t{from} * config_.n + to + 1))
                     .Next();
-      channels_[std::size_t{from} * config_.n + to] =
-          std::make_unique<FakeLink>(lp);
+      channels_[ChannelIndex(from, to)] = std::make_unique<FakeLink>(lp);
     }
   }
   nodes_.resize(config_.n);
@@ -145,14 +151,6 @@ SimNet::~SimNet() = default;
 Transport& SimNet::at(PeerId i) {
   CELECT_CHECK(i < config_.n);
   return *nodes_[i];
-}
-
-FakeLink& SimNet::Channel(PeerId from, PeerId to) {
-  return *channels_[std::size_t{from} * config_.n + to];
-}
-
-const FakeLink& SimNet::Channel(PeerId from, PeerId to) const {
-  return *channels_[std::size_t{from} * config_.n + to];
 }
 
 void SimNet::Kill(PeerId i) {
@@ -170,56 +168,55 @@ void SimNet::Restart(PeerId i) {
   nodes_[i] = std::make_unique<Node>(this, i, NextEpoch());
 }
 
+void SimNet::Reindex(std::size_t c, std::optional<Micros> old_head) {
+  const std::optional<Micros> head = channels_[c]->NextDelivery();
+  if (head == old_head) return;
+  if (old_head) arrivals_.erase({*old_head, c});
+  if (head) arrivals_.emplace(*head, c);
+}
+
+std::optional<Micros> SimNet::NextArrival() const {
+  if (arrivals_.empty()) return std::nullopt;
+  return arrivals_.begin()->first;
+}
+
 std::optional<Micros> SimNet::NextEvent() const {
-  std::optional<Micros> next;
-  auto consider = [&next](std::optional<Micros> t) {
-    if (t && (!next || *t < *next)) next = t;
-  };
-  for (const auto& ch : channels_) {
-    if (ch != nullptr) consider(ch->NextDelivery());
-  }
+  std::optional<Micros> next = NextArrival();
   for (PeerId i = 0; i < config_.n; ++i) {
-    if (alive_[i]) consider(nodes_[i]->NextWake());
+    if (!alive_[i]) continue;
+    auto t = nodes_[i]->NextWake();
+    if (t && (!next || *t < *next)) next = t;
   }
   return next;
 }
 
-void SimNet::DeliverDue() {
+const std::vector<PeerId>& SimNet::DeliverDue() {
   Micros now = clock_.Now();
-  std::vector<std::vector<std::uint8_t>> due;
-  for (PeerId from = 0; from < config_.n; ++from) {
-    for (PeerId to = 0; to < config_.n; ++to) {
-      if (from == to) continue;
-      due.clear();
-      Channel(from, to).DeliverDue(now, due);
-      if (!alive_[to]) continue;  // dropped on the dead host's floor
-      for (auto& dgram : due) nodes_[to]->Receive(from, std::move(dgram));
+  due_channels_.clear();
+  while (!arrivals_.empty() && arrivals_.begin()->first <= now) {
+    due_channels_.push_back(arrivals_.begin()->second);
+    arrivals_.erase(arrivals_.begin());
+  }
+  // Channel-index order is (from, to) order: each inbox fills by sender.
+  std::sort(due_channels_.begin(), due_channels_.end());
+  receivers_.clear();
+  for (std::size_t c : due_channels_) {
+    FakeLink& channel = *channels_[c];
+    due_dgrams_.clear();
+    channel.DeliverDue(now, due_dgrams_);
+    if (auto head = channel.NextDelivery()) arrivals_.emplace(*head, c);
+    const auto from = static_cast<PeerId>(c / config_.n);
+    const auto to = static_cast<PeerId>(c % config_.n);
+    if (!alive_[to]) continue;  // dropped on the dead host's floor
+    for (auto& dgram : due_dgrams_) {
+      nodes_[to]->Receive(from, std::move(dgram));
     }
+    receivers_.push_back(to);
   }
-}
-
-std::uint64_t SimNet::LinkSent() const {
-  std::uint64_t n = 0;
-  for (const auto& ch : channels_) {
-    if (ch != nullptr) n += ch->sent();
-  }
-  return n;
-}
-
-std::uint64_t SimNet::LinkLost() const {
-  std::uint64_t n = 0;
-  for (const auto& ch : channels_) {
-    if (ch != nullptr) n += ch->lost();
-  }
-  return n;
-}
-
-std::uint64_t SimNet::LinkCorrupted() const {
-  std::uint64_t n = 0;
-  for (const auto& ch : channels_) {
-    if (ch != nullptr) n += ch->corrupted();
-  }
-  return n;
+  std::sort(receivers_.begin(), receivers_.end());
+  receivers_.erase(std::unique(receivers_.begin(), receivers_.end()),
+                   receivers_.end());
+  return receivers_;
 }
 
 }  // namespace celect::net

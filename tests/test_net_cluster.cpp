@@ -113,6 +113,104 @@ TEST(NetCluster, RestartedPeerIsDetectedViaEpochChange) {
       << "the revived node's fresh epoch must be noticed by its peers";
 }
 
+// The four link/chaos setups of the pinned grid below.
+enum class Setup { kClean, kChaosLinks, kKill, kKillRestartKill };
+
+ClusterConfig PinnedConfig(Setup setup, std::uint32_t n) {
+  ClusterConfig config;
+  config.n = n;
+  config.seed = 100 + n + static_cast<std::uint64_t>(setup);
+  config.trace = n == 8;  // one traced config per setup
+  switch (setup) {
+    case Setup::kClean:
+      break;
+    case Setup::kChaosLinks:
+      config.link.loss = 0.10;
+      config.link.duplicate = 0.05;
+      config.link.reorder = 0.15;
+      config.link.corrupt = 0.01;
+      break;
+    case Setup::kKill:
+      config.link.loss = 0.05;
+      config.chaos = {{5'000, 1, ChaosEvent::What::kKill}};
+      break;
+    case Setup::kKillRestartKill:
+      // Zero minimum delay: datagrams can arrive at the instant they
+      // were sent, so same-instant rounds are exercised too.
+      config.link.delay_min = 0;
+      config.link.delay_max = 2'000;
+      config.chaos = {
+          {3'000, 2, ChaosEvent::What::kKill},
+          {8'000, 2, ChaosEvent::What::kRestart},
+          {12'000, 3, ChaosEvent::What::kKill},
+      };
+      break;
+  }
+  return config;
+}
+
+struct PinnedRun {
+  Setup setup;
+  std::uint32_t n;
+  bool agreed;
+  sim::Id leader;
+  std::uint64_t fingerprint;
+  Micros elapsed_us;
+  std::uint64_t datagrams;
+  std::uint64_t delivered;
+  std::size_t shards;
+};
+
+TEST(NetCluster, ScheduledLoopMatchesPinnedRuns) {
+  // Pinned outcomes. Pumping only the nodes with due work must
+  // dispatch exactly the event streams that pumping every live node
+  // each round would, across kill, restart and zero-delay arrivals
+  // too; the perfbench workload never restarts a node.
+  const PinnedRun pinned[] = {
+      {Setup::kClean, 4, true, 1022, 11079219768012404537u, 21964, 153, 59,
+       0},
+      {Setup::kClean, 8, true, 1050, 1991917774502069461u, 22880, 465, 151,
+       8},
+      {Setup::kClean, 16, true, 1099, 5330831145156984196u, 28109, 1377,
+       409, 0},
+      {Setup::kChaosLinks, 4, true, 1015, 612441157244494326u, 89083, 159,
+       55, 0},
+      {Setup::kChaosLinks, 8, true, 1050, 12580391902187548161u, 152533, 479,
+       142, 8},
+      {Setup::kChaosLinks, 16, true, 1043, 1078284108245453990u, 198580,
+       1345, 343, 0},
+      {Setup::kKill, 4, true, 1015, 14999450331345476519u, 61286, 114, 35,
+       0},
+      {Setup::kKill, 8, true, 1050, 13448418582042019858u, 76944, 452, 141,
+       8},
+      {Setup::kKill, 16, true, 1106, 249627210387741005u, 130852, 1273, 339,
+       0},
+      {Setup::kKillRestartKill, 4, true, 1022, 15816219707191124791u, 15331,
+       146, 47, 0},
+      {Setup::kKillRestartKill, 8, true, 1050, 1441661870572420193u, 15490,
+       415, 133, 9},
+      {Setup::kKillRestartKill, 16, true, 1106, 6217331589837852625u, 20042,
+       1327, 376, 0},
+  };
+  for (const PinnedRun& pin : pinned) {
+    SCOPED_TRACE(testing::Message()
+                 << "setup " << static_cast<int>(pin.setup) << ", n "
+                 << pin.n);
+    const ClusterResult r =
+        RunSimElection(PinnedConfig(pin.setup, pin.n), MakeFaultTolerant(1));
+    EXPECT_EQ(r.agreed, pin.agreed);
+    EXPECT_EQ(r.leader, pin.leader);
+    EXPECT_EQ(r.fingerprint, pin.fingerprint);
+    EXPECT_EQ(r.elapsed_us, pin.elapsed_us);
+    EXPECT_EQ(r.datagrams, pin.datagrams);
+    EXPECT_EQ(r.delivered, pin.delivered);
+    EXPECT_EQ(r.shards.size(), pin.shards);
+    if (pin.setup == Setup::kKillRestartKill) {
+      EXPECT_GT(r.peer_restarts, 0u) << "the restart must reach the peers";
+    }
+  }
+}
+
 TEST(NetCluster, UdpLoopbackElectionSmoke) {
   // Real sockets over 127.0.0.1, one transport per node inside this
   // process. Skipped (not failed) where the sandbox forbids binding.

@@ -8,14 +8,12 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "celect/net/peer_node.h"
-#include "celect/net/sim_net.h"
+#include "celect/net/cluster.h"
 #include "celect/obs/phase.h"
 #include "celect/sim/runtime.h"
 
@@ -108,32 +106,19 @@ std::vector<TraceRecord> RunOnRuntime() {
   return rt.trace().records();
 }
 
+// The script never declares a leader, so the election runs until the
+// mesh goes idle; shards come out in node order when nobody is killed.
 std::vector<TraceRecord> RunOnPeerNodes() {
-  net::SimNetConfig nc;
-  nc.n = kN;
-  nc.seed = 3;
-  net::SimNet simnet(nc);
-  std::vector<std::unique_ptr<net::PeerNode>> nodes;
-  for (net::PeerId p = 0; p < kN; ++p) {
-    net::PeerNodeConfig pc;
-    pc.id = p + 1;
-    pc.trace = true;
-    nodes.push_back(
-        std::make_unique<net::PeerNode>(pc, simnet.at(p), ScriptFactory()));
-  }
-  for (auto& node : nodes) node->Pump();
-  for (;;) {
-    std::optional<net::Micros> next = simnet.NextEvent();
-    for (const auto& node : nodes) {
-      const auto w = node->NextWake();
-      if (w && (!next || *w < *next)) next = w;
-    }
-    if (!next || *next > 2'000'000) break;
-    simnet.virtual_clock().AdvanceTo(*next);
-    simnet.DeliverDue();
-    for (auto& node : nodes) node->Pump();
-  }
-  return nodes[0]->MakeShard(/*complete=*/true).records;
+  net::ClusterConfig config;
+  config.n = kN;
+  config.seed = 3;
+  config.trace = true;
+  const net::ClusterResult result =
+      net::RunSimElection(config, ScriptFactory());
+  EXPECT_FALSE(result.agreed);
+  EXPECT_EQ(result.shards.size(), kN);
+  EXPECT_EQ(result.shards.front().node, 0u);
+  return result.shards.front().records;
 }
 
 TEST(NodeCore, BothHostsTraceTheScriptIdentically) {
