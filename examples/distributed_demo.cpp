@@ -35,10 +35,12 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "celect/net/clock.h"
 #include "celect/net/peer_node.h"
+#include "celect/net/report.h"
 #include "celect/net/udp_transport.h"
 #include "celect/obs/shard.h"
 #include "celect/proto/nosod/fault_tolerant.h"
@@ -103,11 +105,14 @@ std::vector<sim::Id> MakeIds(std::uint32_t n, std::uint64_t seed) {
   return ids;
 }
 
-// Child main: never returns. Reports over write_fd with single lines:
-//   "B <node> <leader>\n"   belief changed
-//   "D <node> <leader>\n"   declared itself leader
-//   "E <node>\n"            socket bind failed
-//   "M <node> <compact>\n"  metrics snapshot (trace mode only)
+// Writes one report line (net/report.h) down the pipe.
+void SendReport(int write_fd, const net::Report& r) {
+  dprintf(write_fd, "%s\n", net::FormatReport(r).c_str());
+}
+
+// Child main: never returns. Reports over write_fd, one line per belief
+// change, declaration or bind failure, plus metrics snapshots in trace
+// mode.
 [[noreturn]] void RunChild(std::uint32_t index, const Options& opt,
                            sim::Id id, bool rejoin, int write_fd) {
   net::UdpTransportConfig tc;
@@ -121,7 +126,8 @@ std::vector<sim::Id> MakeIds(std::uint32_t n, std::uint64_t seed) {
   // epoch 0 -> HostEpoch(): every incarnation is distinguishable.
   net::UdpTransport transport(tc);
   if (!transport.Open()) {
-    dprintf(write_fd, "E %u\n", index);
+    SendReport(write_fd, {.kind = net::Report::Kind::kBindFailed,
+                          .node = index});
     _exit(2);
   }
   net::PeerNodeConfig pc;
@@ -142,13 +148,15 @@ std::vector<sim::Id> MakeIds(std::uint32_t n, std::uint64_t seed) {
     node.Pump();
     if (node.declared_self() && !declared) {
       declared = true;
-      dprintf(write_fd, "D %u %lld\n", index,
-              static_cast<long long>(*node.leader()));
+      SendReport(write_fd, {.kind = net::Report::Kind::kDeclared,
+                            .node = index,
+                            .leader = *node.leader()});
     }
     if (node.leader() != reported) {
       reported = node.leader();
-      dprintf(write_fd, "B %u %lld\n", index,
-              static_cast<long long>(*reported));
+      SendReport(write_fd, {.kind = net::Report::Kind::kBelief,
+                            .node = index,
+                            .leader = *reported});
     }
     if (tracing) {
       if (g_terminate) {
@@ -162,8 +170,9 @@ std::vector<sim::Id> MakeIds(std::uint32_t n, std::uint64_t seed) {
         next_flush = now + 300'000;
       }
       if (now >= next_metrics) {
-        dprintf(write_fd, "M %u %s\n", index,
-                node.SnapshotMetrics().SerializeCompact().c_str());
+        SendReport(write_fd, {.kind = net::Report::Kind::kMetrics,
+                              .node = index,
+                              .metrics = node.SnapshotMetrics()});
         next_metrics = now + 500'000;
       }
     }
@@ -238,26 +247,29 @@ class Supervisor {
       while ((nl = c.buffer.find('\n')) != std::string::npos) {
         std::string line = c.buffer.substr(0, nl);
         c.buffer.erase(0, nl + 1);
-        if (line.compare(0, 2, "M ") == 0) {
-          // Metrics snapshot: latest one per node wins (it subsumes
-          // every earlier snapshot of the same incarnation).
-          std::size_t sp = line.find(' ', 2);
-          if (sp != std::string::npos && c.alive) {
-            auto parsed =
-                obs::MetricsRegistry::ParseCompact(line.substr(sp + 1));
-            if (parsed) metrics_[i] = std::move(*parsed);
-          }
+        std::optional<net::Report> r = net::ParseReport(line, opt_.n);
+        if (!r || r->node != i) {
+          std::cerr << "  [supervisor] ignoring malformed report from node "
+                    << i << ": \"" << line << "\"\n";
           continue;
         }
-        char kind = 0;
-        unsigned index = 0;
-        long long leader = 0;
-        if (std::sscanf(line.c_str(), "%c %u %lld", &kind, &index, &leader) >=
-            2) {
-          if (kind == 'E') bind_failed_ = true;
-          if (!c.alive) continue;  // late lines from a killed incarnation
-          if (kind == 'D') declared_.insert(leader);
-          if (kind == 'D' || kind == 'B') c.belief = leader;
+        switch (r->kind) {
+          case net::Report::Kind::kBindFailed:
+            bind_failed_ = true;
+            break;
+          case net::Report::Kind::kMetrics:
+            // Latest snapshot per node wins (it subsumes every earlier
+            // snapshot of the same incarnation).
+            if (c.alive) metrics_[i] = std::move(r->metrics);
+            break;
+          case net::Report::Kind::kDeclared:
+          case net::Report::Kind::kBelief:
+            if (!c.alive) break;  // late lines from a killed incarnation
+            if (r->kind == net::Report::Kind::kDeclared) {
+              declared_.insert(r->leader);
+            }
+            c.belief = r->leader;
+            break;
         }
       }
     }

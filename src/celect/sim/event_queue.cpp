@@ -21,7 +21,9 @@ struct HandleAfterFar {
 
 }  // namespace
 
-EventQueue::EventQueue() : l0_(kL0), l1_(kL1), l1_tick_(kL1, kMixedTick) {}
+EventQueue::EventQueue()
+    : l0_(std::make_unique_for_overwrite<List[]>(kL0)),
+      l1_(std::make_unique_for_overwrite<List[]>(kL1)) {}
 
 std::size_t EventQueue::ScanBits(const Bits& b, std::size_t from) {
   if (from >= kL0) return kNpos;
@@ -38,19 +40,9 @@ std::size_t EventQueue::ScanBits(const Bits& b, std::size_t from) {
 
 std::uint32_t EventQueue::AllocSlot(Time at, std::uint64_t seq,
                                     EventBody&& body) {
-  std::uint32_t i;
-  if (free_head_ != kNoSlot) {
-    i = free_head_;
-  } else {
-    i = slot_count_++;
-    const std::uint32_t j = i + kChunk0;
-    if ((j & (j - 1)) == 0) {
-      // i opens chunk c with base 2^(kChunk0Bits + c) == j; the chunk's
-      // capacity equals its base.
-      chunks_.push_back(std::make_unique<Slot[]>(j));
-    }
-  }
-  Slot& s = SlotAt(i);
+  const std::uint32_t i =
+      free_head_ != kNoSlot ? free_head_ : slots_.Grow();
+  Slot& s = slots_[i];
   free_head_ = s.next_free;
   s.ev.at = at;
   s.ev.seq = seq;
@@ -61,41 +53,68 @@ std::uint32_t EventQueue::AllocSlot(Time at, std::uint64_t seq,
 }
 
 void EventQueue::FreeSlot(std::uint32_t slot) {
-  Slot& s = SlotAt(slot);
+  Slot& s = slots_[slot];
   s.ev.seq = kFreeSeq;
   s.dead = false;
   s.next_free = free_head_;
   free_head_ = slot;
 }
 
-void EventQueue::AppendL0(const Handle& h, bool from_far) {
+std::uint32_t EventQueue::NewChunk(const Handle& h) {
+  std::uint32_t c = chunk_free_;
+  if (c != kNoChunk) {
+    chunk_free_ = chunks_[c].next;
+  } else {
+    c = chunks_.Grow();
+  }
+  Chunk& k = chunks_[c];
+  k.h[0] = h;
+  k.n = 1;
+  k.next = kNoChunk;
+  return c;
+}
+
+void EventQueue::Append(List& l, Chunk& tail, const Handle& h) {
+  if (tail.n < kChunkHandles) {
+    tail.h[tail.n++] = h;
+    return;
+  }
+  tail.next = NewChunk(h);
+  l.tail = tail.next;
+}
+
+void EventQueue::AppendL0(const Handle& h) {
   const std::size_t idx = static_cast<std::size_t>(h.at) & (kL0 - 1);
-  std::vector<Handle>& b = l0_[idx];
-  // A far drain landing behind already-scattered same-instant handles can
-  // carry lower seqs; flag the bucket for a one-time sort before serving.
-  if (from_far && !b.empty()) SetBit(l0_sort_, idx);
-  b.push_back(h);
-  SetBit(l0_bits_, idx);
+  List& l = l0_[idx];
+  if (TestBit(l0_bits_, idx)) {
+    Append(l, chunks_[l.tail], h);
+  } else {
+    l.head = l.tail = NewChunk(h);
+    SetBit(l0_bits_, idx);
+  }
 }
 
 void EventQueue::Place(const Handle& h) {
   CELECT_DCHECK(h.at >= 0) << "event scheduled at negative time";
   const std::uint64_t blk = static_cast<std::uint64_t>(h.at) >> kBlockBits;
   if (blk == cur_block_) {
-    AppendL0(h, /*from_far=*/false);
+    AppendL0(h);
     return;
   }
   CELECT_DCHECK(blk > cur_block_) << "push into an already-served block";
   if (blk - cur_block_ <= kL1) {
     const std::size_t idx = static_cast<std::size_t>(blk & (kL1 - 1));
-    std::vector<Handle>& b = l1_[idx];
-    if (b.empty()) {
-      l1_tick_[idx] = h.at;
-    } else if (l1_tick_[idx] != h.at) {
-      l1_tick_[idx] = kMixedTick;
+    List& l = l1_[idx];
+    if (!TestBit(l1_bits_, idx)) {
+      l.head = l.tail = NewChunk(h);
+      SetBit(l1_bits_, idx);
+      return;
     }
-    b.push_back(h);
-    SetBit(l1_bits_, idx);
+    Chunk& tail = chunks_[l.tail];
+    // The bucket holds one tick while every handle matches the one
+    // before it.
+    if (tail.h[tail.n - 1].at != h.at) SetBit(l1_mixed_, idx);
+    Append(l, tail, h);
     return;
   }
   far_.push_back(h);
@@ -116,8 +135,8 @@ EventTicket EventQueue::PushTicketed(Time at, EventBody body) {
 }
 
 void EventQueue::Cancel(const EventTicket& t) {
-  if (t.slot >= slot_count_) return;
-  Slot& s = SlotAt(t.slot);
+  if (t.slot >= slots_.size()) return;
+  Slot& s = slots_[t.slot];
   if (s.ev.seq != t.seq || s.dead) return;  // already popped / cancelled
   s.dead = true;
   CELECT_DCHECK(live_ > 0);
@@ -154,96 +173,128 @@ bool EventQueue::AdvanceBlock() {
   CELECT_DCHECK(b > cur_block_);
   cur_block_ = b;
   cur_bucket_ = 0;
+  cur_chunk_ = nullptr;
   cur_pos_ = 0;
-  if (lb && *lb == b) {
-    const std::size_t idx = static_cast<std::size_t>(b & (kL1 - 1));
-    std::vector<Handle>& src = l1_[idx];
-    const std::int64_t tick = l1_tick_[idx];
-    const std::size_t l0i =
-        tick >= 0 ? static_cast<std::size_t>(tick) & (kL0 - 1) : 0;
-    if (tick >= 0 && !src.empty() && l0_[l0i].empty()) {
-      // Every handle in the bucket shares one instant (and was appended
-      // in seq order), so the whole bucket becomes the L0 bucket by a
-      // vector swap — no per-handle copying. Stale (taken) handles ride
-      // along; Pop skips them by seq, exactly as it does after a scatter.
-      l0_[l0i].swap(src);
-      SetBit(l0_bits_, l0i);
-    } else {
-      for (const Handle& h : src) {
-        if (SlotAt(h.slot).ev.seq != h.seq) continue;  // taken; drop stale
-        AppendL0(h, /*from_far=*/false);
-      }
-      src.clear();
-    }
-    ClearBit(l1_bits_, idx);
-  }
+  // Far first: its handles for block b were all pushed while b lay past
+  // the wheel, so before any of b's L1 handles.
   while (!far_.empty() &&
          (static_cast<std::uint64_t>(far_.front().at) >> kBlockBits) == b) {
     std::pop_heap(far_.begin(), far_.end(), HandleAfterFar{});
     const Handle h = far_.back();
     far_.pop_back();
-    if (SlotAt(h.slot).ev.seq != h.seq) continue;  // taken; drop stale
-    AppendL0(h, /*from_far=*/true);
+    if (slots_[h.slot].ev.seq != h.seq) continue;  // taken; drop stale
+    AppendL0(h);
+  }
+  if (lb && *lb == b) {
+    const std::size_t idx = static_cast<std::size_t>(b & (kL1 - 1));
+    const List src = l1_[idx];
+    if (!TestBit(l1_mixed_, idx)) {
+      // One instant, in seq order: the whole list becomes (or extends)
+      // that instant's L0 bucket with no per-handle copying. Stale
+      // (taken) handles ride along; Pop skips them by seq.
+      const std::size_t l0i =
+          static_cast<std::size_t>(chunks_[src.head].h[0].at) & (kL0 - 1);
+      List& dst = l0_[l0i];
+      if (TestBit(l0_bits_, l0i)) {
+        chunks_[dst.tail].next = src.head;
+        dst.tail = src.tail;
+      } else {
+        dst = src;
+        SetBit(l0_bits_, l0i);
+      }
+    } else {
+      for (std::uint32_t c = src.head; c != kNoChunk;) {
+        const Chunk& k = chunks_[c];
+        for (std::uint32_t i = 0; i < k.n; ++i) {
+          const Handle& h = k.h[i];
+          if (slots_[h.slot].ev.seq != h.seq) continue;  // taken; stale
+          AppendL0(h);
+        }
+        const std::uint32_t next = k.next;
+        FreeChunk(c);
+        c = next;
+      }
+      ClearBit(l1_mixed_, idx);
+    }
+    ClearBit(l1_bits_, idx);
   }
   return true;
 }
 
 std::optional<Event> EventQueue::Pop() {
   for (;;) {
-    std::vector<Handle>& b = l0_[cur_bucket_];
-    if (cur_pos_ == 0 && TestBit(l0_sort_, cur_bucket_) && b.size() > 1) {
-      // One instant per bucket: restoring seq order restores (at, seq).
-      std::sort(b.begin(), b.end(),
-                [](const Handle& x, const Handle& y) { return x.seq < y.seq; });
-    }
-    if (cur_pos_ == 0) ClearBit(l0_sort_, cur_bucket_);
-    while (cur_pos_ < b.size()) {
-      const Handle h = b[cur_pos_++];
-      // Pull the next slot toward the caches while the caller dispatches
-      // this event — same-instant slots are not generally adjacent.
-      if (cur_pos_ < b.size()) {
-        __builtin_prefetch(&SlotAt(b[cur_pos_].slot), 1, 1);
+    if (Chunk* const k = cur_chunk_) {
+      while (cur_pos_ < k->n) {
+        const Handle h = k->h[cur_pos_++];
+        // Pull the next slot toward the caches while the caller dispatches
+        // this event — same-instant slots are not generally adjacent.
+        if (cur_pos_ < k->n) {
+          __builtin_prefetch(&slots_[k->h[cur_pos_].slot], 1, 1);
+        }
+        Slot& s = slots_[h.slot];
+        if (s.ev.seq != h.seq) continue;  // taken; stale handle
+        const bool was_dead = s.dead;
+        Event e = std::move(s.ev);
+        FreeSlot(h.slot);
+        if (was_dead) {
+          --dead_;
+        } else {
+          CELECT_DCHECK(live_ > 0);
+          --live_;
+        }
+        snapshot_dirty_ = true;
+        return e;
       }
-      Slot& s = SlotAt(h.slot);
-      if (s.ev.seq != h.seq) continue;  // taken; stale handle
-      const bool was_dead = s.dead;
-      Event e = std::move(s.ev);
-      FreeSlot(h.slot);
-      if (was_dead) {
-        --dead_;
-      } else {
-        CELECT_DCHECK(live_ > 0);
-        --live_;
+      // The head chunk is spent: hand it back, then serve the next one.
+      // A bucket ends only when a pop finds nothing after its last
+      // handle, so same-instant pushes made in between still land here.
+      List& l = l0_[cur_bucket_];
+      const std::uint32_t next = k->next;
+      FreeChunk(l.head);
+      cur_pos_ = 0;
+      if (next != kNoChunk) {
+        l.head = next;
+        cur_chunk_ = &chunks_[next];
+        continue;
       }
-      snapshot_dirty_ = true;
-      return e;
+      ClearBit(l0_bits_, cur_bucket_);
+      cur_chunk_ = nullptr;
     }
-    b.clear();
-    ClearBit(l0_bits_, cur_bucket_);
-    cur_pos_ = 0;
-    const std::size_t next = ScanBits(l0_bits_, cur_bucket_ + 1);
-    if (next != kNpos) {
-      cur_bucket_ = next;
+    const std::size_t next = ScanBits(l0_bits_, cur_bucket_);
+    if (next == kNpos) {
+      if (!AdvanceBlock()) return std::nullopt;
       continue;
     }
-    if (!AdvanceBlock()) return std::nullopt;
-    const std::size_t first = ScanBits(l0_bits_, 0);
-    cur_bucket_ = first == kNpos ? 0 : first;
+    cur_bucket_ = next;
+    cur_chunk_ = &chunks_[l0_[next].head];
   }
+}
+
+std::optional<std::int64_t> EventQueue::EarliestLive(
+    const List& l, std::uint32_t from) const {
+  std::optional<std::int64_t> best;
+  for (std::uint32_t c = l.head; c != kNoChunk; from = 0) {
+    const Chunk& k = chunks_[c];
+    for (std::uint32_t i = from; i < k.n; ++i) {
+      if (HandleLive(k.h[i]) && (!best || k.h[i].at < *best)) {
+        best = k.h[i].at;
+      }
+    }
+    c = k.next;
+  }
+  return best;
 }
 
 Time EventQueue::PeekTime() const {
   CELECT_CHECK(Size() > 0) << "PeekTime on a queue with no live events";
-  // L0: buckets are single instants in time order — the first live handle
-  // found is the earliest.
+  // L0: buckets are single instants in time order — the first bucket with
+  // a live handle holds the earliest.
   for (std::size_t i = ScanBits(l0_bits_, cur_bucket_); i != kNpos;
        i = ScanBits(l0_bits_, i + 1)) {
-    const std::vector<Handle>& b = l0_[i];
-    const std::size_t start = i == cur_bucket_ ? cur_pos_ : 0;
-    // An unsorted (far-drained) bucket still holds one instant only, so
-    // any live handle in it yields the bucket's time.
-    for (std::size_t j = start; j < b.size(); ++j) {
-      if (HandleLive(b[j])) return Time::FromTicks(b[j].at);
+    const std::uint32_t from =
+        i == cur_bucket_ && cur_chunk_ != nullptr ? cur_pos_ : 0;
+    if (const auto at = EarliestLive(l0_[i], from)) {
+      return Time::FromTicks(*at);
     }
   }
   std::int64_t best = std::numeric_limits<std::int64_t>::max();
@@ -255,14 +306,10 @@ Time EventQueue::PeekTime() const {
   for (std::size_t step = 0; step < kL1; ++step) {
     const std::size_t idx = (start + step) & (kL1 - 1);
     if (!TestBit(l1_bits_, idx)) continue;
-    bool any = false;
-    for (const Handle& h : l1_[idx]) {
-      if (HandleLive(h) && h.at < best) {
-        best = h.at;
-        any = true;
-      }
+    if (const auto at = EarliestLive(l1_[idx], 0)) {
+      best = *at;
+      break;
     }
-    if (any) break;
   }
   for (const Handle& h : far_) {
     if (HandleLive(h) && h.at < best) best = h.at;
@@ -274,8 +321,8 @@ Time EventQueue::PeekTime() const {
 const std::vector<Event>& EventQueue::events() const {
   if (snapshot_dirty_) {
     snapshot_.clear();
-    for (std::uint32_t i = 0; i < slot_count_; ++i) {
-      const Slot& s = SlotAt(i);
+    for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+      const Slot& s = slots_[i];
       if (s.ev.seq != kFreeSeq) snapshot_.push_back(s.ev);
     }
     snapshot_dirty_ = false;
@@ -284,12 +331,12 @@ const std::vector<Event>& EventQueue::events() const {
 }
 
 Event EventQueue::Take(std::uint64_t seq) {
-  for (std::uint32_t i = 0; i < slot_count_; ++i) {
-    Slot& s = SlotAt(i);
+  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+    Slot& s = slots_[i];
     if (s.ev.seq != seq) continue;
     const bool was_dead = s.dead;
     Event e = std::move(s.ev);
-    FreeSlot(static_cast<std::uint32_t>(i));
+    FreeSlot(i);
     if (was_dead) {
       --dead_;
     } else {

@@ -13,17 +13,30 @@
 //     holds same-instant events in push (= seq) order, so serving is a
 //     linear scan with no comparisons;
 //   * L1 — a 4096-block wheel (one bucket per 4096-tick block, ~16 sim
-//     units of horizon) fed by direct pushes; a whole bucket scatters
-//     into L0 when serving reaches its block;
+//     units of horizon) fed by direct pushes; a whole bucket moves into
+//     L0 when serving reaches its block;
 //   * far — a small binary min-heap of handles for events beyond the
 //     wheel horizon (deep FIFO backlogs, long leases); drained into L0
 //     block by block as serving catches up.
 //
+// Every L0/L1 bucket is a FIFO list of 16-handle chunks drawn from one
+// queue-owned chunk pool. A bucket's head/tail words are meaningful only
+// while its bit in the occupancy bitmap is set, so building a queue
+// writes three 512-byte bitmaps and nothing per bucket, and destroying
+// one frees a handful of pool segments. A bucket whose handles share one
+// tick (the common case under unit delays) moves L1 -> L0 by copying or
+// splicing its head/tail words; Pop hands each chunk back to the pool as
+// it leaves it, so a wave's pushes reuse the chunks its pops emptied.
+// The slot arena and the chunk pool both grow in doubling segments that
+// start at 64 entries (64, 128, 256, ...): entries never move, a short
+// run touches little memory, and a million-event peak costs no
+// regrow copy.
+//
 // Total order is identical to the old heap: (at, seq) ascending, seq
 // stamped monotonically at push. Buckets receive handles in seq order by
-// construction; the one case that can break per-instant order — a far
-// drain landing in a bucket that already holds scattered handles — marks
-// the bucket for a one-time sort before it is served.
+// construction: for any block, every far push precedes every L1 push,
+// which precedes every L0 push (the block only gets nearer), and
+// AdvanceBlock drains far before L1 — so no bucket ever needs a sort.
 //
 // Cancelled timers are lazy-deleted tombstones: Cancel() marks the slot
 // dead so Size()/PeekTime() see only live events (the live-count
@@ -85,7 +98,6 @@ class EventQueue {
   std::size_t Size() const { return live_; }
   // Cancelled-but-unpopped events still occupying the queue.
   std::size_t Tombstones() const { return dead_; }
-  std::uint64_t total_pushed() const { return next_seq_; }
 
   // Earliest scheduled *live* event time (Size() must be > 0): a
   // cancelled far-future timer no longer pins the horizon. O(pending) —
@@ -108,6 +120,8 @@ class EventQueue {
   static constexpr std::size_t kL1 = std::size_t{1} << kBlockBits;
   static constexpr std::size_t kWords = kL0 / 64;
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kNoChunk = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kChunkHandles = 16;
   // Arena slots are freed by stamping this sentinel into ev.seq; a
   // handle is stale (already taken) when its seq no longer matches.
   static constexpr std::uint64_t kFreeSeq = ~std::uint64_t{0};
@@ -124,26 +138,61 @@ class EventQueue {
     bool dead = false;  // cancelled (tombstone) but not yet popped
   };
 
+  // One link of a bucket's FIFO list. Only the tail chunk of a list can
+  // be partly filled, except where a uniform L1 bucket was spliced onto
+  // an occupied L0 bucket, so every reader goes by `n`.
+  struct Chunk {
+    Handle h[kChunkHandles];
+    std::uint32_t n;     // handles written
+    std::uint32_t next;  // next chunk in the list (pool index) or kNoChunk
+  };
+
+  // A bucket's chunk list; meaningful only while the bucket's bit is set.
+  struct List {
+    std::uint32_t head;
+    std::uint32_t tail;
+  };
+
+  // Indexed storage that grows in doubling segments of 64, 128, 256, ...
+  // default-initialised entries: entries never move and indexing is
+  // O(1). Entry i lives in segment s = bit_width(i + 64) - 7, at offset
+  // (i + 64) minus the segment's base power of two.
+  template <typename T>
+  class SegmentedPool {
+   public:
+    T& operator[](std::uint32_t i) {
+      const std::uint64_t j = std::uint64_t{i} + kFirst;
+      const std::size_t s = Segment(j);
+      return segs_[s][j - (std::uint64_t{1} << (kFirstBits + s))];
+    }
+    const T& operator[](std::uint32_t i) const {
+      return (*const_cast<SegmentedPool*>(this))[i];
+    }
+    std::uint32_t size() const { return size_; }
+    // Appends one entry and returns its index.
+    std::uint32_t Grow() {
+      const std::uint32_t i = size_++;
+      const std::uint64_t j = std::uint64_t{i} + kFirst;
+      // i opens a segment when j is its base, a power of two; the
+      // segment's capacity equals its base.
+      if (std::has_single_bit(j)) {
+        segs_[Segment(j)] = std::make_unique_for_overwrite<T[]>(j);
+      }
+      return i;
+    }
+
+   private:
+    static constexpr int kFirstBits = 6;
+    static constexpr std::uint64_t kFirst = std::uint64_t{1} << kFirstBits;
+    static std::size_t Segment(std::uint64_t j) {
+      return static_cast<std::size_t>(std::bit_width(j) - kFirstBits - 1);
+    }
+    // j = i + 64 < 2^33 for any 32-bit i.
+    std::array<std::unique_ptr<T[]>, 33 - kFirstBits> segs_;
+    std::uint32_t size_ = 0;
+  };
+
   using Bits = std::array<std::uint64_t, kWords>;
-
-  // The arena is a run of geometrically growing chunks (1024 slots, then
-  // 1024, 2048, 4096, ...): slots never move (no vector-regrow copying of
-  // ~128-byte Slots, no 1.5x memory spike at million-event peaks) and
-  // indexing stays O(1). Slot i lives at chunk c = bit_width(i + kChunk0)
-  // - kChunk0Bits - 1, offset = (i + kChunk0) minus the chunk's base
-  // power of two.
-  static constexpr std::uint32_t kChunk0Bits = 10;
-  static constexpr std::uint32_t kChunk0 = 1u << kChunk0Bits;
-
-  Slot& SlotAt(std::uint32_t i) {
-    const std::uint32_t j = i + kChunk0;
-    const int c = std::bit_width(j) - kChunk0Bits - 1;
-    return chunks_[static_cast<std::size_t>(c)]
-                  [j ^ (std::uint32_t{1} << (kChunk0Bits + c))];
-  }
-  const Slot& SlotAt(std::uint32_t i) const {
-    return const_cast<EventQueue*>(this)->SlotAt(i);
-  }
 
   static void SetBit(Bits& b, std::size_t i) {
     b[i >> 6] |= std::uint64_t{1} << (i & 63);
@@ -161,37 +210,53 @@ class EventQueue {
   std::uint32_t AllocSlot(Time at, std::uint64_t seq, EventBody&& body);
   void FreeSlot(std::uint32_t slot);
   bool HandleLive(const Handle& h) const {
-    const Slot& s = SlotAt(h.slot);
+    const Slot& s = slots_[h.slot];
     return s.ev.seq == h.seq && !s.dead;
   }
+
+  // Takes a chunk from the pool's free list (or grows the pool), stores
+  // `h` as its only handle and returns its index.
+  std::uint32_t NewChunk(const Handle& h);
+  void FreeChunk(std::uint32_t c) {
+    chunks_[c].next = chunk_free_;
+    chunk_free_ = c;
+  }
+  // Appends `h` after `tail`, the list's tail chunk, chaining a new chunk
+  // when the tail is full.
+  void Append(List& l, Chunk& tail, const Handle& h);
+  // Earliest live handle in `l`, skipping the head chunk's first `from`
+  // handles.
+  std::optional<std::int64_t> EarliestLive(const List& l,
+                                           std::uint32_t from) const;
+
   // Routes a handle into L0 / L1 / far based on its block.
   void Place(const Handle& h);
-  void AppendL0(const Handle& h, bool from_far);
-  // Moves serving to the next non-empty block (L1 scatter + far drain).
+  void AppendL0(const Handle& h);
+  // Moves serving to the next non-empty block (far drain + L1 move).
   // False when nothing is pending anywhere past the current block.
   bool AdvanceBlock();
   // Next pending L1 block in circular (time) order, if any.
   std::optional<std::uint64_t> NextL1Block() const;
 
-  std::vector<std::unique_ptr<Slot[]>> chunks_;
-  std::uint32_t slot_count_ = 0;  // slots ever allocated (used prefix)
+  SegmentedPool<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
+  SegmentedPool<Chunk> chunks_;
+  std::uint32_t chunk_free_ = kNoChunk;
 
-  std::vector<std::vector<Handle>> l0_;  // kL0 width-1-tick buckets
-  std::vector<std::vector<Handle>> l1_;  // kL1 block buckets
-  // The single tick every handle in l1_[i] shares, or kMixedTick. A
-  // uniform bucket scatters into L0 as one vector swap — the dominant
-  // case under unit delays, where a whole wave lands on one instant.
-  std::vector<std::int64_t> l1_tick_;
-  static constexpr std::int64_t kMixedTick = -1;
+  // Bucket ends, left uninitialised: see List.
+  std::unique_ptr<List[]> l0_;  // kL0 width-1-tick buckets
+  std::unique_ptr<List[]> l1_;  // kL1 block buckets
   Bits l0_bits_{};   // non-empty L0 buckets
   Bits l1_bits_{};   // non-empty L1 buckets
-  Bits l0_sort_{};   // L0 buckets needing a seq sort before serving
+  // L1 buckets holding more than one tick. The rest move into L0 whole.
+  Bits l1_mixed_{};
   std::vector<Handle> far_;  // min-heap by (at, seq)
 
   std::uint64_t cur_block_ = 0;   // block being served
   std::size_t cur_bucket_ = 0;    // L0 bucket being served
-  std::size_t cur_pos_ = 0;       // next handle within that bucket
+  // Head chunk of the bucket being served, or null before its first pop.
+  Chunk* cur_chunk_ = nullptr;
+  std::uint32_t cur_pos_ = 0;     // next handle within cur_chunk_
 
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;

@@ -33,11 +33,6 @@ std::optional<Event> HeapEventQueue::Pop() {
   return e;
 }
 
-Time HeapEventQueue::PeekTime() const {
-  CELECT_CHECK(!heap_.empty());
-  return heap_.front().at;
-}
-
 void HeapEventQueue::SiftFromHole(std::size_t i) {
   const EventAfter after{};
   // Sift up while the element is earlier than its parent.

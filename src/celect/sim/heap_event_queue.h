@@ -29,9 +29,9 @@ class HeapEventQueue {
   std::uint64_t Push(Time at, EventBody body);
 
   // Ticketed push for API parity with EventQueue. The reference heap
-  // keeps no tombstone bookkeeping: Cancel is a no-op and Size() stays
-  // physical (cancelled timers pop and are discarded at dispatch, which
-  // is also where the ladder's accounting converges).
+  // keeps no tombstone bookkeeping: Cancel is a no-op (cancelled timers
+  // pop and are discarded at dispatch, which is also where the ladder's
+  // accounting converges).
   EventTicket PushTicketed(Time at, EventBody body) {
     return EventTicket{Push(at, std::move(body)), 0};
   }
@@ -41,12 +41,6 @@ class HeapEventQueue {
   std::optional<Event> Pop();
 
   bool Empty() const { return heap_.empty(); }
-  std::size_t Size() const { return heap_.size(); }
-  std::size_t Tombstones() const { return 0; }
-  std::uint64_t total_pushed() const { return next_seq_; }
-
-  // Earliest scheduled time (queue must be non-empty).
-  Time PeekTime() const;
 
   // Pending events in unspecified (heap) order. Valid until the next
   // mutation.
@@ -68,49 +62,44 @@ class HeapEventQueue {
 
 // The runtime's queue: the ladder by default, the reference heap when
 // RuntimeOptions::use_reference_queue asks for it (equivalence tests,
-// bisecting a suspected queue bug). One predictable branch per call —
-// both backends produce the same (at, seq) pop order, so the choice
-// never changes a run's result, only its speed.
+// bisecting a suspected queue bug). Only the selected backend is built;
+// each call is one predictable branch. Both backends produce the same
+// (at, seq) pop order, so the choice never changes a run's result, only
+// its speed.
 class DualQueue {
  public:
-  explicit DualQueue(bool use_reference) : use_ref_(use_reference) {}
-
-  std::uint64_t Push(Time at, EventBody body) {
-    return use_ref_ ? ref_.Push(at, std::move(body))
-                    : ladder_.Push(at, std::move(body));
-  }
-  EventTicket PushTicketed(Time at, EventBody body) {
-    return use_ref_ ? ref_.PushTicketed(at, std::move(body))
-                    : ladder_.PushTicketed(at, std::move(body));
-  }
-  void Cancel(const EventTicket& t) {
-    if (use_ref_) {
-      ref_.Cancel(t);
+  explicit DualQueue(bool use_reference) {
+    if (use_reference) {
+      ref_.emplace();
     } else {
-      ladder_.Cancel(t);
+      ladder_.emplace();
     }
   }
-  std::optional<Event> Pop() { return use_ref_ ? ref_.Pop() : ladder_.Pop(); }
-  bool Empty() const { return use_ref_ ? ref_.Empty() : ladder_.Empty(); }
-  std::size_t Size() const { return use_ref_ ? ref_.Size() : ladder_.Size(); }
-  std::size_t Tombstones() const {
-    return use_ref_ ? ref_.Tombstones() : ladder_.Tombstones();
+
+  std::uint64_t Push(Time at, EventBody body) {
+    return ladder_ ? ladder_->Push(at, std::move(body))
+                   : ref_->Push(at, std::move(body));
   }
-  std::uint64_t total_pushed() const {
-    return use_ref_ ? ref_.total_pushed() : ladder_.total_pushed();
+  EventTicket PushTicketed(Time at, EventBody body) {
+    return ladder_ ? ladder_->PushTicketed(at, std::move(body))
+                   : ref_->PushTicketed(at, std::move(body));
   }
-  Time PeekTime() const { return use_ref_ ? ref_.PeekTime() : ladder_.PeekTime(); }
+  void Cancel(const EventTicket& t) {
+    return ladder_ ? ladder_->Cancel(t) : ref_->Cancel(t);
+  }
+  std::optional<Event> Pop() { return ladder_ ? ladder_->Pop() : ref_->Pop(); }
+  bool Empty() const { return ladder_ ? ladder_->Empty() : ref_->Empty(); }
   const std::vector<Event>& events() const {
-    return use_ref_ ? ref_.events() : ladder_.events();
+    return ladder_ ? ladder_->events() : ref_->events();
   }
   Event Take(std::uint64_t seq) {
-    return use_ref_ ? ref_.Take(seq) : ladder_.Take(seq);
+    return ladder_ ? ladder_->Take(seq) : ref_->Take(seq);
   }
 
  private:
-  bool use_ref_;
-  EventQueue ladder_;
-  HeapEventQueue ref_;
+  // Exactly one is engaged.
+  std::optional<EventQueue> ladder_;
+  std::optional<HeapEventQueue> ref_;
 };
 
 }  // namespace celect::sim

@@ -1,11 +1,13 @@
-// Ladder-queue specifics: tombstone accounting, arena reuse across chunk
-// boundaries, far-horizon drains, and a randomized differential check
-// against the reference binary heap. The basic ordering contract
-// (time, then insertion order) is covered in test_sim_core.cpp; these
-// tests pin the parts the ladder rework added.
+// Ladder-queue specifics: tombstone accounting, arena reuse across
+// segment boundaries, far-horizon drains, bucket chunk lists, and
+// randomized differential checks against the reference binary heap. The
+// basic ordering contract (time, then insertion order) is covered in
+// test_sim_core.cpp; these tests pin the parts the ladder rework added.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <set>
 #include <vector>
 
 #include "celect/sim/event_queue.h"
@@ -78,7 +80,7 @@ TEST(EventQueueTombstones, CancelAfterPopIsANoOp) {
 
 TEST(EventQueue, ArenaSurvivesChunkBoundariesAndReuse) {
   EventQueue q;
-  // Well past the first arena chunk (1024 slots).
+  // Well past the first arena segments (64, 128, 256, ... slots).
   constexpr int kCount = 5000;
   for (int i = 0; i < kCount; ++i) {
     q.Push(T(0.001 * i), WakeupEvent{static_cast<NodeId>(i)});
@@ -190,6 +192,190 @@ TEST(EventQueue, RandomizedDifferentialAgainstReferenceHeap) {
     ASSERT_EQ(a->at, b->at);
     ASSERT_EQ(a->seq, b->seq);
   }
+}
+
+// Bucket chunk lists. A bucket holds 16 handles per chunk; the ladder's
+// block is 4096 ticks and its wheel spans 4096 blocks, so these tick
+// offsets pick the region a push lands in.
+constexpr std::int64_t kChunkHandles = 16;
+constexpr std::int64_t kWheelTicks = std::int64_t{1} << 24;
+
+// Drives the ladder and the reference heap in lockstep. Cancel and Take
+// apply to both (the heap keeps cancelled events, and so does the ladder
+// until they pop as tombstones), so both pop streams must match exactly.
+class Lockstep {
+ public:
+  EventTicket Push(std::int64_t ticks) {
+    const Time at = Time::FromTicks(ticks);
+    const NodeId node = static_cast<NodeId>(pushed_++);
+    const EventTicket t = ladder_.PushTicketed(at, WakeupEvent{node});
+    EXPECT_EQ(heap_.Push(at, WakeupEvent{node}), t.seq);
+    return t;
+  }
+  void Cancel(const EventTicket& t) {
+    ladder_.Cancel(t);
+    cancelled_.insert(t.seq);
+  }
+  void Take(std::uint64_t seq) {
+    const Event a = ladder_.Take(seq);
+    const Event b = heap_.Take(seq);
+    EXPECT_EQ(a.seq, b.seq);
+    EXPECT_EQ(a.at, b.at);
+  }
+  // Pops one event from each side; false once both are empty.
+  bool PopBoth() {
+    auto a = ladder_.Pop();
+    auto b = heap_.Pop();
+    EXPECT_EQ(a.has_value(), b.has_value());
+    if (!a || !b) return false;
+    EXPECT_EQ(a->at, b->at);
+    EXPECT_EQ(a->seq, b->seq);
+    EXPECT_EQ(std::get<WakeupEvent>(a->body).node,
+              std::get<WakeupEvent>(b->body).node);
+    return a->seq == b->seq && a->at == b->at;
+  }
+  std::size_t Drain() {
+    std::size_t n = 0;
+    while (PopBoth()) ++n;
+    return n;
+  }
+  // The ladder's live horizon must be the earliest non-cancelled event
+  // the reference heap still holds.
+  void ExpectPeekTimeMatchesHeap() {
+    std::optional<Time> want;
+    std::size_t live = 0;
+    for (const Event& e : heap_.events()) {
+      if (cancelled_.count(e.seq) != 0) continue;
+      ++live;
+      if (!want || e.at < *want) want = e.at;
+    }
+    ASSERT_EQ(ladder_.Size(), live);
+    if (want) {
+      EXPECT_EQ(ladder_.PeekTime(), *want);
+    }
+  }
+  EventQueue& ladder() { return ladder_; }
+
+ private:
+  EventQueue ladder_;
+  HeapEventQueue heap_;
+  std::set<std::uint64_t> cancelled_;
+  std::uint64_t pushed_ = 0;
+};
+
+TEST(EventQueueChunks, SameInstantPushesWhileServingCrossChunkBoundaries) {
+  Lockstep q;
+  const std::int64_t t = 5000;
+  for (int i = 0; i < 10; ++i) q.Push(t);
+  q.Push(t + 1);
+  std::int64_t at_t = 10;
+  std::int64_t popped = 0;
+  // Serve part of the instant, then keep pushing to it: the new handles
+  // fill the served chunk, spill into fresh ones and pop after the rest.
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 3; ++i, ++popped) ASSERT_TRUE(q.PopBoth());
+    for (int i = 0; i < 7; ++i, ++at_t) q.Push(t);
+  }
+  // Top the instant up to four full chunks and serve all of it, so the
+  // last pop leaves the bucket's full tail chunk spent.
+  for (; at_t < 4 * kChunkHandles; ++at_t) q.Push(t);
+  for (; popped < at_t; ++popped) ASSERT_TRUE(q.PopBoth());
+  // Pushes to the same instant before the next pop chain a fresh chunk,
+  // which is still served ahead of t + 1.
+  q.Push(t);
+  q.Push(t);
+  EXPECT_EQ(q.Drain(), 3u);
+  // The queue keeps working after a complete drain, at the same instant.
+  q.Push(t + 1);
+  EXPECT_EQ(q.Drain(), 1u);
+}
+
+TEST(EventQueueChunks, FarDrainIntoMultiChunkBucketKeepsSeqOrder) {
+  Lockstep q;
+  const std::int64_t far = 4 * kWheelTicks;
+  // Beyond the wheel: three chunks' worth of one instant in the far heap.
+  for (int i = 0; i < 2 * kChunkHandles + 5; ++i) q.Push(far);
+  for (int i = 0; i < 9; ++i) q.Push(far + 1);
+  // Serving jumps to within the wheel's reach of `far`...
+  q.Push(far - kWheelTicks / 2);
+  ASSERT_TRUE(q.PopBoth());
+  // ...so these land in L1: one uniform bucket spliced after the far
+  // drain's partial tail chunk, and a mixed one scattered behind it.
+  for (int i = 0; i < 2 * kChunkHandles + 3; ++i) q.Push(far);
+  const std::int64_t mixed = far + 3 * 4096;
+  for (int i = 0; i < 3 * kChunkHandles; ++i) q.Push(mixed + i % 3);
+  for (int i = 0; i < 7; ++i) q.Push(mixed - kWheelTicks / 2 - 1);
+  q.ExpectPeekTimeMatchesHeap();
+  // Same-instant pushes once the spliced bucket is being served.
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(q.PopBoth());
+  for (int i = 0; i < kChunkHandles; ++i) q.Push(far);
+  q.ExpectPeekTimeMatchesHeap();
+  EXPECT_EQ(q.Drain(), static_cast<std::size_t>(2 * kChunkHandles + 5 + 9 +
+                                                2 * kChunkHandles + 3 +
+                                                3 * kChunkHandles + 7 +
+                                                kChunkHandles - 20));
+}
+
+TEST(EventQueueChunks, PeekTakeCancelAfterChunksAreServedAndRecycled) {
+  Lockstep q;
+  std::vector<EventTicket> a;
+  std::vector<EventTicket> b;
+  for (int i = 0; i < 50; ++i) a.push_back(q.Push(100));
+  for (int i = 0; i < 50; ++i) b.push_back(q.Push(200));
+  // Serve past two chunk boundaries; the spent chunks go back to the
+  // pool and the next pushes reuse them.
+  for (int i = 0; i < 2 * kChunkHandles + 4; ++i) ASSERT_TRUE(q.PopBoth());
+  for (int i = 0; i < 40; ++i) b.push_back(q.Push(200));
+  for (int i = 0; i < 40; ++i) b.push_back(q.Push(kWheelTicks / 4));
+  q.ExpectPeekTimeMatchesHeap();
+
+  // Cancel everything left at the served instant: the horizon moves on
+  // to the next instant even though the tombstones have not popped.
+  for (std::size_t i = 2 * kChunkHandles + 4; i < a.size(); ++i) {
+    q.Cancel(a[i]);
+  }
+  q.ExpectPeekTimeMatchesHeap();
+  EXPECT_EQ(q.ladder().PeekTime(), Time::FromTicks(200));
+
+  // Take from the partly served instant, from a recycled chunk, and from
+  // the wheel; then cancel a handful more.
+  q.Take(a[40].seq);
+  q.Take(b[0].seq);
+  q.Take(b[60].seq);
+  q.Take(b.back().seq);
+  for (std::size_t i = 1; i < 30; i += 4) q.Cancel(b[i]);
+  q.ExpectPeekTimeMatchesHeap();
+  for (int i = 0; i < 30; ++i) ASSERT_TRUE(q.PopBoth());
+  q.ExpectPeekTimeMatchesHeap();
+  q.Drain();
+  EXPECT_TRUE(q.ladder().Empty());
+}
+
+// Unit-delay waves: every instant holds over 10^4 handles (hundreds of
+// chunks), each wave is pushed while the previous one is served, and
+// random cancels and same-instant pushes ride along.
+TEST(EventQueueChunks, LargeInstantsDifferentialAgainstReferenceHeap) {
+  Rng rng(20261017);
+  Lockstep q;
+  constexpr int kWave = 12000;
+  const std::int64_t unit = Time::kTicksPerUnit;
+  for (int i = 0; i < kWave; ++i) q.Push(unit);
+  std::size_t popped = 0;
+  for (int wave = 1; wave <= 4; ++wave) {
+    std::vector<EventTicket> next;
+    for (int i = 0; i < kWave; ++i) {
+      ASSERT_TRUE(q.PopBoth());
+      ++popped;
+      next.push_back(q.Push((wave + 1) * unit));
+      if (rng.NextBelow(64) == 0) q.Push(wave * unit);
+      if (rng.NextBelow(32) == 0) {
+        q.Cancel(next[static_cast<std::size_t>(rng.NextBelow(next.size()))]);
+      }
+    }
+  }
+  q.ExpectPeekTimeMatchesHeap();
+  popped += q.Drain();
+  EXPECT_GT(popped, static_cast<std::size_t>(5 * kWave));
 }
 
 }  // namespace

@@ -104,6 +104,20 @@ TEST(QueueEquivalence, StaggeredWakeupsAndSerializedPackets) {
   }
 }
 
+// Under unit delays a whole wave of protocol D lands on one instant: at
+// N = 128 one bucket holds over 10^4 handles (about 1,000 chunks), served
+// while the next wave is pushed into chunks the pops hand back.
+TEST(QueueEquivalence, ProtocolDUnitDelayWavesSpanManyChunks) {
+  const GridProtocol d{"D", proto::nosod::MakeProtocolD(), false, false};
+  RunOptions o;
+  o.n = 128;
+  o.seed = 5;
+  o.mapper = MapperKind::kRandom;
+  o.delay = DelayKind::kUnit;
+  o.identity = harness::IdentityKind::kRandomPermutation;
+  ExpectQueueEquivalence(d, o, "n=128 unit delays");
+}
+
 // Chaos runs exercise exactly what the grid above can't: cancelled
 // timers popping as tombstones, crash-cleared timer sets, duplicated
 // and reordered deliveries.

@@ -17,6 +17,7 @@
 #include "celect/obs/trace_inspect.h"
 #include "celect/proto/nosod/fault_tolerant.h"
 #include "celect/util/rng.h"
+#include "test_util.h"
 
 namespace celect::obs {
 namespace {
@@ -46,28 +47,9 @@ std::string SerializeAll(const std::vector<TraceShard>& shards) {
   return out;
 }
 
-// One random edit: overwrite, insert or delete a byte, or truncate.
 // Overwrites favour the formats' own punctuation, digits and keys.
 void Mutate(Rng& rng, std::string& text) {
-  static constexpr char kBytes[] = "0123456789-+=.: \n#abcdeklmnoprst";
-  const auto pick = [&]() -> char {
-    return rng.NextBelow(4) == 0
-               ? static_cast<char>(rng.NextBelow(256))
-               : kBytes[rng.NextBelow(sizeof(kBytes) - 1)];
-  };
-  const std::size_t at = rng.NextBelow(text.size() + 1);
-  switch (rng.NextBelow(8)) {
-    case 0: case 1: case 2:
-      if (at < text.size()) text[at] = pick();
-      break;
-    case 3: case 4:
-      text.insert(text.begin() + static_cast<std::ptrdiff_t>(at), pick());
-      break;
-    case 5: case 6:
-      if (at < text.size()) text.erase(at, 1);
-      break;
-    default: text.resize(at); break;
-  }
+  test::MutateText(rng, text, "0123456789-+=.: \n#abcdeklmnoprst");
 }
 
 TEST(TraceShardFuzz, BaseMergeIsCoherentAndRoundTrips) {

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <string>
+#include <string_view>
+
 #include "celect/harness/experiment.h"
 #include "celect/sim/runtime.h"
+#include "celect/util/rng.h"
 
 namespace celect::test {
 
@@ -22,6 +27,31 @@ inline sim::RunResult RunAndCheck(const sim::ProcessFactory& factory,
   sim::RunResult r = harness::RunElection(factory, options);
   ExpectUniqueLeader(r, harness::Describe(options));
   return r;
+}
+
+// One random edit for mutation fuzzing: overwrite, insert or delete a
+// byte, or truncate. Three in four written bytes come from `favoured`
+// (a format's own punctuation, digits and keys), the rest are random.
+inline void MutateText(Rng& rng, std::string& text,
+                       std::string_view favoured) {
+  const auto pick = [&]() -> char {
+    return rng.NextBelow(4) == 0
+               ? static_cast<char>(rng.NextBelow(256))
+               : favoured[rng.NextBelow(favoured.size())];
+  };
+  const std::size_t at = rng.NextBelow(text.size() + 1);
+  switch (rng.NextBelow(8)) {
+    case 0: case 1: case 2:
+      if (at < text.size()) text[at] = pick();
+      break;
+    case 3: case 4:
+      text.insert(text.begin() + static_cast<std::ptrdiff_t>(at), pick());
+      break;
+    case 5: case 6:
+      if (at < text.size()) text.erase(at, 1);
+      break;
+    default: text.resize(at); break;
+  }
 }
 
 }  // namespace celect::test
