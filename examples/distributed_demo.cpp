@@ -71,8 +71,8 @@ void OnTerm(int) { g_terminate = 1; }
 // never sees a half-written shard — a SIGKILL between flushes just
 // means the last complete=false flush is the incarnation's record.
 void WriteShard(const std::string& dir, const net::PeerNode& node,
-                bool complete) {
-  obs::TraceShard shard = node.MakeShard(complete);
+                const net::Transport& transport, bool complete) {
+  obs::TraceShard shard = node.MakeShard(complete, transport.Stats());
   std::string text = obs::SerializeShard(shard);
   std::string base = dir + "/shard-n" + std::to_string(shard.node) +
                      "-e" + std::to_string(shard.epoch) + ".trace";
@@ -161,18 +161,19 @@ void SendReport(int write_fd, const net::Report& r) {
     if (tracing) {
       if (g_terminate) {
         // Orderly shutdown: one last complete shard, then out.
-        WriteShard(opt.trace_dir, node, /*complete=*/true);
+        WriteShard(opt.trace_dir, node, transport, /*complete=*/true);
         _exit(0);
       }
       Micros now = transport.Now();
       if (now >= next_flush) {
-        WriteShard(opt.trace_dir, node, /*complete=*/false);
+        WriteShard(opt.trace_dir, node, transport, /*complete=*/false);
         next_flush = now + 300'000;
       }
       if (now >= next_metrics) {
+        const net::TransportStats stats = transport.Stats();
         SendReport(write_fd, {.kind = net::Report::Kind::kMetrics,
                               .node = index,
-                              .metrics = node.SnapshotMetrics()});
+                              .metrics = node.SnapshotMetrics(stats)});
         next_metrics = now + 500'000;
       }
     }

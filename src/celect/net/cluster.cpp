@@ -50,14 +50,17 @@ Agreement CheckAgreement(const NodeVec& nodes,
   return a;
 }
 
-// Folds one incarnation's transport stats and metrics snapshot.
-void Fold(ClusterResult& r, const PeerNode& node, const TransportStats& st) {
+// Folds one incarnation's transport stats, metrics snapshot and (when
+// tracing) shard; st is the incarnation's Stats(), taken once.
+void Fold(ClusterResult& r, const PeerNode& node, const TransportStats& st,
+          bool trace, bool complete) {
   r.datagrams += st.datagrams_sent;
   r.retransmits += st.sessions.data_retransmits;
   r.suspicions += st.sessions.suspicions;
   r.peer_restarts += st.sessions.peer_restarts;
   r.delivered += st.sessions.delivered;
-  r.metrics.MergeFrom(node.SnapshotMetrics());
+  r.metrics.MergeFrom(node.SnapshotMetrics(st));
+  if (trace) r.shards.push_back(node.MakeShard(complete, st));
 }
 
 void FillRtt(ClusterResult& r, std::vector<Micros>& samples) {
@@ -110,6 +113,7 @@ ClusterResult RunSimElection(const ClusterConfig& config,
       }
     }
   };
+  std::vector<Micros> rtt;  // the survivors' RTT samples
   auto fold_node = [&](PeerId i, bool survived) {
     // Fold a dying incarnation's digest, stats, and shard before they
     // vanish. A killed node's shard is flagged incomplete — the sim
@@ -118,8 +122,12 @@ ClusterResult RunSimElection(const ClusterConfig& config,
     for (int b = 0; b < 8; ++b) {
       fp.Update(static_cast<std::uint8_t>(d >> (8 * b)));
     }
-    Fold(result, *nodes[i], net.at(i).Stats());
-    if (config.trace) result.shards.push_back(nodes[i]->MakeShard(survived));
+    const TransportStats st = net.at(i).Stats();
+    Fold(result, *nodes[i], st, config.trace, survived);
+    if (survived) {
+      rtt.insert(rtt.end(), st.sessions.rtt_samples.begin(),
+                 st.sessions.rtt_samples.end());
+    }
   };
 
   // Each live node's NextWake as of its last pump. Only the node's own
@@ -205,13 +213,8 @@ ClusterResult RunSimElection(const ClusterConfig& config,
   }
 
   result.elapsed_us = net.virtual_clock().Now();
-  std::vector<Micros> rtt;
   for (PeerId i = 0; i < config.n; ++i) {
-    if (!alive[i]) continue;
-    fold_node(i, /*survived=*/true);
-    auto st = net.at(i).Stats();
-    rtt.insert(rtt.end(), st.sessions.rtt_samples.begin(),
-               st.sessions.rtt_samples.end());
+    if (alive[i]) fold_node(i, /*survived=*/true);
   }
   FillRtt(result, rtt);
   result.fingerprint = fp.Digest64();
@@ -268,9 +271,8 @@ std::optional<ClusterResult> RunUdpElection(
   result.elapsed_us = transports[0]->Now() - t0;
   std::vector<Micros> rtt;
   for (PeerId i = 0; i < config.n; ++i) {
-    auto st = transports[i]->Stats();
-    Fold(result, *nodes[i], st);
-    if (config.trace) result.shards.push_back(nodes[i]->MakeShard(true));
+    const TransportStats st = transports[i]->Stats();
+    Fold(result, *nodes[i], st, config.trace, /*complete=*/true);
     rtt.insert(rtt.end(), st.sessions.rtt_samples.begin(),
                st.sessions.rtt_samples.end());
   }

@@ -5,14 +5,19 @@
 // seeded Rng — so the full reliability stack is unit-testable
 // bit-reproducibly without opening a socket. Two FakeLinks back to back
 // make a duplex link; SimNet wires n*(n-1) of them into a mesh.
+//
+// Datagram bytes live in a DatagramPool the link's owner provides (one
+// per SimNet, shared by every channel); the link keeps only a vector
+// min-heap of (arrival time, send order, slot handle).
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <set>
+#include <span>
 #include <vector>
 
 #include "celect/net/clock.h"
+#include "celect/net/datagram.h"
 #include "celect/util/rng.h"
 
 namespace celect::net {
@@ -30,16 +35,19 @@ struct FakeLinkParams {
 
 class FakeLink {
  public:
-  explicit FakeLink(const FakeLinkParams& params);
+  // pool must outlive the link; it keeps what is in flight.
+  FakeLink(const FakeLinkParams& params, DatagramPool& pool);
 
-  void Send(const std::vector<std::uint8_t>& dgram, Micros now);
+  void Send(std::span<const std::uint8_t> dgram, Micros now);
 
   // Earliest pending delivery, if any.
   std::optional<Micros> NextDelivery() const;
 
-  // Moves every datagram due at or before now into out, in delivery
-  // order (ties broken by send order — deterministically).
-  void DeliverDue(Micros now, std::vector<std::vector<std::uint8_t>>& out);
+  // Appends the pool handle of every datagram due at or before now to
+  // out, in delivery order (ties broken by send order —
+  // deterministically). The caller takes each handle over and releases
+  // it to the pool once it has read the bytes.
+  void DeliverDue(Micros now, std::vector<DatagramPool::Handle>& out);
 
   std::uint64_t delivered() const { return delivered_; }
   std::uint64_t lost() const { return lost_; }
@@ -48,17 +56,19 @@ class FakeLink {
   struct InFlight {
     Micros at;
     std::uint64_t order;  // tie-break: monotone enqueue counter
-    std::vector<std::uint8_t> bytes;
-    bool operator<(const InFlight& o) const {
-      return at != o.at ? at < o.at : order < o.order;
-    }
+    DatagramPool::Handle dgram;
   };
+  // Heap order: the earliest (at, order) on top.
+  static bool Later(const InFlight& a, const InFlight& b) {
+    return a.at != b.at ? a.at > b.at : a.order > b.order;
+  }
 
-  void Enqueue(std::vector<std::uint8_t> bytes, Micros now);
+  void Enqueue(std::span<const std::uint8_t> dgram, Micros now);
 
   FakeLinkParams params_;
   Rng rng_;
-  std::set<InFlight> in_flight_;
+  DatagramPool* pool_;
+  std::vector<InFlight> in_flight_;  // min-heap under Later
   std::uint64_t order_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t lost_ = 0;

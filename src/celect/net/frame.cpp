@@ -25,23 +25,27 @@ const char* ToString(FrameKind k) {
   return "?";
 }
 
-void EncodeFrame(FrameKind kind, const std::uint8_t* payload,
-                 std::size_t len, std::vector<std::uint8_t>& out) {
+void EncodeFrame(FrameKind kind, const std::uint8_t* head,
+                 std::size_t head_len, const std::uint8_t* body,
+                 std::size_t body_len, std::vector<std::uint8_t>& out) {
   out.push_back(kFrameMagic0);
   out.push_back(kFrameMagic1);
-  wire::Fnv1aStream hash;
-  std::size_t body = out.size();
+  const std::size_t checked = out.size();
   out.push_back(static_cast<std::uint8_t>(kind));
-  wire::PutVarint(out, len);
-  for (std::size_t i = body; i < out.size(); ++i) hash.Update(out[i]);
-  for (std::size_t i = 0; i < len; ++i) {
-    hash.Update(payload[i]);
-    out.push_back(payload[i]);
-  }
-  std::uint32_t sum = hash.Digest32();
+  wire::PutVarint(out, head_len + body_len);
+  out.insert(out.end(), head, head + head_len);
+  out.insert(out.end(), body, body + body_len);
+  wire::Fnv1aStream hash;
+  hash.Update(out.data() + checked, out.size() - checked);
+  const std::uint32_t sum = hash.Digest32();
   for (int i = 0; i < 4; ++i) {
     out.push_back(static_cast<std::uint8_t>(sum >> (8 * i)));
   }
+}
+
+void EncodeFrame(FrameKind kind, const std::uint8_t* payload,
+                 std::size_t len, std::vector<std::uint8_t>& out) {
+  EncodeFrame(kind, payload, len, nullptr, 0, out);
 }
 
 void EncodeFrame(FrameKind kind, const std::vector<std::uint8_t>& payload,
@@ -147,6 +151,68 @@ bool FrameDecoder::FlushTruncated() {
   state_ = State::kMagic0;
   frame_.payload.clear();
   return true;
+}
+
+bool FrameCursor::Next(FrameView& out) {
+  // Each step mirrors a FrameDecoder state. A rejected frame resumes
+  // the scan at the byte after the one that failed it; a datagram that
+  // ends mid-frame costs one error, as FlushTruncated would.
+  while (pos_ < size_) {
+    if (data_[pos_++] != kFrameMagic0) continue;  // kMagic0
+    // kMagic1: a repeated magic0 restarts the pair.
+    while (pos_ < size_ && data_[pos_] == kFrameMagic0) ++pos_;
+    if (pos_ == size_) return Truncated();
+    if (data_[pos_++] != kFrameMagic1) continue;
+    const std::size_t checked = pos_;
+    if (pos_ == size_) return Truncated();
+    const std::uint8_t kind = data_[pos_++];  // kKind
+    if (!IsValidFrameKind(kind)) {
+      ++errors_;
+      continue;
+    }
+    std::uint64_t len = 0;  // kLen
+    int shift = 0;
+    bool more = true;
+    bool bad = false;
+    while (more && !bad && pos_ < size_) {
+      const std::uint8_t b = data_[pos_++];
+      len |= static_cast<std::uint64_t>(b & 0x7F) << shift;
+      more = (b & 0x80) != 0;
+      if (more) {
+        shift += 7;
+        bad = shift > 21;
+      } else {
+        bad = (shift > 0 && b == 0) || len > kMaxFramePayload;
+      }
+    }
+    if (bad) {
+      ++errors_;
+      continue;
+    }
+    if (more || size_ - pos_ < len + 4) return Truncated();  // kPayload, kSum
+    const std::size_t payload = pos_;
+    pos_ += static_cast<std::size_t>(len);
+    wire::Fnv1aStream hash;
+    hash.Update(data_ + checked, pos_ - checked);
+    std::uint32_t sum = 0;
+    for (int i = 0; i < 4; ++i) {
+      sum |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
+    }
+    if (sum != hash.Digest32()) {
+      ++errors_;
+      continue;
+    }
+    out = FrameView{static_cast<FrameKind>(kind), data_ + payload,
+                    static_cast<std::size_t>(len)};
+    return true;
+  }
+  return false;
+}
+
+bool FrameCursor::Truncated() {
+  ++errors_;
+  pos_ = size_;
+  return false;
 }
 
 }  // namespace celect::net

@@ -16,6 +16,11 @@
 // mid-state; corrupt input costs one error counter tick and a resync,
 // never a crash or an unbounded allocation (payload length is capped
 // before any buffering happens).
+//
+// A datagram always carries whole frames, so the session reads one
+// with a FrameCursor instead: the same scan over a buffer it already
+// holds, yielding each frame's payload in place rather than copying it
+// out.
 #pragma once
 
 #include <cstddef>
@@ -56,9 +61,20 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-// Appends the encoded frame to out. The checksum is computed as the
-// bytes are appended (Fnv1aStream), so no contiguous staging copy of
-// the payload is ever made.
+// A frame read in place: payload points into the datagram it came from.
+struct FrameView {
+  FrameKind kind = FrameKind::kData;
+  const std::uint8_t* payload = nullptr;
+  std::size_t len = 0;
+};
+
+// Appends the encoded frame to out. The payload is gathered from head
+// followed by body, so a caller holding a header and a stored body in
+// separate buffers never stages a contiguous copy; the checksum is
+// taken over the appended bytes.
+void EncodeFrame(FrameKind kind, const std::uint8_t* head,
+                 std::size_t head_len, const std::uint8_t* body,
+                 std::size_t body_len, std::vector<std::uint8_t>& out);
 void EncodeFrame(FrameKind kind, const std::uint8_t* payload,
                  std::size_t len, std::vector<std::uint8_t>& out);
 void EncodeFrame(FrameKind kind, const std::vector<std::uint8_t>& payload,
@@ -108,6 +124,32 @@ class FrameDecoder {
   std::uint64_t frames_ = 0;
   std::uint64_t errors_ = 0;
   std::uint64_t garbage_bytes_ = 0;
+};
+
+// Walks the frames of one whole datagram without copying them. It
+// accepts and rejects exactly what FrameDecoder::PushBytes followed by
+// FlushTruncated does, byte for byte: the same magic rescan, the same
+// kind, length and checksum checks, and the same error count.
+class FrameCursor {
+ public:
+  FrameCursor(const std::uint8_t* data, std::size_t size)
+      : data_(data), size_(size) {}
+
+  // Moves to the next valid frame; false once the datagram is used up.
+  bool Next(FrameView& out);
+
+  // Framing errors so far, counting a mangled tail once Next has
+  // returned false.
+  std::uint64_t errors() const { return errors_; }
+
+ private:
+  // Counts the datagram's mangled tail and ends the walk.
+  bool Truncated();
+
+  const std::uint8_t* data_;
+  std::size_t size_;
+  std::size_t pos_ = 0;
+  std::uint64_t errors_ = 0;
 };
 
 }  // namespace celect::net

@@ -166,7 +166,8 @@ void PeerNode::Pump() {
   if (leader_ && transport_.Now() >= next_announce_) Announce();
 }
 
-obs::MetricsRegistry PeerNode::SnapshotMetrics() const {
+obs::MetricsRegistry PeerNode::SnapshotMetrics(
+    const TransportStats& st) const {
   obs::MetricsRegistry m;
   for (const auto& [name, value] : stores_.metrics.registry().counters()) {
     if (value > 0) m.AddCounter("proto." + name, value);
@@ -174,7 +175,6 @@ obs::MetricsRegistry PeerNode::SnapshotMetrics() const {
   m.AddCounter("node.events_dispatched", events_dispatched_);
   m.AddCounter("node.suspicions_seen", suspicions_seen_);
   m.AddCounter("node.trace_dropped", stores_.trace.dropped());
-  TransportStats st = transport_.Stats();
   m.AddCounter("net.datagrams_sent", st.datagrams_sent);
   m.AddCounter("net.datagrams_received", st.datagrams_received);
   m.AddCounter("net.retransmits", st.sessions.data_retransmits);
@@ -191,7 +191,8 @@ obs::MetricsRegistry PeerNode::SnapshotMetrics() const {
   return m;
 }
 
-obs::TraceShard PeerNode::MakeShard(bool complete) const {
+obs::TraceShard PeerNode::MakeShard(bool complete,
+                                    const TransportStats& stats) const {
   obs::TraceShard s;
   s.node = transport_.self();
   s.epoch = transport_.epoch();
@@ -206,7 +207,7 @@ obs::TraceShard PeerNode::MakeShard(bool complete) const {
           TicksOf(static_cast<Micros>(f.at)));
     }
   }
-  s.metrics = SnapshotMetrics();
+  s.metrics = SnapshotMetrics(stats);
   return s;
 }
 

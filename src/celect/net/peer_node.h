@@ -84,14 +84,16 @@ class PeerNode : private sim::NodeHost {
 
   // This incarnation's observability dump: trace records, the
   // transport's flight-recorder ring (rebased to trace ticks), and a
-  // metrics snapshot. complete=false marks a mid-run flush (what a
-  // SIGKILLed victim leaves behind); complete=true an orderly exit.
-  obs::TraceShard MakeShard(bool complete) const;
+  // metrics snapshot over `stats` (the transport's Stats(), which the
+  // caller takes once and may reuse). complete=false marks a mid-run
+  // flush (what a SIGKILLed victim leaves behind); complete=true an
+  // orderly exit.
+  obs::TraceShard MakeShard(bool complete, const TransportStats& stats) const;
   // Counters + histograms spanning the protocol engine (Context
-  // counters) and the reliability layer (session stats). The one place
-  // the session histograms get their names: rtt_us, backoff_us,
-  // window_occupancy, suspicion_us.
-  obs::MetricsRegistry SnapshotMetrics() const;
+  // counters) and the reliability layer (`stats`, the transport's
+  // Stats()). The one place the session histograms get their names:
+  // rtt_us, backoff_us, window_occupancy, suspicion_us.
+  obs::MetricsRegistry SnapshotMetrics(const TransportStats& stats) const;
 
  private:
   // sim::NodeHost: the Transport half of the node.

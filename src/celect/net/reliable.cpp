@@ -1,6 +1,7 @@
 #include "celect/net/reliable.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "celect/obs/shard.h"
 #include "celect/util/logging.h"
@@ -108,12 +109,20 @@ std::uint64_t ReliableSession::AckBits() const {
   return bits;
 }
 
-void ReliableSession::EmitFrame(FrameKind kind,
-                                const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> dgram;
-  dgram.reserve(payload.size() + 12);
-  EncodeFrame(kind, payload, dgram);
-  outbox_.push_back(std::move(dgram));
+void ReliableSession::EmitFrame(FrameKind kind, const std::uint8_t* body,
+                                std::size_t body_len) {
+  EncodeFrame(kind, scratch_.data(), scratch_.size(), body, body_len,
+              outbox_.buffer());
+  outbox_.Seal();
+}
+
+void ReliableSession::Repack(Stored& s, std::size_t& end) {
+  if (s.offset != end) {
+    std::memmove(packet_bytes_.data() + end, packet_bytes_.data() + s.offset,
+                 s.len);
+    s.offset = end;
+  }
+  end += s.len;
 }
 
 std::uint64_t ReliableSession::OldestUnsentOrUnacked() const {
@@ -121,58 +130,58 @@ std::uint64_t ReliableSession::OldestUnsentOrUnacked() const {
 }
 
 void ReliableSession::SendHello(Micros now) {
-  std::vector<std::uint8_t> p;
-  wire::PutVarint(p, local_epoch_);
-  wire::PutVarint(p, OldestUnsentOrUnacked());
-  wire::PutVarint(p, kWireVersion);
-  EmitFrame(FrameKind::kHello, p);
+  scratch_.clear();
+  wire::PutVarint(scratch_, local_epoch_);
+  wire::PutVarint(scratch_, OldestUnsentOrUnacked());
+  wire::PutVarint(scratch_, kWireVersion);
+  EmitFrame(FrameKind::kHello);
   ++stats_.hellos_sent;
   next_hello_at_ = now + Backoff(hello_retries_);
 }
 
 void ReliableSession::SendHelloAck(Micros) {
-  std::vector<std::uint8_t> p;
-  wire::PutVarint(p, local_epoch_);
-  wire::PutVarint(p, remote_epoch_);
-  wire::PutVarint(p, OldestUnsentOrUnacked());
-  wire::PutVarint(p, kWireVersion);
-  EmitFrame(FrameKind::kHelloAck, p);
+  scratch_.clear();
+  wire::PutVarint(scratch_, local_epoch_);
+  wire::PutVarint(scratch_, remote_epoch_);
+  wire::PutVarint(scratch_, OldestUnsentOrUnacked());
+  wire::PutVarint(scratch_, kWireVersion);
+  EmitFrame(FrameKind::kHelloAck);
   ++stats_.hello_acks_sent;
 }
 
 void ReliableSession::SendAck() {
-  std::vector<std::uint8_t> p;
-  wire::PutVarint(p, local_epoch_);
-  wire::PutVarint(p, recv_next_);
-  wire::PutVarint(p, AckBits());
-  EmitFrame(FrameKind::kAck, p);
+  scratch_.clear();
+  wire::PutVarint(scratch_, local_epoch_);
+  wire::PutVarint(scratch_, recv_next_);
+  wire::PutVarint(scratch_, AckBits());
+  EmitFrame(FrameKind::kAck);
   ++stats_.acks_sent;
   ack_dirty_ = false;
 }
 
 void ReliableSession::SendReset(Micros now) {
-  std::vector<std::uint8_t> p;
-  wire::PutVarint(p, local_epoch_);
-  EmitFrame(FrameKind::kReset, p);
+  scratch_.clear();
+  wire::PutVarint(scratch_, local_epoch_);
+  EmitFrame(FrameKind::kReset);
   ++stats_.resets_sent;
   Flight(now, obs::FlightKind::kResetSent, local_epoch_);
 }
 
 void ReliableSession::TransmitData(Unacked& u, Micros now, bool retransmit) {
-  std::vector<std::uint8_t> p;
+  scratch_.clear();
   // Acks are stamped at (re)transmit time, never stored, so a frame
   // retransmitted after a peer restart carries acks for the *current*
   // receive stream. The trace context is the opposite: stamped once at
   // SendPacket and frozen, because it names the logical message, not
   // the transmission.
-  wire::PutVarint(p, local_epoch_);
-  wire::PutVarint(p, u.seq);
-  wire::PutVarint(p, recv_next_);
-  wire::PutVarint(p, AckBits());
-  wire::PutVarint(p, u.tc.clock);
-  wire::PutVarint(p, u.tc.mid);
-  p.insert(p.end(), u.packet_bytes.begin(), u.packet_bytes.end());
-  EmitFrame(FrameKind::kData, p);
+  wire::PutVarint(scratch_, local_epoch_);
+  wire::PutVarint(scratch_, u.seq);
+  wire::PutVarint(scratch_, recv_next_);
+  wire::PutVarint(scratch_, AckBits());
+  wire::PutVarint(scratch_, u.tc.clock);
+  wire::PutVarint(scratch_, u.tc.mid);
+  EmitFrame(FrameKind::kData, packet_bytes_.data() + u.bytes.offset,
+            u.bytes.len);
   if (retransmit) {
     ++stats_.data_retransmits;
     ++u.retries;
@@ -192,15 +201,18 @@ void ReliableSession::TransmitData(Unacked& u, Micros now, bool retransmit) {
 
 void ReliableSession::FillWindow(Micros now) {
   if (!established_) return;
-  while (!pending_.empty() && unacked_.size() < params_.window) {
+  std::size_t moved = 0;
+  while (moved < pending_.size() && unacked_.size() < params_.window) {
+    const PendingPacket& pp = pending_[moved++];
     Unacked u;
     u.seq = next_seq_++;
-    u.packet_bytes = std::move(pending_.front().bytes);
-    u.tc = pending_.front().tc;
-    pending_.pop_front();
-    unacked_.push_back(std::move(u));
+    u.bytes = pp.bytes;  // already in place: pending bytes follow unacked
+    u.tc = pp.tc;
+    unacked_.push_back(u);
     TransmitData(unacked_.back(), now, /*retransmit=*/false);
   }
+  pending_.erase(pending_.begin(),
+                 pending_.begin() + static_cast<std::ptrdiff_t>(moved));
 }
 
 void ReliableSession::Start(Micros now) {
@@ -215,9 +227,11 @@ void ReliableSession::SendPacket(const wire::Packet& p, Micros now,
                                  TraceContext tc) {
   Start(now);
   PendingPacket pp;
-  wire::EncodeTo(p, pp.bytes);
+  pp.bytes.offset = packet_bytes_.size();
+  wire::EncodeTo(p, packet_bytes_);
+  pp.bytes.len = packet_bytes_.size() - pp.bytes.offset;
   pp.tc = tc;
-  pending_.push_back(std::move(pp));
+  pending_.push_back(pp);
   FillWindow(now);
   if (!pending_.empty()) {
     // The window (or the handshake) is holding this packet back.
@@ -257,26 +271,32 @@ void ReliableSession::NoteExhaustion(Unacked* u, Micros now) {
 void ReliableSession::ProcessAck(std::uint64_t cum, std::uint64_t bits,
                                  Micros now) {
   if (cum > next_seq_) return;  // insane ack; corrupt or hostile
-  bool progress = false;
-  for (auto it = unacked_.begin(); it != unacked_.end();) {
-    std::uint64_t seq = it->seq;
+  // Compacts unacked_ in place, keeping seq order, and repacks the
+  // packet bytes of what stays over those of the acked frames.
+  std::size_t kept = 0;
+  std::size_t end = 0;
+  for (Unacked& u : unacked_) {
+    std::uint64_t seq = u.seq;
     bool acked = seq < cum;
     if (!acked && seq > cum) {
       std::uint64_t off = seq - cum;
       if (off >= 1 && off <= 64) acked = (bits >> (off - 1)) & 1;
     }
     if (acked) {
-      if (it->retries == 0) {
+      if (u.retries == 0) {
         // Karn's rule: only never-retransmitted frames give clean RTTs.
-        NoteRttSample(now - it->first_sent);
+        NoteRttSample(now - u.first_sent);
       }
-      it = unacked_.erase(it);
-      progress = true;
     } else {
-      ++it;
+      Repack(u.bytes, end);
+      unacked_[kept++] = u;
     }
   }
+  const bool progress = kept < unacked_.size();
   if (progress) {
+    for (PendingPacket& pp : pending_) Repack(pp.bytes, end);
+    packet_bytes_.resize(end);
+    unacked_.resize(kept);
     NoteProgress(now);
     FillWindow(now);
   }
@@ -304,8 +324,8 @@ void ReliableSession::AdoptRemote(std::uint64_t epoch,
   }
 }
 
-void ReliableSession::OnHello(const Frame& f, Micros now) {
-  wire::VarintReader r(f.payload.data(), f.payload.size());
+void ReliableSession::OnHello(const FrameView& f, Micros now) {
+  wire::VarintReader r(f.payload, f.len);
   auto epoch = r.ReadVarint();
   auto start = r.ReadVarint();
   auto version = r.ReadVarint();
@@ -330,8 +350,8 @@ void ReliableSession::OnHello(const Frame& f, Micros now) {
   SendHelloAck(now);
 }
 
-void ReliableSession::OnHelloAck(const Frame& f, Micros now) {
-  wire::VarintReader r(f.payload.data(), f.payload.size());
+void ReliableSession::OnHelloAck(const FrameView& f, Micros now) {
+  wire::VarintReader r(f.payload, f.len);
   auto epoch = r.ReadVarint();
   auto echoed = r.ReadVarint();
   auto start = r.ReadVarint();
@@ -374,8 +394,8 @@ void ReliableSession::OnHelloAck(const Frame& f, Micros now) {
   FillWindow(now);
 }
 
-void ReliableSession::OnData(const Frame& f, Micros now) {
-  wire::VarintReader r(f.payload.data(), f.payload.size());
+void ReliableSession::OnData(const FrameView& f, Micros now) {
+  wire::VarintReader r(f.payload, f.len);
   auto epoch = r.ReadVarint();
   auto seq = r.ReadVarint();
   auto cum = r.ReadVarint();
@@ -411,8 +431,8 @@ void ReliableSession::OnData(const Frame& f, Micros now) {
     return;
   }
   wire::DecodeStatus status;
-  auto pkt = wire::Decode(f.payload.data() + r.position(),
-                          f.payload.size() - r.position(), status);
+  auto pkt = wire::Decode(f.payload + r.position(), f.len - r.position(),
+                          status);
   if (!pkt) {
     // The frame checksum passed but the inner packet is malformed —
     // nothing a retransmit would fix, so consume the seq rather than
@@ -430,18 +450,24 @@ void ReliableSession::OnData(const Frame& f, Micros now) {
     ++stats_.delivered;
     ++recv_next_;
     // Drain any buffered successors.
-    auto it = reorder_.begin();
-    while (it != reorder_.end() && it->first == recv_next_) {
-      delivered_.push_back(std::move(it->second));
+    std::size_t drained = 0;
+    while (drained < reorder_.size() &&
+           reorder_[drained].first == recv_next_) {
+      delivered_.push_back(std::move(reorder_[drained++].second));
       ++stats_.delivered;
       ++recv_next_;
-      it = reorder_.erase(it);
     }
+    reorder_.erase(reorder_.begin(),
+                   reorder_.begin() + static_cast<std::ptrdiff_t>(drained));
   } else if (s - recv_next_ <= kRecvWindow) {
-    if (reorder_.count(s)) {
+    auto by_seq = [](const auto& held, std::uint64_t seq) {
+      return held.first < seq;
+    };
+    auto it = std::lower_bound(reorder_.begin(), reorder_.end(), s, by_seq);
+    if (it != reorder_.end() && it->first == s) {
       ++stats_.duplicates;
     } else {
-      reorder_.emplace(s, Delivered{std::move(*pkt), tc});
+      reorder_.insert(it, {s, Delivered{std::move(*pkt), tc}});
       ++stats_.out_of_order;
     }
   } else {
@@ -450,8 +476,8 @@ void ReliableSession::OnData(const Frame& f, Micros now) {
   ack_dirty_ = true;
 }
 
-void ReliableSession::OnAck(const Frame& f, Micros now) {
-  wire::VarintReader r(f.payload.data(), f.payload.size());
+void ReliableSession::OnAck(const FrameView& f, Micros now) {
+  wire::VarintReader r(f.payload, f.len);
   auto epoch = r.ReadVarint();
   auto cum = r.ReadVarint();
   auto bits = r.ReadVarint();
@@ -474,8 +500,8 @@ void ReliableSession::OnAck(const Frame& f, Micros now) {
   ProcessAck(*cum, *bits, now);
 }
 
-void ReliableSession::OnReset(const Frame& f, Micros now) {
-  wire::VarintReader r(f.payload.data(), f.payload.size());
+void ReliableSession::OnReset(const FrameView& f, Micros now) {
+  wire::VarintReader r(f.payload, f.len);
   auto epoch = r.ReadVarint();
   if (!epoch) {
     ++stats_.decode_errors;
@@ -495,12 +521,9 @@ void ReliableSession::OnReset(const Frame& f, Micros now) {
 
 void ReliableSession::OnDatagram(const std::uint8_t* data, std::size_t size,
                                  Micros now) {
-  std::uint64_t before = decoder_.errors();
-  std::vector<Frame> frames;
-  decoder_.PushBytes(data, size, frames);
-  decoder_.FlushTruncated();
-  stats_.frame_errors += decoder_.errors() - before;
-  for (const Frame& f : frames) {
+  FrameCursor frames(data, size);
+  FrameView f;
+  while (frames.Next(f)) {
     switch (f.kind) {
       case FrameKind::kHello:
         OnHello(f, now);
@@ -519,6 +542,7 @@ void ReliableSession::OnDatagram(const std::uint8_t* data, std::size_t size,
         break;
     }
   }
+  stats_.frame_errors += frames.errors();
   if (ack_dirty_) SendAck();
 }
 

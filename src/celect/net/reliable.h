@@ -20,15 +20,24 @@
 // jitter stream, and output datagrams/delivered packets are pulled from
 // queues — which is what makes the differential chaos suite over
 // FakeLink bit-reproducible.
+//
+// Buffers are reused, so a warmed-up session handles a datagram
+// without heap traffic: frame payloads are built in one scratch
+// buffer, outgoing datagrams are packed into one outbox buffer (a Data
+// frame is gathered from the header plus the packet bytes stored at
+// SendPacket), received frames are read in place inside the datagram,
+// and the bytes of every queued packet share one buffer, repacked as
+// acks free it. Each buffer grows only when its high-water mark
+// doubles.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "celect/net/clock.h"
+#include "celect/net/datagram.h"
 #include "celect/net/frame.h"
 #include "celect/obs/telemetry.h"
 #include "celect/util/rng.h"
@@ -132,7 +141,7 @@ class ReliableSession {
 
   // ---- outputs (drained by the owning transport) --------------------
   // Datagrams to put on the wire, in send order.
-  std::vector<std::vector<std::uint8_t>>& outbox() { return outbox_; }
+  DatagramQueue& outbox() { return outbox_; }
   // Packets delivered exactly once, in order.
   std::vector<Delivered>& delivered() { return delivered_; }
   // True at most once per suspicion episode; an episode ends when the
@@ -151,14 +160,20 @@ class ReliableSession {
   const SessionStats& stats() const { return stats_; }
 
  private:
+  // A queued packet's wire::EncodeTo output, in packet_bytes_.
+  struct Stored {
+    std::size_t offset = 0;
+    std::size_t len = 0;
+  };
+
   struct PendingPacket {
-    std::vector<std::uint8_t> bytes;  // wire::EncodeTo output
+    Stored bytes;
     TraceContext tc;
   };
 
   struct Unacked {
     std::uint64_t seq = 0;
-    std::vector<std::uint8_t> packet_bytes;  // wire::EncodeTo output
+    Stored bytes;
     TraceContext tc;
     Micros first_sent = 0;
     Micros next_retx = 0;
@@ -168,7 +183,12 @@ class ReliableSession {
 
   Micros Backoff(std::uint32_t retries);
   std::uint64_t AckBits() const;
-  void EmitFrame(FrameKind kind, const std::vector<std::uint8_t>& payload);
+  // Appends a frame whose payload is scratch_ followed by body.
+  void EmitFrame(FrameKind kind, const std::uint8_t* body = nullptr,
+                 std::size_t body_len = 0);
+  // Moves s's bytes down to offset end of packet_bytes_ and advances
+  // end past them.
+  void Repack(Stored& s, std::size_t& end);
   void SendHello(Micros now);
   void SendHelloAck(Micros now);
   void SendAck();
@@ -185,11 +205,11 @@ class ReliableSession {
               std::uint64_t b = 0);
   std::uint64_t OldestUnsentOrUnacked() const;
 
-  void OnHello(const Frame& f, Micros now);
-  void OnHelloAck(const Frame& f, Micros now);
-  void OnData(const Frame& f, Micros now);
-  void OnAck(const Frame& f, Micros now);
-  void OnReset(const Frame& f, Micros now);
+  void OnHello(const FrameView& f, Micros now);
+  void OnHelloAck(const FrameView& f, Micros now);
+  void OnData(const FrameView& f, Micros now);
+  void OnAck(const FrameView& f, Micros now);
+  void OnReset(const FrameView& f, Micros now);
 
   SessionParams params_;
   Rng rng_;
@@ -202,11 +222,15 @@ class ReliableSession {
   Micros next_hello_at_ = 0;
 
   std::uint64_t next_seq_ = 1;              // next data seq to assign
-  std::deque<Unacked> unacked_;             // in seq order
-  std::deque<PendingPacket> pending_;       // beyond the window
+  std::vector<Unacked> unacked_;            // in seq order
+  std::vector<PendingPacket> pending_;      // beyond the window
+  // The bytes of every unacked then every pending packet, end to end
+  // in seq order.
+  std::vector<std::uint8_t> packet_bytes_;
 
   std::uint64_t recv_next_ = 1;             // next in-order seq expected
-  std::map<std::uint64_t, Delivered> reorder_;  // ooo reassembly
+  // Out-of-order reassembly, sorted by seq.
+  std::vector<std::pair<std::uint64_t, Delivered>> reorder_;
 
   std::uint32_t exhaustion_streak_ = 0;
   bool suspect_pending_ = false;
@@ -216,8 +240,8 @@ class ReliableSession {
   bool ack_dirty_ = false;
   bool rtt_cap_warned_ = false;
 
-  FrameDecoder decoder_;
-  std::vector<std::vector<std::uint8_t>> outbox_;
+  std::vector<std::uint8_t> scratch_;  // the frame payload being built
+  DatagramQueue outbox_;
   std::vector<Delivered> delivered_;
   SessionStats stats_;
 };

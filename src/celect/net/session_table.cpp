@@ -1,0 +1,80 @@
+#include "celect/net/session_table.h"
+
+#include <algorithm>
+#include <utility>
+
+namespace celect::net {
+
+SessionTable::SessionTable(PeerId n, std::uint64_t epoch,
+                           const SessionParams& params,
+                           std::function<std::uint64_t(PeerId)> seed_of)
+    : epoch_(epoch),
+      params_(params),
+      seed_of_(std::move(seed_of)),
+      slots_(n) {}
+
+ReliableSession& SessionTable::Session(PeerId peer) {
+  Slot& slot = slots_[peer];
+  if (slot.session == nullptr) {
+    SessionParams params = params_;
+    params.seed = seed_of_(peer);
+    params.recorder = &recorder_;
+    params.recorder_peer = peer;
+    slot.session = std::make_unique<ReliableSession>(epoch_, params);
+  }
+  return *slot.session;
+}
+
+DatagramQueue& SessionTable::Send(PeerId peer, const wire::Packet& p,
+                                  Micros now, TraceContext tc) {
+  ReliableSession& s = Session(peer);
+  s.SendPacket(p, now, tc);
+  Rewake(slots_[peer]);
+  return s.outbox();
+}
+
+void SessionTable::Receive(PeerId peer, const std::uint8_t* data,
+                           std::size_t size, Micros now) {
+  Session(peer).OnDatagram(data, size, now);
+  slots_[peer].marked = true;
+}
+
+DatagramQueue& SessionTable::Tick(PeerId peer, Micros now,
+                                  std::vector<TransportEvent>& out) {
+  Slot& slot = slots_[peer];
+  ReliableSession& s = *slot.session;
+  s.Tick(now);
+  for (auto& d : s.delivered()) {
+    out.push_back(TransportEvent{TransportEvent::Kind::kPacket, peer,
+                                 std::move(d.packet), d.tc.clock, d.tc.mid});
+  }
+  s.delivered().clear();
+  if (s.TakePeerRestart()) {
+    out.push_back(TransportEvent{TransportEvent::Kind::kPeerRestart, peer,
+                                 wire::Packet{}});
+  }
+  if (s.TakeSuspect()) {
+    out.push_back(
+        TransportEvent{TransportEvent::Kind::kSuspect, peer, wire::Packet{}});
+  }
+  slot.marked = false;
+  Rewake(slot);
+  return s.outbox();
+}
+
+std::optional<Micros> SessionTable::NextWake() const {
+  Micros wake = kIdle;
+  for (const Slot& slot : slots_) wake = std::min(wake, slot.wake);
+  if (wake == kIdle) return std::nullopt;
+  return wake;
+}
+
+TransportStats SessionTable::Stats(const TransportStats& link) const {
+  TransportStats st = link;
+  for (const Slot& slot : slots_) {
+    if (slot.session != nullptr) st.sessions.MergeFrom(slot.session->stats());
+  }
+  return st;
+}
+
+}  // namespace celect::net

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "celect/obs/shard.h"
+#include "celect/net/session_table.h"
 #include "celect/util/check.h"
 
 namespace celect::net {
@@ -13,123 +13,144 @@ namespace celect::net {
 class SimNet::Node final : public Transport {
  public:
   Node(SimNet* net, PeerId self, std::uint64_t epoch)
-      : net_(net), self_(self), epoch_(epoch) {
-    sessions_.resize(net_->n());
+      : net_(net),
+        self_(self),
+        sessions_(net->n(), epoch, net->config_.session,
+                  [this](PeerId peer) { return SessionSeed(peer); }) {}
+  ~Node() override {
+    for (const Arrival& a : inbox_) net_->pool_.Release(a.dgram);
   }
 
   PeerId self() const override { return self_; }
   PeerId n() const override { return net_->n(); }
   Micros Now() override { return net_->clock_.Now(); }
-  std::uint64_t epoch() const override { return epoch_; }
+  std::uint64_t epoch() const override { return sessions_.epoch(); }
   const obs::FlightRecorder* recorder() const override {
-    return &recorder_;
+    return &sessions_.recorder();
   }
 
   using Transport::Send;
   void Send(PeerId peer, const wire::Packet& p, TraceContext tc) override {
     CELECT_DCHECK(peer < n() && peer != self_);
-    Session(peer).SendPacket(p, Now(), tc);
-    Flush(peer);
+    Flush(peer, sessions_.Send(peer, p, Now(), tc));
   }
 
   void Poll(std::vector<TransportEvent>& out) override {
-    Micros now = Now();
+    const Micros now = Now();
     // Feed received datagrams first so acks suppress retransmits that
     // would otherwise fire on this same Tick.
-    for (auto& [from, dgram] : inbox_) {
-      Session(from).OnDatagram(dgram.data(), dgram.size(), now);
+    DatagramPool& pool = net_->pool_;
+    for (const Arrival& a : inbox_) {
+      const auto bytes = pool.bytes(a.dgram);
+      sessions_.Receive(a.from, bytes.data(), bytes.size(), now);
+      pool.Release(a.dgram);
     }
     inbox_.clear();
-    for (PeerId peer = 0; peer < n(); ++peer) {
-      auto* s = sessions_[peer].get();
-      if (s == nullptr) continue;
-      s->Tick(now);
-      for (auto& d : s->delivered()) {
-        out.push_back(TransportEvent{TransportEvent::Kind::kPacket, peer,
-                                     std::move(d.packet), d.tc.clock,
-                                     d.tc.mid});
-      }
-      s->delivered().clear();
-      if (s->TakePeerRestart()) {
-        out.push_back(TransportEvent{TransportEvent::Kind::kPeerRestart, peer,
-                                     wire::Packet{}});
-      }
-      if (s->TakeSuspect()) {
-        out.push_back(TransportEvent{TransportEvent::Kind::kSuspect, peer,
-                                     wire::Packet{}});
-      }
-      Flush(peer);
-    }
+    sessions_.Poll(now, out, [this](PeerId peer, DatagramQueue& dgrams) {
+      Flush(peer, dgrams);
+    });
   }
 
   std::optional<Micros> NextWake() const override {
-    std::optional<Micros> wake;
-    for (const auto& s : sessions_) {
-      if (s == nullptr) continue;
-      auto w = s->NextWake();
-      if (w && (!wake || *w < *wake)) wake = w;
-    }
-    return wake;
+    return sessions_.NextWake();
   }
 
-  TransportStats Stats() const override {
-    TransportStats st = stats_;
-    for (const auto& s : sessions_) {
-      if (s != nullptr) st.sessions.MergeFrom(s->stats());
-    }
-    return st;
-  }
+  TransportStats Stats() const override { return sessions_.Stats(stats_); }
 
-  void Receive(PeerId from, std::vector<std::uint8_t> dgram) {
-    stats_.bytes_received += dgram.size();
+  // Takes over a delivered datagram's pool slot until the next Poll.
+  void Receive(PeerId from, DatagramPool::Handle dgram) {
+    stats_.bytes_received += net_->pool_.bytes(dgram).size();
     ++stats_.datagrams_received;
-    inbox_.emplace_back(from, std::move(dgram));
+    inbox_.push_back(Arrival{from, dgram});
   }
 
  private:
-  ReliableSession& Session(PeerId peer) {
-    auto& slot = sessions_[peer];
-    if (slot == nullptr) {
-      SessionParams params = net_->config_.session;
-      params.seed = SplitMix64(net_->config_.seed ^ (epoch_ * 0x9e37u) ^
-                               (std::uint64_t{self_} << 32) ^ peer)
-                        .Next();
-      params.recorder = &recorder_;
-      params.recorder_peer = peer;
-      slot = std::make_unique<ReliableSession>(epoch_, params);
-    }
-    return *slot;
+  struct Arrival {
+    PeerId from;
+    DatagramPool::Handle dgram;
+  };
+
+  std::uint64_t SessionSeed(PeerId peer) const {
+    return SplitMix64(net_->config_.seed ^ (sessions_.epoch() * 0x9e37u) ^
+                      (std::uint64_t{self_} << 32) ^ peer)
+        .Next();
   }
 
-  void Flush(PeerId peer) {
-    auto& out = Session(peer).outbox();
-    if (out.empty()) return;
-    Micros now = Now();
+  void Flush(PeerId peer, DatagramQueue& dgrams) {
+    if (dgrams.empty()) return;
+    const Micros now = Now();
     const std::size_t c = net_->ChannelIndex(self_, peer);
-    FakeLink& channel = *net_->channels_[c];
+    FakeLink& channel = net_->channels_[c];
     const std::optional<Micros> old_head = channel.NextDelivery();
-    for (auto& dgram : out) {
+    for (const auto dgram : dgrams) {
       stats_.bytes_sent += dgram.size();
       ++stats_.datagrams_sent;
       channel.Send(dgram, now);
     }
-    out.clear();
+    dgrams.clear();
     net_->Reindex(c, old_head);
   }
 
   SimNet* net_;
   PeerId self_;
-  std::uint64_t epoch_;
-  obs::FlightRecorder recorder_;
-  std::vector<std::unique_ptr<ReliableSession>> sessions_;
-  std::deque<std::pair<PeerId, std::vector<std::uint8_t>>> inbox_;
+  SessionTable sessions_;
+  std::vector<Arrival> inbox_;  // in arrival order; reused across Polls
   TransportStats stats_;
 };
 
+SimNet::ArrivalIndex::ArrivalIndex(std::size_t channels)
+    : slot_(channels, kAbsent) {
+  heap_.reserve(channels);
+}
+
+void SimNet::ArrivalIndex::Set(std::size_t c, std::optional<Micros> head) {
+  const std::uint32_t i = slot_[c];
+  if (!head) {
+    if (i == kAbsent) return;
+    slot_[c] = kAbsent;
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    if (i < heap_.size()) Place(i, last);
+    return;
+  }
+  const Entry e{*head, static_cast<std::uint32_t>(c)};
+  if (i != kAbsent) {
+    Place(i, e);
+    return;
+  }
+  heap_.push_back(e);
+  Place(heap_.size() - 1, e);
+}
+
+void SimNet::ArrivalIndex::Place(std::size_t i, Entry e) {
+  while (i > 0) {  // up
+    const std::size_t parent = (i - 1) / 2;
+    if (heap_[parent].at <= e.at) break;
+    heap_[i] = heap_[parent];
+    slot_[heap_[i].channel] = static_cast<std::uint32_t>(i);
+    i = parent;
+  }
+  for (;;) {  // down
+    std::size_t child = 2 * i + 1;
+    if (child >= heap_.size()) break;
+    if (child + 1 < heap_.size() && heap_[child + 1].at < heap_[child].at) {
+      ++child;
+    }
+    if (e.at <= heap_[child].at) break;
+    heap_[i] = heap_[child];
+    slot_[heap_[i].channel] = static_cast<std::uint32_t>(i);
+    i = child;
+  }
+  heap_[i] = e;
+  slot_[e.channel] = static_cast<std::uint32_t>(i);
+}
+
 SimNet::SimNet(const SimNetConfig& config)
-    : config_(config), alive_(config.n, true) {
+    : config_(config),
+      alive_(config.n, true),
+      arrivals_(std::size_t{config.n} * (config.n - 1)) {
   CELECT_CHECK(config_.n >= 2) << "SimNet needs at least two nodes";
-  channels_.resize(std::size_t{config_.n} * config_.n);
+  channels_.reserve(std::size_t{config_.n} * (config_.n - 1));
   for (PeerId from = 0; from < config_.n; ++from) {
     for (PeerId to = 0; to < config_.n; ++to) {
       if (from == to) continue;
@@ -137,7 +158,7 @@ SimNet::SimNet(const SimNetConfig& config)
       lp.seed = SplitMix64(config_.seed ^
                            (std::uint64_t{from} * config_.n + to + 1))
                     .Next();
-      channels_[ChannelIndex(from, to)] = std::make_unique<FakeLink>(lp);
+      channels_.emplace_back(lp, pool_);
     }
   }
   nodes_.resize(config_.n);
@@ -169,15 +190,13 @@ void SimNet::Restart(PeerId i) {
 }
 
 void SimNet::Reindex(std::size_t c, std::optional<Micros> old_head) {
-  const std::optional<Micros> head = channels_[c]->NextDelivery();
-  if (head == old_head) return;
-  if (old_head) arrivals_.erase({*old_head, c});
-  if (head) arrivals_.emplace(*head, c);
+  const std::optional<Micros> head = channels_[c].NextDelivery();
+  if (head != old_head) arrivals_.Set(c, head);
 }
 
 std::optional<Micros> SimNet::NextArrival() const {
   if (arrivals_.empty()) return std::nullopt;
-  return arrivals_.begin()->first;
+  return arrivals_.next();
 }
 
 std::optional<Micros> SimNet::NextEvent() const {
@@ -193,23 +212,27 @@ std::optional<Micros> SimNet::NextEvent() const {
 const std::vector<PeerId>& SimNet::DeliverDue() {
   Micros now = clock_.Now();
   due_channels_.clear();
-  while (!arrivals_.empty() && arrivals_.begin()->first <= now) {
-    due_channels_.push_back(arrivals_.begin()->second);
-    arrivals_.erase(arrivals_.begin());
+  while (!arrivals_.empty() && arrivals_.next() <= now) {
+    due_channels_.push_back(arrivals_.top());
+    arrivals_.Pop();
   }
   // Channel-index order is (from, to) order: each inbox fills by sender.
   std::sort(due_channels_.begin(), due_channels_.end());
   receivers_.clear();
   for (std::size_t c : due_channels_) {
-    FakeLink& channel = *channels_[c];
+    FakeLink& channel = channels_[c];
     due_dgrams_.clear();
     channel.DeliverDue(now, due_dgrams_);
-    if (auto head = channel.NextDelivery()) arrivals_.emplace(*head, c);
-    const auto from = static_cast<PeerId>(c / config_.n);
-    const auto to = static_cast<PeerId>(c % config_.n);
-    if (!alive_[to]) continue;  // dropped on the dead host's floor
-    for (auto& dgram : due_dgrams_) {
-      nodes_[to]->Receive(from, std::move(dgram));
+    arrivals_.Set(c, channel.NextDelivery());
+    const auto from = static_cast<PeerId>(c / (config_.n - 1));
+    const auto rest = static_cast<PeerId>(c % (config_.n - 1));
+    const PeerId to = rest + (rest >= from ? 1 : 0);
+    if (!alive_[to]) {  // dropped on the dead host's floor
+      for (DatagramPool::Handle dgram : due_dgrams_) pool_.Release(dgram);
+      continue;
+    }
+    for (DatagramPool::Handle dgram : due_dgrams_) {
+      nodes_[to]->Receive(from, dgram);
     }
     receivers_.push_back(to);
   }

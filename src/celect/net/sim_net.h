@@ -8,14 +8,23 @@
 // jitter, epochs — derives from the config seed, so a run is
 // bit-reproducible.
 //
-// Arrival index: SimNet keeps one ordered set of (head arrival time,
+// Arrival index: SimNet keeps a binary min-heap of (head arrival time,
 // channel index), with one entry per channel that has traffic in
-// flight. It is updated whenever a channel's head changes — after an
-// endpoint hands datagrams to a channel, and after DeliverDue drains
-// one — so NextArrival() is the set's first entry and DeliverDue()
-// touches only the channels that are due, never the whole mesh. The
-// queued arrivals are also the choice points a schedule explorer
-// would pick among.
+// flight and a slot map from channel to heap position, so a channel's
+// entry is moved in place rather than removed and re-added. It is
+// updated whenever a channel's head changes — after an endpoint hands
+// datagrams to a channel, and after DeliverDue drains one — so
+// NextArrival() is the heap top and DeliverDue() touches only the
+// channels that are due, never the whole mesh. The queued arrivals are
+// also the choice points a schedule explorer would pick among.
+//
+// Buffers: every datagram in flight or waiting in an inbox lives in
+// one DatagramPool slot owned by the SimNet. A channel copies the
+// sender's outbox bytes into a slot at Send, its handle moves to the
+// receiver's inbox at DeliverDue, and Poll releases it once the
+// session has read it; a killed node's inbox and a dead host's
+// arrivals are released unread. Channels are stored by value, and
+// each endpoint polls through a SessionTable (session_table.h).
 //
 // Kill/Restart model a process crash: a killed node loses all session
 // state and its in-flight traffic is discarded on arrival; a restarted
@@ -23,14 +32,13 @@
 // the reliability layer's handshake has to detect and resync.
 #pragma once
 
-#include <deque>
+#include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "celect/net/clock.h"
+#include "celect/net/datagram.h"
 #include "celect/net/fake_link.h"
 #include "celect/net/transport.h"
 
@@ -61,7 +69,7 @@ class SimNet {
   void Restart(PeerId i);
 
   // Earliest pending link delivery across the mesh (the arrival
-  // index head).
+  // index top).
   std::optional<Micros> NextArrival() const;
   // Earliest pending link delivery or session timer across the mesh.
   std::optional<Micros> NextEvent() const;
@@ -74,8 +82,35 @@ class SimNet {
  private:
   class Node;
 
+  // The arrival index: channels with traffic in flight, as a binary
+  // min-heap on head arrival time with each channel's heap position.
+  class ArrivalIndex {
+   public:
+    explicit ArrivalIndex(std::size_t channels);
+    bool empty() const { return heap_.empty(); }
+    Micros next() const { return heap_.front().at; }
+    std::size_t top() const { return heap_.front().channel; }
+    // Sets channel c's entry to head, removing it when head is nullopt.
+    void Set(std::size_t c, std::optional<Micros> head);
+    void Pop() { Set(top(), std::nullopt); }
+
+   private:
+    struct Entry {
+      Micros at;
+      std::uint32_t channel;
+    };
+    static constexpr std::uint32_t kAbsent = 0xFFFFFFFF;
+    // Moves e up or down from heap slot i to where it belongs.
+    void Place(std::size_t i, Entry e);
+
+    std::vector<Entry> heap_;
+    std::vector<std::uint32_t> slot_;  // channel -> heap slot or kAbsent
+  };
+
+  // Channels are indexed densely in (from, to) order, skipping from ==
+  // to, so channel index order is (from, to) order.
   std::size_t ChannelIndex(PeerId from, PeerId to) const {
-    return std::size_t{from} * config_.n + to;
+    return std::size_t{from} * (config_.n - 1) + to - (to > from ? 1 : 0);
   }
   // Moves channel c's index entry from old_head to its current head.
   void Reindex(std::size_t c, std::optional<Micros> old_head);
@@ -83,15 +118,16 @@ class SimNet {
 
   SimNetConfig config_;
   VirtualClock clock_;
-  std::vector<std::unique_ptr<FakeLink>> channels_;  // [from * n + to]
+  // Declared before the channels and nodes that hold its handles.
+  DatagramPool pool_;
+  std::vector<FakeLink> channels_;  // [ChannelIndex(from, to)]
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<bool> alive_;
   std::uint64_t epoch_counter_ = 0;
-  // (head arrival time, channel index), one entry per non-empty channel.
-  std::set<std::pair<Micros, std::size_t>> arrivals_;
+  ArrivalIndex arrivals_;
   // DeliverDue's reused buffers.
   std::vector<std::size_t> due_channels_;
-  std::vector<std::vector<std::uint8_t>> due_dgrams_;
+  std::vector<DatagramPool::Handle> due_dgrams_;
   std::vector<PeerId> receivers_;
 };
 

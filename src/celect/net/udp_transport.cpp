@@ -27,9 +27,9 @@ sockaddr_in PeerAddr(std::uint16_t base_port, PeerId peer) {
 UdpTransport::UdpTransport(const UdpTransportConfig& config)
     : config_(config),
       loss_rng_(SplitMix64(config.seed ^ 0x10551055ULL).Next()),
-      epoch_(config.epoch != 0 ? config.epoch : HostEpoch()) {
-  sessions_.resize(config_.n);
-}
+      sessions_(config.n, config.epoch != 0 ? config.epoch : HostEpoch(),
+                config.session,
+                [this](PeerId peer) { return SessionSeed(peer); }) {}
 
 UdpTransport::~UdpTransport() {
   if (fd_ >= 0) ::close(fd_);
@@ -52,24 +52,15 @@ bool UdpTransport::Open() {
   return true;
 }
 
-ReliableSession& UdpTransport::Session(PeerId peer) {
-  auto& slot = sessions_[peer];
-  if (slot == nullptr) {
-    SessionParams params = config_.session;
-    params.seed =
-        SplitMix64(config_.seed ^ epoch_ ^ (std::uint64_t{peer} << 20))
-            .Next();
-    params.recorder = &recorder_;
-    params.recorder_peer = peer;
-    slot = std::make_unique<ReliableSession>(epoch_, params);
-  }
-  return *slot;
+std::uint64_t UdpTransport::SessionSeed(PeerId peer) const {
+  return SplitMix64(config_.seed ^ sessions_.epoch() ^
+                    (std::uint64_t{peer} << 20))
+      .Next();
 }
 
-void UdpTransport::Flush(PeerId peer) {
-  auto& out = Session(peer).outbox();
+void UdpTransport::Flush(PeerId peer, DatagramQueue& dgrams) {
   sockaddr_in addr = PeerAddr(config_.base_port, peer);
-  for (auto& dgram : out) {
+  for (const auto dgram : dgrams) {
     if (config_.send_loss > 0 &&
         loss_rng_.NextDouble() < config_.send_loss) {
       ++stats_.send_loss_injected;
@@ -80,14 +71,13 @@ void UdpTransport::Flush(PeerId peer) {
     ::sendto(fd_, dgram.data(), dgram.size(), 0,
              reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
   }
-  out.clear();
+  dgrams.clear();
 }
 
 void UdpTransport::Send(PeerId peer, const wire::Packet& p,
                         TraceContext tc) {
   CELECT_DCHECK(peer < config_.n && peer != config_.self);
-  Session(peer).SendPacket(p, Now(), tc);
-  Flush(peer);
+  Flush(peer, sessions_.Send(peer, p, Now(), tc));
 }
 
 void UdpTransport::DrainSocket() {
@@ -107,52 +97,16 @@ void UdpTransport::DrainSocket() {
     if (peer == config_.self) continue;
     ++stats_.datagrams_received;
     stats_.bytes_received += static_cast<std::uint64_t>(got);
-    Session(peer).OnDatagram(buf, static_cast<std::size_t>(got), Now());
+    sessions_.Receive(peer, buf, static_cast<std::size_t>(got), Now());
   }
 }
 
 void UdpTransport::Poll(std::vector<TransportEvent>& out) {
   if (fd_ < 0) return;
   DrainSocket();
-  Micros now = Now();
-  for (PeerId peer = 0; peer < config_.n; ++peer) {
-    auto* s = sessions_[peer].get();
-    if (s == nullptr) continue;
-    s->Tick(now);
-    for (auto& d : s->delivered()) {
-      out.push_back(TransportEvent{TransportEvent::Kind::kPacket, peer,
-                                   std::move(d.packet), d.tc.clock,
-                                   d.tc.mid});
-    }
-    s->delivered().clear();
-    if (s->TakePeerRestart()) {
-      out.push_back(TransportEvent{TransportEvent::Kind::kPeerRestart, peer,
-                                   wire::Packet{}});
-    }
-    if (s->TakeSuspect()) {
-      out.push_back(
-          TransportEvent{TransportEvent::Kind::kSuspect, peer, wire::Packet{}});
-    }
-    Flush(peer);
-  }
-}
-
-std::optional<Micros> UdpTransport::NextWake() const {
-  std::optional<Micros> wake;
-  for (const auto& s : sessions_) {
-    if (s == nullptr) continue;
-    auto w = s->NextWake();
-    if (w && (!wake || *w < *wake)) wake = w;
-  }
-  return wake;
-}
-
-TransportStats UdpTransport::Stats() const {
-  TransportStats st = stats_;
-  for (const auto& s : sessions_) {
-    if (s != nullptr) st.sessions.MergeFrom(s->stats());
-  }
-  return st;
+  sessions_.Poll(Now(), out, [this](PeerId peer, DatagramQueue& dgrams) {
+    Flush(peer, dgrams);
+  });
 }
 
 }  // namespace celect::net

@@ -8,12 +8,11 @@
 // giving the multi-process demo its 10% chaos without tc/netem.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "celect/net/clock.h"
+#include "celect/net/session_table.h"
 #include "celect/net/transport.h"
-#include "celect/obs/shard.h"
 #include "celect/util/rng.h"
 
 namespace celect::net {
@@ -45,25 +44,25 @@ class UdpTransport final : public Transport {
   using Transport::Send;
   void Send(PeerId peer, const wire::Packet& p, TraceContext tc) override;
   void Poll(std::vector<TransportEvent>& out) override;
-  std::optional<Micros> NextWake() const override;
-  TransportStats Stats() const override;
-  std::uint64_t epoch() const override { return epoch_; }
+  std::optional<Micros> NextWake() const override {
+    return sessions_.NextWake();
+  }
+  TransportStats Stats() const override { return sessions_.Stats(stats_); }
+  std::uint64_t epoch() const override { return sessions_.epoch(); }
   const obs::FlightRecorder* recorder() const override {
-    return &recorder_;
+    return &sessions_.recorder();
   }
 
  private:
-  ReliableSession& Session(PeerId peer);
-  void Flush(PeerId peer);
+  std::uint64_t SessionSeed(PeerId peer) const;
+  void Flush(PeerId peer, DatagramQueue& dgrams);
   void DrainSocket();
 
   UdpTransportConfig config_;
   MonotonicClock clock_;
   Rng loss_rng_;
-  std::uint64_t epoch_;
   int fd_ = -1;
-  obs::FlightRecorder recorder_;
-  std::vector<std::unique_ptr<ReliableSession>> sessions_;
+  SessionTable sessions_;
   TransportStats stats_;
 };
 

@@ -66,25 +66,26 @@ std::optional<FlightKind> FlightKindFromName(const std::string& name) {
 
 // --- FlightRecorder -------------------------------------------------
 
-FlightRecorder::FlightRecorder(std::size_t cap)
-    : ring_(cap < 1 ? 1 : cap) {}
+FlightRecorder::FlightRecorder(std::size_t cap) : cap_(cap < 1 ? 1 : cap) {}
 
 void FlightRecorder::Note(std::uint64_t at, std::uint32_t peer,
                           FlightKind kind, std::uint64_t a,
                           std::uint64_t b) {
-  ring_[seen_ % ring_.size()] = FlightEvent{at, peer, kind, a, b};
+  const FlightEvent e{at, peer, kind, a, b};
+  if (ring_.size() < cap_) {
+    ring_.push_back(e);
+  } else {
+    ring_[seen_ % cap_] = e;
+  }
   ++seen_;
 }
 
 std::vector<FlightEvent> FlightRecorder::Snapshot() const {
   std::vector<FlightEvent> out;
-  const std::size_t n = seen_ < ring_.size()
-                            ? static_cast<std::size_t>(seen_)
-                            : ring_.size();
-  out.reserve(n);
-  const std::uint64_t first = seen_ - n;
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(ring_[(first + i) % ring_.size()]);
+  out.reserve(ring_.size());
+  const std::uint64_t first = dropped();
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    out.push_back(ring_[(first + i) % cap_]);
   }
   return out;
 }

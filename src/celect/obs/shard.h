@@ -61,10 +61,11 @@ struct FlightEvent {
   friend bool operator==(const FlightEvent&, const FlightEvent&) = default;
 };
 
-// Bounded ring of FlightEvents. The buffer is allocated once at
-// construction and never grows — Note() on the hot path is a store and
-// two increments. When full, the oldest events are overwritten; seen()
-// minus cap bounds what was lost.
+// Bounded ring of FlightEvents. The buffer grows on demand up to cap
+// and never past it, so an endpoint that notes a handful of events
+// pays for a handful, not for cap; once full, Note() is a store and an
+// increment, and the oldest events are overwritten. seen() minus cap
+// bounds what was lost.
 class FlightRecorder {
  public:
   explicit FlightRecorder(std::size_t cap = 1024);
@@ -76,13 +77,13 @@ class FlightRecorder {
   std::vector<FlightEvent> Snapshot() const;
 
   std::uint64_t seen() const { return seen_; }
-  std::uint64_t dropped() const {
-    return seen_ > ring_.size() ? seen_ - ring_.size() : 0;
-  }
-  std::size_t cap() const { return ring_.size(); }
+  std::uint64_t dropped() const { return seen_ - ring_.size(); }
+  std::size_t cap() const { return cap_; }
 
  private:
+  std::size_t cap_;
   std::uint64_t seen_ = 0;
+  // Event k sits at ring_[k % cap_]; holds min(seen_, cap_) events.
   std::vector<FlightEvent> ring_;
 };
 

@@ -1,9 +1,14 @@
 // Framing-layer tests: encode/decode round trips under arbitrary
-// chunking, resync after garbage and corruption, and the hard payload
-// bound. All seeded — failures reproduce bit-identically.
+// chunking, resync after garbage and corruption, the hard payload
+// bound, and FrameCursor (in-place datagram reading) held to
+// FrameDecoder's decisions on mangled datagrams. All seeded — failures
+// reproduce bit-identically.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "celect/net/frame.h"
 #include "celect/util/rng.h"
@@ -185,6 +190,134 @@ TEST(NetFrame, BitFlipFuzzNeverYieldsWrongPayload) {
       EXPECT_EQ(got[0].payload, f.payload) << trial;
       EXPECT_EQ(got[0].kind, f.kind) << trial;
     }
+  }
+}
+
+TEST(NetFrame, GatheredPayloadEncodesLikeAContiguousOne) {
+  const std::vector<std::uint8_t> head = {9, 0xCE, 0x17};
+  const std::vector<std::uint8_t> body = {1, 2, 3, 4};
+  const std::vector<std::uint8_t> whole = {9, 0xCE, 0x17, 1, 2, 3, 4};
+  std::vector<std::uint8_t> gathered, contiguous;
+  EncodeFrame(FrameKind::kData, head.data(), head.size(), body.data(),
+              body.size(), gathered);
+  EncodeFrame(FrameKind::kData, whole, contiguous);
+  EXPECT_EQ(gathered, contiguous);
+}
+
+// What FrameDecoder makes of one whole datagram, as a session used to
+// read it: the frames, then the error count after FlushTruncated.
+struct Decoded {
+  std::vector<Frame> frames;
+  std::uint64_t errors = 0;
+};
+
+Decoded ByDecoder(const std::vector<std::uint8_t>& dgram) {
+  Decoded d;
+  FrameDecoder dec;
+  dec.PushBytes(dgram.data(), dgram.size(), d.frames);
+  dec.FlushTruncated();
+  d.errors = dec.errors();
+  return d;
+}
+
+Decoded ByCursor(const std::vector<std::uint8_t>& dgram) {
+  Decoded d;
+  FrameCursor cursor(dgram.data(), dgram.size());
+  FrameView v;
+  while (cursor.Next(v)) {
+    Frame f;
+    f.kind = v.kind;
+    f.payload.assign(v.payload, v.payload + v.len);
+    d.frames.push_back(std::move(f));
+  }
+  EXPECT_FALSE(cursor.Next(v)) << "a finished cursor stays finished";
+  d.errors = cursor.errors();
+  return d;
+}
+
+void ExpectSameReading(const std::vector<std::uint8_t>& dgram,
+                       const std::string& what) {
+  const Decoded want = ByDecoder(dgram);
+  const Decoded got = ByCursor(dgram);
+  EXPECT_EQ(got.errors, want.errors) << what;
+  ASSERT_EQ(got.frames.size(), want.frames.size()) << what;
+  for (std::size_t i = 0; i < want.frames.size(); ++i) {
+    EXPECT_EQ(got.frames[i].kind, want.frames[i].kind) << what;
+    EXPECT_EQ(got.frames[i].payload, want.frames[i].payload) << what;
+  }
+}
+
+TEST(NetFrame, CursorReadsEdgeCasesLikeTheDecoder) {
+  std::vector<std::uint8_t> good;
+  EncodeFrame(FrameKind::kAck, std::vector<std::uint8_t>{7, 8}, good);
+  auto with = [&good](std::vector<std::uint8_t> prefix,
+                      std::vector<std::uint8_t> suffix) {
+    prefix.insert(prefix.end(), good.begin(), good.end());
+    prefix.insert(prefix.end(), suffix.begin(), suffix.end());
+    return prefix;
+  };
+  ExpectSameReading({}, "empty");
+  ExpectSameReading(good, "clean");
+  ExpectSameReading(with({}, {0xCE}), "trailing magic0");
+  ExpectSameReading(with({}, {0xCE, 0x17}), "trailing magic pair");
+  ExpectSameReading(with({0xCE}, {}), "stray magic0");
+  ExpectSameReading(with({0xCE, 0xCE}, {}), "repeated magic0");
+  ExpectSameReading(with({0xCE, 0x01}, {}), "magic0 then garbage");
+  ExpectSameReading(with({0xCE, 0x17, 0x09}, {}), "bad kind");
+  ExpectSameReading(with({0xCE, 0x17, 0x03, 0x80, 0x00}, {}), "overlong");
+  ExpectSameReading(with({0xCE, 0x17, 0x03, 0x80, 0x80, 0x80, 0x80}, {}),
+                    "length chain too long");
+  ExpectSameReading(with({0xCE, 0x17, 0x03, 0xFF, 0x7F}, {}), "over cap");
+  ExpectSameReading({0xCE, 0x17, 0x03, 0x80}, "truncated length");
+  ExpectSameReading({0xCE, 0x17, 0x03, 0x05, 1, 2}, "truncated payload");
+  const std::vector<std::uint8_t> cut(good.begin(), good.end() - 1);
+  ExpectSameReading(cut, "truncated checksum");
+  ExpectSameReading(with({}, good), "two frames");
+  std::vector<std::uint8_t> bad_sum = good;
+  bad_sum[4] ^= 1;  // the first payload byte: the checksum no longer fits
+  ExpectSameReading(with(bad_sum, {}), "checksum mismatch, then a frame");
+}
+
+TEST(NetFrame, CursorReadsMangledDatagramsLikeTheDecoder) {
+  Rng rng(8128);
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::vector<std::uint8_t> dgram;
+    const std::uint64_t frames = rng.NextBelow(4);
+    for (std::uint64_t i = 0; i < frames; ++i) {
+      // Payloads up to past the cap, so oversized frames appear too.
+      const std::size_t max = rng.NextBelow(8) == 0 ? 1400 : 60;
+      EncodeFrame(RandomKind(rng), RandomPayload(rng, max), dgram);
+    }
+    switch (rng.NextBelow(5)) {
+      case 0: {  // bit flips
+        const std::uint64_t flips = dgram.empty() ? 0 : 1 + rng.NextBelow(4);
+        for (std::uint64_t f = 0; f < flips; ++f) {
+          const std::uint64_t bit = rng.NextBelow(dgram.size() * 8);
+          dgram[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        }
+        break;
+      }
+      case 1:  // truncation
+        dgram.resize(rng.NextBelow(dgram.size() + 1));
+        break;
+      case 2: {  // garbage, biased towards the magic bytes
+        const std::size_t at = rng.NextBelow(dgram.size() + 1);
+        std::vector<std::uint8_t> junk(1 + rng.NextBelow(6));
+        for (auto& b : junk) {
+          b = static_cast<std::uint8_t>(rng.NextBelow(256));
+          if (rng.NextBelow(2) == 0) b = rng.NextBelow(2) ? 0xCE : 0x17;
+        }
+        dgram.insert(dgram.begin() + static_cast<std::ptrdiff_t>(at),
+                     junk.begin(), junk.end());
+        break;
+      }
+      case 3:  // pure noise
+        dgram = RandomPayload(rng, 40);
+        break;
+      default:  // intact
+        break;
+    }
+    ExpectSameReading(dgram, "trial " + std::to_string(trial));
   }
 }
 

@@ -16,6 +16,7 @@
 #include "celect/obs/shard.h"
 #include "celect/obs/trace_export.h"
 #include "celect/proto/nosod/fault_tolerant.h"
+#include "celect/wire/checksum.h"
 
 namespace celect::obs {
 namespace {
@@ -50,6 +51,32 @@ TEST(FlightRecorderTest, PartialFillSnapshotsInOrder) {
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].kind, FlightKind::kSessionStart);
   EXPECT_EQ(snap[1].kind, FlightKind::kSuspectBegin);
+}
+
+TEST(FlightRecorderTest, GrowsLazilyAndWrapsAtItsCap) {
+  // Below the cap, exactly at it, and at 2.5x it: the ring is built on
+  // demand, yet reads exactly like one allocated up front.
+  constexpr std::size_t kCap = 8;
+  const std::uint64_t counts[] = {3, kCap, kCap * 5 / 2};
+  for (std::uint64_t events : counts) {
+    FlightRecorder rec(kCap);
+    for (std::uint64_t i = 0; i < events; ++i) {
+      rec.Note(100 + i, 1, FlightKind::kHelloRetry, i, 2 * i);
+    }
+    SCOPED_TRACE(events);
+    EXPECT_EQ(rec.cap(), kCap);
+    EXPECT_EQ(rec.seen(), events);
+    const std::uint64_t kept = std::min<std::uint64_t>(events, kCap);
+    EXPECT_EQ(rec.dropped(), events - kept);
+    const auto snap = rec.Snapshot();
+    ASSERT_EQ(snap.size(), kept);
+    for (std::size_t i = 0; i < snap.size(); ++i) {
+      const std::uint64_t k = events - kept + i;  // oldest retained first
+      EXPECT_EQ(snap[i].at, 100 + k);
+      EXPECT_EQ(snap[i].a, k);
+      EXPECT_EQ(snap[i].b, 2 * k);
+    }
+  }
 }
 
 TEST(MetricsRegistryTest, CompactRoundTrip) {
@@ -346,6 +373,52 @@ TEST(TracedElectionTest, KillMidElectionRecoversTheVictimsShard) {
   EXPECT_EQ(reducer.Merged().size(), config.n + 1);
   auto problems = CheckShards(reducer.Merged());
   for (const auto& p : problems) ADD_FAILURE() << p;
+}
+
+TEST(TracedElectionTest, KillRestartKillShardBytesArePinned) {
+  // One traced kill -> restart -> kill election over a lossy mesh with
+  // zero minimum delay. Pinned from the transport that copied every
+  // datagram and frame and took Stats() once per use: the shards
+  // (trace records, flight-recorder rings, metrics) and the cluster
+  // result must not move when buffers are pooled, frames are read in
+  // place, idle sessions are skipped and stats are taken once.
+  ClusterConfig config = TracedConfig();
+  config.n = 8;
+  config.seed = 111;
+  config.link.loss = 0.10;
+  config.link.delay_min = 0;
+  config.link.delay_max = 2'000;
+  config.chaos = {
+      {3'000, 2, ChaosEvent::What::kKill},
+      {8'000, 2, ChaosEvent::What::kRestart},
+      {12'000, 3, ChaosEvent::What::kKill},
+  };
+  const ClusterResult r = RunSimElection(config, MakeFaultTolerant(1));
+  ASSERT_TRUE(r.agreed);
+  std::string bytes;
+  std::size_t flight_events = 0;
+  for (const auto& s : r.shards) {
+    bytes += SerializeShard(s);
+    flight_events += s.flight.size();
+  }
+  const std::string metrics = r.metrics.SerializeCompact();
+  auto digest = [](const std::string& text) {
+    return wire::Fnv1a64(reinterpret_cast<const std::uint8_t*>(text.data()),
+                         text.size());
+  };
+  EXPECT_EQ(r.shards.size(), 9u);
+  EXPECT_EQ(flight_events, 181u);
+  EXPECT_EQ(bytes.size(), 47591u);
+  EXPECT_EQ(digest(bytes), 12151545375343683782u);
+  EXPECT_EQ(digest(metrics), 5440665853560801111u);
+  EXPECT_EQ(r.leader, 1050u);
+  EXPECT_EQ(r.fingerprint, 15437850279679577476u);
+  EXPECT_EQ(r.datagrams, 429u);
+  EXPECT_EQ(r.delivered, 123u);
+  EXPECT_EQ(r.retransmits, 13u);
+  EXPECT_EQ(r.peer_restarts, 4u);
+  EXPECT_EQ(r.rtt_p50_us, 1808u);
+  EXPECT_EQ(r.rtt_p99_us, 39261u);
 }
 
 TEST(TracedElectionTest, TraceOffMintsNoShardsButStillAgrees) {
