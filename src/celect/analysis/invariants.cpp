@@ -1,6 +1,8 @@
 #include "celect/analysis/invariants.h"
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <sstream>
 
 namespace celect::analysis {
@@ -41,17 +43,48 @@ void InvariantRegistry::CheckLeader(const sim::RunInspect& in) {
 void InvariantRegistry::CheckMonotone(sim::NodeId target,
                                       const sim::RunInspect& in,
                                       const sim::ProtocolObservables& obs) {
-  for (const auto& [name, value] : obs.monotone) {
-    auto [it, inserted] = last_.try_emplace({target, name}, value);
-    if (inserted) continue;
-    if (value < it->second) {
+  auto same = [](const char* a, const char* b) {
+    return a == b || std::strcmp(a, b) == 0;
+  };
+  auto& marks = nodes_[target].gauges;
+  for (std::size_t i = 0; i < obs.monotone.size(); ++i) {
+    const auto& [name, value] = obs.monotone[i];
+    // Gauges keep their positions, so slot i almost always matches; a
+    // node that reorders or renames its gauges falls back to a search.
+    std::size_t slot = i;
+    if (slot >= marks.size() || !same(marks[slot].first, name)) {
+      slot = 0;
+      while (slot < marks.size() && !same(marks[slot].first, name)) ++slot;
+    }
+    if (slot == marks.size()) {
+      marks.emplace_back(name, value);
+      continue;
+    }
+    std::int64_t& high = marks[slot].second;
+    if (value < high) {
       std::ostringstream os;
-      os << "node " << target << " gauge '" << name << "' fell from "
-         << it->second << " to " << value;
+      os << "node " << target << " gauge '" << name << "' fell from " << high
+         << " to " << value;
       Violate(in, kInvMonotoneRegression, os.str());
     }
-    it->second = std::max(it->second, value);
+    high = std::max(high, value);
   }
+}
+
+void InvariantRegistry::SetClaim(sim::NodeId node,
+                                 const sim::ProtocolObservables* obs) {
+  const auto claim = obs != nullptr ? obs->lease : std::nullopt;
+  NodeState& st = nodes_[node];
+  if (st.claim.has_value() != claim.has_value()) {
+    const auto pos =
+        std::lower_bound(claimants_.begin(), claimants_.end(), node);
+    if (claim.has_value()) {
+      claimants_.insert(pos, node);
+    } else {
+      claimants_.erase(pos);
+    }
+  }
+  st.claim = claim;
 }
 
 void InvariantRegistry::CheckLease(sim::NodeId target,
@@ -59,14 +92,11 @@ void InvariantRegistry::CheckLease(sim::NodeId target,
                                    const sim::ProtocolObservables* obs) {
   // Re-publish only the target's claim (dead nodes claim nothing), then
   // scan the claimant set for two unexpired deadlines.
-  if (obs != nullptr && obs->lease.has_value()) {
-    lease_claims_[target] = *obs->lease;
-  } else {
-    lease_claims_.erase(target);
-  }
+  SetClaim(target, obs);
   sim::NodeId holder = 0;
   bool found = false;
-  for (const auto& [node, claim] : lease_claims_) {
+  for (const sim::NodeId node : claimants_) {
+    const auto& claim = *nodes_[node].claim;
     if (claim.deadline < in.now) continue;  // expired: not a holder
     if (!found) {
       holder = node;
@@ -77,8 +107,8 @@ void InvariantRegistry::CheckLease(sim::NodeId target,
       std::ostringstream os;
       os << "nodes " << holder << " and " << node
          << " both hold unexpired leases at t=" << in.now.ticks()
-         << " (terms " << lease_claims_[holder].term << " and " << claim.term
-         << ")";
+         << " (terms " << nodes_[holder].claim->term << " and "
+         << claim.term << ")";
       Violate(in, kInvLeaseOverlap, os.str());
     }
   }
@@ -100,31 +130,33 @@ void InvariantRegistry::CheckConservation(const sim::RunInspect& in) {
 void InvariantRegistry::AfterEvent(sim::NodeId target,
                                    const sim::RunInspect& in) {
   if (!expected_leader_known_) {
-    // Snapshot before any mid-run crash can remove the max-id node; the
+    // First event: size the per-node state, and snapshot the expected
+    // leader before any mid-run crash can remove the max-id node; the
     // max-id check is only meaningful for configs where it stays live.
+    // Initially failed nodes never run, so only live ones compete.
     expected_leader_known_ = true;
-    sim::Id best = (*in.ids)[0];
+    nodes_.resize(in.n);
+    claimants_.reserve(in.n);
+    expected_leader_ = std::numeric_limits<sim::Id>::min();
     for (sim::NodeId i = 0; i < in.n; ++i) {
-      if (!(*in.failed)[i]) best = std::max(best, (*in.ids)[i]);
+      if (!(*in.failed)[i]) {
+        expected_leader_ = std::max(expected_leader_, (*in.ids)[i]);
+      }
     }
-    expected_leader_ = best;
   }
-  if (was_failed_.empty()) was_failed_.assign(in.n, 0);
+  NodeState& st = nodes_[target];
   const bool alive = !(*in.failed)[target];
-  if (alive && was_failed_[target]) {
+  if (alive && st.was_failed) {
     // Failed→alive edge: a rejoin rebuilt the node from the factory, so
     // its gauges legally restart from zero and any cached claim belongs
     // to the previous incarnation.
-    for (auto it = last_.lower_bound({target, std::string()});
-         it != last_.end() && it->first.first == target;) {
-      it = last_.erase(it);
-    }
-    lease_claims_.erase(target);
+    st.gauges.clear();
+    SetClaim(target, nullptr);
   }
-  was_failed_[target] = alive ? 0 : 1;
+  st.was_failed = !alive;
   CheckLeader(in);
   if (alive && (opt_.monotone_observables || opt_.at_most_one_lease_holder)) {
-    const sim::ProtocolObservables obs = in.process(target).Observe();
+    const sim::ProtocolObservables& obs = in.Observed(target);
     if (opt_.monotone_observables) CheckMonotone(target, in, obs);
     if (opt_.at_most_one_lease_holder) CheckLease(target, in, &obs);
   } else if (!alive && opt_.at_most_one_lease_holder) {

@@ -35,7 +35,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -92,21 +92,32 @@ class InvariantRegistry : public sim::RunObserver {
                      const sim::ProtocolObservables& obs);
   void CheckLease(sim::NodeId target, const sim::RunInspect& in,
                   const sim::ProtocolObservables* obs);
+  // Caches the lease claim in `obs` (none if null) as the node's.
+  void SetClaim(sim::NodeId node, const sim::ProtocolObservables* obs);
   void CheckConservation(const sim::RunInspect& in);
+
+  // What the checks remember about one node, indexed by NodeId and
+  // sized from RunInspect::n on the first event.
+  struct NodeState {
+    // Monotone high-water marks, in the order the node publishes its
+    // gauges; an event's i-th gauge is matched to slot i by name.
+    std::vector<std::pair<const char*, std::int64_t>> gauges;
+    // The node's cached lease claim (see claimants_).
+    std::optional<sim::ProtocolObservables::LeaseClaim> claim;
+    // Last-seen liveness, to spot failed→alive (rejoin) edges.
+    bool was_failed = false;
+  };
 
   InvariantOptions opt_;
   std::vector<std::string> violations_;
-  // Per-(node, gauge) high-water marks for the monotonicity check.
-  std::map<std::pair<sim::NodeId, std::string>, std::int64_t> last_;
-  // Cached lease claims, maintained incrementally: only the event's
-  // target re-publishes per AfterEvent, so the overlap scan is over the
-  // (tiny) set of claimants, not all n nodes.
-  std::map<sim::NodeId, sim::ProtocolObservables::LeaseClaim> lease_claims_;
+  std::vector<NodeState> nodes_;
+  // Nodes with a cached lease claim, ascending. Only the event's target
+  // re-publishes per AfterEvent, so the overlap scan is over this (tiny)
+  // set of claimants, not all n nodes.
+  std::vector<sim::NodeId> claimants_;
   // Overlapping pairs already reported — a persisting overlap is one
   // violation, not one per event.
   std::set<std::pair<sim::NodeId, sim::NodeId>> lease_pairs_reported_;
-  // Last-seen liveness per node, to spot failed→alive (rejoin) edges.
-  std::vector<char> was_failed_;
   sim::Id expected_leader_ = 0;
   bool expected_leader_known_ = false;
   bool multiple_reported_ = false;

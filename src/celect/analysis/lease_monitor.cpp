@@ -1,7 +1,6 @@
 #include "celect/analysis/lease_monitor.h"
 
 #include <algorithm>
-#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -20,10 +19,32 @@ void LeaseMonitor::Violate(const sim::RunInspect& in, std::string what) {
   }
 }
 
-std::int64_t LeaseMonitor::CoverMax() const {
-  std::int64_t m = -1;
-  for (const auto& [node, until] : cover_) m = std::max(m, until);
-  return m;
+std::int64_t LeaseMonitor::CoverMax() {
+  if (cover_max_stale_) {
+    cover_max_stale_ = false;
+    cover_max_ = -1;
+    std::erase_if(covering_, [&](sim::NodeId node) {
+      NodeState& st = nodes_[node];
+      if (st.cover < last_now_) {
+        st.covering = false;
+        return true;
+      }
+      cover_max_ = std::max(cover_max_, st.cover);
+      return false;
+    });
+  }
+  return cover_max_;
+}
+
+void LeaseMonitor::SetCover(sim::NodeId node, std::int64_t until) {
+  NodeState& st = nodes_[node];
+  if (until < st.cover && st.cover == cover_max_) cover_max_stale_ = true;
+  st.cover = until;
+  cover_max_ = std::max(cover_max_, until);
+  if (!st.covering) {
+    st.covering = true;
+    covering_.push_back(node);
+  }
 }
 
 void LeaseMonitor::Integrate(const sim::RunInspect& in, sim::Time now) {
@@ -57,46 +78,52 @@ void LeaseMonitor::Integrate(const sim::RunInspect& in, sim::Time now) {
 }
 
 void LeaseMonitor::CloseSegment(sim::NodeId node, sim::Time at) {
-  auto it = open_segment_.find(node);
-  if (it == open_segment_.end()) return;
-  timeline_[it->second].dropped_at = at;
-  open_segment_.erase(it);
+  auto& open = nodes_[node].open_segment;
+  if (!open) return;
+  timeline_[*open].dropped_at = at;
+  open.reset();
 }
 
 void LeaseMonitor::ObserveTarget(sim::NodeId target,
                                  const sim::RunInspect& in) {
   const std::int64_t t = in.now.ticks();
-  std::optional<sim::ProtocolObservables::LeaseClaim> claim;
-  if (!(*in.failed)[target]) claim = in.process(target).Observe().lease;
-  if (claim.has_value() && claim->deadline.ticks() >= t) {
-    cover_[target] = claim->deadline.ticks();
-    const auto ct = claimed_term_.find(target);
-    if (ct == claimed_term_.end() || ct->second != claim->term) {
+  NodeState& st = nodes_[target];
+  const sim::ProtocolObservables::LeaseClaim* claim = nullptr;
+  if (!(*in.failed)[target]) {
+    const auto& lease = in.Observed(target).lease;
+    if (lease.has_value()) claim = &*lease;
+  }
+  if (claim != nullptr && claim->deadline.ticks() >= t) {
+    SetCover(target, claim->deadline.ticks());
+    if (st.term != claim->term) {
       CloseSegment(target, in.now);  // the previous term's reign ended
-      claimed_term_[target] = claim->term;
+      st.term = claim->term;
       if (timeline_.size() < opt_.max_timeline) {
-        open_segment_[target] = timeline_.size();
+        st.open_segment = timeline_.size();
         timeline_.push_back({target, claim->term, in.now, claim->deadline,
                              sim::Time::Max()});
       }
-    } else {
-      const auto os = open_segment_.find(target);
-      if (os != open_segment_.end()) {
-        Segment& seg = timeline_[os->second];
-        seg.last_deadline = std::max(seg.last_deadline, claim->deadline);
-      }
+    } else if (st.open_segment) {
+      Segment& seg = timeline_[*st.open_segment];
+      seg.last_deadline = std::max(seg.last_deadline, claim->deadline);
     }
   } else {
     // No live, unexpired claim: the holder stepped down, crashed, or
     // noticed expiry. Its coverage ends now (natural expiry keeps the
     // earlier deadline — min() never extends).
-    const auto cv = cover_.find(target);
-    if (cv != cover_.end()) cv->second = std::min(cv->second, t);
-    if (claimed_term_.erase(target) > 0) CloseSegment(target, in.now);
+    if (st.covering && t < st.cover) SetCover(target, t);
+    if (st.term) {
+      st.term.reset();
+      CloseSegment(target, in.now);
+    }
   }
 }
 
 void LeaseMonitor::AfterEvent(sim::NodeId target, const sim::RunInspect& in) {
+  if (nodes_.empty()) {
+    nodes_.resize(in.n);
+    covering_.reserve(in.n);
+  }
   Integrate(in, in.now);
   ObserveTarget(target, in);
   if (gap_open_ && CoverMax() >= last_now_) {

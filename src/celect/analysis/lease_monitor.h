@@ -1,8 +1,8 @@
 // Availability accounting for the continuous election service.
 //
 // The InvariantRegistry checks the *instant* safety claim (at most one
-// unexpired lease). This observer measures the complementary liveness
-// side of a churn run:
+// unexpired lease, its lease_overlap check). This observer measures the
+// complementary liveness side of a churn run:
 //
 //   unavailability   exact tick-count of the service window [0, horizon)
 //                    during which no live node held an unexpired lease.
@@ -38,7 +38,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -104,18 +104,37 @@ class LeaseMonitor : public sim::RunObserver {
   // truncations and segment boundaries.
   void ObserveTarget(sim::NodeId target, const sim::RunInspect& in);
   void CloseSegment(sim::NodeId node, sim::Time at);
-  // Largest cover-until tick over current claimants (LLONG_MIN if none).
-  std::int64_t CoverMax() const;
+  // Sets a node's cover-until tick, keeping cover_max_ current.
+  void SetCover(sim::NodeId node, std::int64_t until);
+  // Largest cover-until tick over current claimants, or -1 if none.
+  // Exact whenever it is >= last_now_; below that, every caller treats
+  // all values alike, so nodes whose cover fell behind last_now_ are
+  // pruned rather than kept in the maximum.
+  std::int64_t CoverMax();
+
+  // Per-node state, indexed by NodeId and sized from RunInspect::n on
+  // the first event.
+  struct NodeState {
+    // Cover-until tick: the claim's deadline, truncated to the
+    // drop/crash instant when the holder goes away; -1 if never claimed.
+    std::int64_t cover = -1;
+    // Claimed term, to split timeline segments across terms.
+    std::optional<std::int64_t> term;
+    // Open timeline segment (index into timeline_), if any.
+    std::optional<std::size_t> open_segment;
+    // Listed in covering_.
+    bool covering = false;
+  };
 
   LeaseMonitorOptions opt_;
   std::vector<std::string> violations_;
-  // Per-claimant cover-until tick: the claim's deadline, truncated to
-  // the drop/crash instant when the holder goes away.
-  std::map<sim::NodeId, std::int64_t> cover_;
-  // Claimed term per node, to split timeline segments across terms.
-  std::map<sim::NodeId, std::int64_t> claimed_term_;
-  // Open timeline segment per node (index into timeline_).
-  std::map<sim::NodeId, std::size_t> open_segment_;
+  std::vector<NodeState> nodes_;
+  // Nodes whose cover may still reach last_now_: the only candidates
+  // for CoverMax(). Pruned when the maximum has to be recomputed.
+  std::vector<sim::NodeId> covering_;
+  std::int64_t cover_max_ = -1;
+  // Set when the node holding cover_max_ lowered its cover.
+  bool cover_max_stale_ = false;
   std::vector<Segment> timeline_;
   std::int64_t last_now_ = 0;        // integration frontier (ticks)
   std::int64_t unavailable_ticks_ = 0;

@@ -6,6 +6,7 @@
 #include <set>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "celect/proto/nosod/fault_tolerant.h"
 #include "celect/util/check.h"
@@ -100,7 +101,7 @@ class LeaseProcess : public sim::Process {
     } else if (timer == nominate_timer_) {
       nominate_timer_ = sim::kInvalidTimer;
       HandleNominate(ctx);
-    } else if (inner_timers_.erase(timer) > 0) {
+    } else if (ForgetInnerTimer(timer)) {
       CELECT_CHECK(inner_ != nullptr);
       TermContext tctx(*this, ctx);
       inner_->OnTimer(tctx, timer);
@@ -174,11 +175,12 @@ class LeaseProcess : public sim::Process {
     }
     TimerId SetTimer(Time delay) override {
       TimerId t = real_.SetTimer(delay);
-      owner_.inner_timers_.insert(t);
+      auto& timers = owner_.inner_timers_;
+      timers.insert(std::upper_bound(timers.begin(), timers.end(), t), t);
       return t;
     }
     void CancelTimer(TimerId timer) override {
-      owner_.inner_timers_.erase(timer);
+      owner_.ForgetInnerTimer(timer);
       real_.CancelTimer(timer);
     }
     void DeclareLeader() override { owner_.OnInnerElected(real_); }
@@ -328,6 +330,15 @@ class LeaseProcess : public sim::Process {
 
   void EnsureInner() {
     if (!inner_) inner_ = inner_factory_(init_);
+  }
+
+  // Drops `timer` from inner_timers_; false if it was not there.
+  bool ForgetInnerTimer(TimerId timer) {
+    const auto it =
+        std::lower_bound(inner_timers_.begin(), inner_timers_.end(), timer);
+    if (it == inner_timers_.end() || *it != timer) return false;
+    inner_timers_.erase(it);
+    return true;
   }
 
   void ResetInner(Context& ctx) {
@@ -528,7 +539,9 @@ class LeaseProcess : public sim::Process {
   // stalled-election patience bound.
   Time term_started_ = Time::Zero();
   std::unique_ptr<sim::Process> inner_;  // instance for term_ (lazy)
-  std::set<TimerId> inner_timers_;
+  // The inner instance's live timers, ascending. Ids are issued in
+  // increasing order, so an insert is an append in practice.
+  std::vector<TimerId> inner_timers_;
   bool engaged_ = false;
 
   // Voter state.

@@ -64,6 +64,23 @@ struct RunInspect {
   std::uint64_t deliveries_inflight = 0;
 
   const Process& process(NodeId addr) const { return *processes[addr]; }
+
+  // process(addr).Observe(), built on the first call and kept: every
+  // observer on an event (a LeaseMonitor and its chained registry)
+  // shares one snapshot. The runtime hands observers a fresh RunInspect
+  // per event, so the snapshot never outlives the event it describes.
+  // The reference is valid until Observed() is asked for another node.
+  const ProtocolObservables& Observed(NodeId addr) const {
+    if (!observed_ || observed_node_ != addr) {
+      observed_.emplace(process(addr).Observe());
+      observed_node_ = addr;
+    }
+    return *observed_;
+  }
+
+ private:
+  mutable std::optional<ProtocolObservables> observed_;
+  mutable NodeId observed_node_ = 0;
 };
 
 class RunObserver {

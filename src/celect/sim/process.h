@@ -15,18 +15,21 @@
 // protocol that never arms a timer behaves exactly as before.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "celect/obs/phase.h"
 #include "celect/sim/time.h"
 #include "celect/sim/types.h"
+#include "celect/util/check.h"
 #include "celect/wire/packet.h"
 
 namespace celect::sim {
@@ -124,15 +127,45 @@ class Context {
   std::uint32_t port_count() const { return n() - 1; }
 };
 
+// A protocol's monotone gauges: an inline list of (name, value) pairs
+// with a fixed capacity, so building one never touches the heap. The
+// widest protocol publishes 5; adding a gauge past kCapacity CHECK-fails.
+class GaugeList {
+ public:
+  using Gauge = std::pair<const char*, std::int64_t>;
+  static constexpr std::size_t kCapacity = 8;
+
+  GaugeList() = default;
+  GaugeList(std::initializer_list<Gauge> gauges) {
+    for (const auto& [name, value] : gauges) emplace_back(name, value);
+  }
+
+  void emplace_back(const char* name, std::int64_t value) {
+    CELECT_CHECK(size_ < kCapacity)
+        << "more than " << kCapacity << " monotone gauges";
+    items_[size_++] = Gauge{name, value};
+  }
+
+  std::size_t size() const { return size_; }
+  const Gauge& operator[](std::size_t i) const { return items_[i]; }
+  const Gauge* begin() const { return items_.data(); }
+  const Gauge* end() const { return items_.data() + size_; }
+
+ private:
+  std::array<Gauge, kCapacity> items_{};
+  std::size_t size_ = 0;
+};
+
 // What a protocol instance exposes to the invariant checker
-// (analysis/invariants.h). Cheap to build — it is queried after every
-// event dispatched to the node.
+// (analysis/invariants.h). Built once per dispatched event (see
+// RunInspect::Observed) without heap allocation.
 struct ProtocolObservables {
   // Named per-node gauges that must never decrease over a run: capture
   // levels, phase indices, accept counts. Names must be stable for the
-  // lifetime of the node. A node revived by a RejoinEvent restarts from
-  // a fresh process, so checkers reset its baselines at revival.
-  std::vector<std::pair<const char*, std::int64_t>> monotone;
+  // lifetime of the node and point at static storage (string literals):
+  // checkers keep the pointer. A node revived by a RejoinEvent restarts
+  // from a fresh process, so checkers reset its baselines at revival.
+  GaugeList monotone;
   // Whether this node has reached a terminal state (leader, killed,
   // captured, passive bystander). nullopt: the protocol makes no claim,
   // and quiescence checks skip the node.

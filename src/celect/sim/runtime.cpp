@@ -7,6 +7,7 @@
 #include <limits>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "celect/util/check.h"
 #include "celect/wire/packet_codec.h"
@@ -70,6 +71,7 @@ Runtime::Runtime(NetworkConfig config, const ProcessFactory& factory,
     pending_deliveries_.assign(config_.n, 0);
   }
   pending_rejoins_.assign(config_.n, 0);
+  node_timers_.resize(config_.n);
   if (!config_.faults.Empty()) {
     ValidateFaultPlan(config_.faults, config_.n);
     injector_ = std::make_unique<FaultInjector>(config_.faults, config_.n);
@@ -98,22 +100,62 @@ Process& Runtime::process(NodeId address) {
   return *processes_[address];
 }
 
+Runtime::TimerRec* Runtime::LiveTimer(TimerId timer) {
+  return const_cast<TimerRec*>(std::as_const(*this).LiveTimer(timer));
+}
+
+const Runtime::TimerRec* Runtime::LiveTimer(TimerId timer) const {
+  if (timer < timer_base_ || timer - timer_base_ >= timers_.size()) {
+    return nullptr;
+  }
+  const TimerRec& rec = timers_[timer - timer_base_];
+  return rec.node != kDeadTimer ? &rec : nullptr;
+}
+
 TimerId Runtime::ArmTimer(NodeId node, Time delay) {
   CELECT_CHECK(delay >= Time::Zero()) << "timer delay must be non-negative";
-  TimerId id = ++next_timer_;
+  const TimerId id = ++next_timer_;
   const EventTicket ticket =
       queue_.PushTicketed(now_ + delay, TimerEvent{node, id});
-  active_timers_.emplace(id, TimerRec{node, ticket});
+  if (timers_.size() == timers_.capacity()) CompactTimers();
+  timers_.push_back(TimerRec{ticket.seq, ticket.slot, node});
+  NodeTimers& mine = node_timers_[node];
+  mine.ids.push_back(id);
+  ++mine.live;
   return id;
 }
 
+void Runtime::RetireTimer(TimerRec& rec) {
+  NodeTimers& mine = node_timers_[rec.node];
+  rec.node = kDeadTimer;
+  --mine.live;
+  // The slack keeps a node with a handful of timers from sweeping its
+  // list on every retire.
+  if (mine.ids.size() >= 2 * mine.live + 8) {
+    std::erase_if(mine.ids,
+                  [this](TimerId id) { return LiveTimer(id) == nullptr; });
+  }
+}
+
+void Runtime::CompactTimers() {
+  std::size_t dead = 0;
+  while (dead < timers_.size() && timers_[dead].node == kDeadTimer) ++dead;
+  // Erasing moves at most as many entries as it frees, and a table that
+  // is not half dead doubles instead, so this is amortised O(1) per
+  // timer.
+  if (dead == 0 || 2 * dead < timers_.size()) return;
+  timers_.erase(timers_.begin(),
+                timers_.begin() + static_cast<std::ptrdiff_t>(dead));
+  timer_base_ += dead;
+}
+
 bool Runtime::DisarmTimer(TimerId timer) {
-  auto it = active_timers_.find(timer);
-  if (it == active_timers_.end()) return false;
+  TimerRec* rec = LiveTimer(timer);
+  if (rec == nullptr) return false;
   // Tombstone the queued event right away: it still pops (and is
   // discarded below in Dispatch), but no longer counts as pending.
-  queue_.Cancel(it->second.ticket);
-  active_timers_.erase(it);
+  queue_.Cancel(EventTicket{rec->seq, rec->slot});
+  RetireTimer(*rec);
   return true;
 }
 
@@ -127,19 +169,19 @@ void Runtime::MarkCrashed(NodeId node) {
   if (failed_[node]) return;  // already dead; triggers fire at most once
   failed_[node] = true;
   stores_.metrics.RecordCrash();
-  // The node's timers die with it. Externally identical to the old
-  // "discard at dispatch" rule (no metrics either way), but necessary
-  // for churn: were a pre-crash timer left live, it would fire into the
-  // fresh process a rejoin installs.
-  // celect-lint: allow(no-unordered-iteration) erase-only; order-free
-  for (auto it = active_timers_.begin(); it != active_timers_.end();) {
-    if (it->second.node == node) {
-      queue_.Cancel(it->second.ticket);
-      it = active_timers_.erase(it);
-    } else {
-      ++it;
+  // The node's timers die with it, in id order. Externally identical to
+  // the old "discard at dispatch" rule (no metrics either way), but
+  // necessary for churn: were a pre-crash timer left live, it would fire
+  // into the fresh process a rejoin installs.
+  NodeTimers& mine = node_timers_[node];
+  for (const TimerId id : mine.ids) {
+    if (TimerRec* rec = LiveTimer(id)) {
+      queue_.Cancel(EventTicket{rec->seq, rec->slot});
+      rec->node = kDeadTimer;
     }
   }
+  mine.ids.clear();
+  mine.live = 0;
   cores_[node].Crash();
 }
 
@@ -232,7 +274,9 @@ void Runtime::Dispatch(const Event& e) {
   // must not advance the clock, or quiesce_time would stretch to the
   // deadline of a timer that never fired.
   if (const auto* t = std::get_if<TimerEvent>(&e.body)) {
-    if (active_timers_.erase(t->timer) == 0) return;  // cancelled
+    TimerRec* rec = LiveTimer(t->timer);
+    if (rec == nullptr) return;  // cancelled
+    RetireTimer(*rec);
     if (failed_[t->node]) return;  // timers die with their node
     now_ = std::max(now_, e.at);
     cores_[t->node].FireTimer(*processes_[t->node], t->timer);
@@ -311,7 +355,7 @@ void Runtime::NotifyObserver(const Event& e) {
 
 bool Runtime::EventIsInert(const Event& e) const {
   if (const auto* t = std::get_if<TimerEvent>(&e.body)) {
-    return active_timers_.count(t->timer) == 0 || failed_[t->node];
+    return LiveTimer(t->timer) == nullptr || failed_[t->node];
   }
   if (const auto* rj = std::get_if<RejoinEvent>(&e.body)) {
     return !failed_[rj->node];  // reviving a live node is a no-op

@@ -24,7 +24,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -193,19 +192,47 @@ class Runtime : private NodeHost {
   // inert under controlled scheduling.
   std::vector<std::uint32_t> pending_rejoins_;
 
-  // Live timers (id → owner + queue ticket); a fired or cancelled timer
-  // leaves the map, so stale TimerEvents are discarded at dispatch. The
-  // ticket lets DisarmTimer tombstone the queued event the moment it is
-  // cancelled, so Size()/PeekTime() and queue-depth telemetry never
-  // count it. A crash erases (and cancels) all of the owner's timers,
-  // which keeps a pre-crash timer from ever firing into the fresh
-  // process a rejoin installs.
+  // Timers, in a dense table indexed by id. Ids are handed out 1, 2,
+  // 3, ..., so timer id t lives at timers_[t - timer_base_]; a fired or
+  // cancelled timer is marked dead there, so stale TimerEvents are
+  // discarded at dispatch. When the table is full and its dead prefix
+  // is at least half of it, the prefix is dropped and timer_base_
+  // advances instead of the table growing, so the table spans little
+  // more than the ids that can still be live. The queue ticket lets
+  // DisarmTimer tombstone the queued event the moment it is cancelled,
+  // so Size()/PeekTime() and queue-depth telemetry never count it. A
+  // crash cancels exactly the victim's live timers (node_timers_), in
+  // id order, which keeps a pre-crash timer from ever firing into the
+  // fresh process a rejoin installs, at a cost independent of how many
+  // timers the run has armed.
   struct TimerRec {
-    NodeId node;
-    EventTicket ticket;
+    // The queued TimerEvent's EventTicket, split so the record packs
+    // into 16 bytes.
+    std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
+    NodeId node = kDeadTimer;  // owner, or kDeadTimer once retired
   };
-  std::unordered_map<TimerId, TimerRec> active_timers_;
+  static constexpr NodeId kDeadTimer = 0xFFFFFFFFu;
+  // The ids a node armed, ascending. Retired ids are dropped lazily,
+  // once they outnumber the live ones, so both arming and retiring
+  // stay amortised O(1).
+  struct NodeTimers {
+    std::vector<TimerId> ids;
+    std::size_t live = 0;
+  };
+  // The live timer `timer`, or null if it fired, was cancelled, or was
+  // never issued.
+  TimerRec* LiveTimer(TimerId timer);
+  const TimerRec* LiveTimer(TimerId timer) const;
+  // Marks a live timer dead (its node's ids drop it lazily).
+  void RetireTimer(TimerRec& rec);
+  // Drops the table's dead prefix if it is at least half the table.
+  void CompactTimers();
+
+  std::vector<TimerRec> timers_;
+  TimerId timer_base_ = kInvalidTimer + 1;
   TimerId next_timer_ = kInvalidTimer;
+  std::vector<NodeTimers> node_timers_;
 
   // Pending (queued, undelivered) deliveries per destination — the
   // queue-depth histogram's source. Maintained only with telemetry on.

@@ -1,0 +1,215 @@
+// Allocation budget of the per-event checker and the timer table. Once
+// a run has warmed up, a LeaseMonitor with a chained InvariantRegistry
+// must check every event without touching the heap, and arming,
+// cancelling and firing a timer must not either. The binary replaces
+// global operator new with a counting one, which is why it is an
+// executable of its own.
+//
+// The scripted lease run: every node ticks once per round on a timer.
+// On its tick a node re-arms the tick, cancels and re-arms a spare
+// timer, bumps its gauges, and holds the lease for the next unit, so
+// claims hand over between nodes, expire unnoticed, change term, and
+// in every round one node leaves a coverage gap that the next closes.
+// The checker's state grows only while the run warms up: per-node
+// gauge slots on a node's first event, timeline segments until the
+// timeline cap, timer storage until its high-water mark.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+
+#include "celect/analysis/invariants.h"
+#include "celect/analysis/lease_monitor.h"
+#include "celect/sim/network.h"
+#include "celect/sim/runtime.h"
+
+namespace {
+
+std::uint64_t g_allocations = 0;
+
+void* CountedAlloc(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedAlloc(size); }
+void* operator new[](std::size_t size) { return CountedAlloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace celect::analysis {
+namespace {
+
+constexpr std::uint32_t kNodes = 4;
+constexpr std::int64_t kRounds = 6'000;
+// Ticks stop here, so the spare timers drain and the run quiesces.
+const sim::Time kHorizon = sim::Time::FromUnits(kRounds * kNodes);
+// Rounds before measuring: past the timeline cap and far past any
+// storage high-water mark.
+constexpr std::int64_t kWarmRounds = 3'000;
+
+// Heap allocations seen inside each measured operation, after warm-up.
+struct Budget {
+  bool measuring = false;
+  // g_allocations when the last observer call returned.
+  std::uint64_t mark = 0;
+  std::uint64_t after_event_calls = 0;
+  std::uint64_t after_event_allocs = 0;
+  std::uint64_t arms = 0;
+  std::uint64_t arm_allocs = 0;
+  std::uint64_t cancels = 0;
+  std::uint64_t cancel_allocs = 0;
+  std::uint64_t fires = 0;
+  std::uint64_t fire_allocs = 0;
+};
+
+Budget g_budget;
+
+class LeaseTicker : public sim::Process {
+ public:
+  explicit LeaseTicker(const sim::ProcessInit& init) : node_(init.address) {}
+
+  void OnWakeup(sim::Context& ctx) override {
+    // Node i ticks at i, i + n, i + 2n, ... units.
+    tick_ = Arm(ctx, sim::Time::FromUnits(node_));
+  }
+  void OnMessage(sim::Context&, sim::Port, const wire::Packet&) override {}
+
+  void OnTimer(sim::Context& ctx, sim::TimerId timer) override {
+    // The fire path: everything from the previous observer call up to
+    // here (queue pop, table lookup, dispatch) allocated nothing.
+    if (g_budget.measuring) {
+      ++g_budget.fires;
+      g_budget.fire_allocs += g_allocations - g_budget.mark;
+    }
+    if (timer != tick_ || ctx.now() >= kHorizon) return;
+    ++round_;
+    tick_ = Arm(ctx, sim::Time::FromUnits(kNodes));
+    if (spare_ != sim::kInvalidTimer) {
+      const std::uint64_t before = g_allocations;
+      ctx.CancelTimer(spare_);
+      if (g_budget.measuring) {
+        ++g_budget.cancels;
+        g_budget.cancel_allocs += g_allocations - before;
+      }
+    }
+    spare_ = Arm(ctx, sim::Time::FromUnits(3 * kNodes));
+    level_ += round_ % 2;
+    // Hold for one unit, minus a tick, except every fourth round (one
+    // node per round): a one-unit gap.
+    holding_ = (round_ + node_) % 4 != 0;
+    if (round_ % 8 == 0) ++term_;
+    deadline_ = ctx.now() + sim::Time::FromUnits(1) - sim::Time::FromTicks(1);
+  }
+
+  sim::ProtocolObservables Observe() const override {
+    sim::ProtocolObservables o;
+    o.monotone = {{"level", level_}, {"round", round_}, {"lease.term", term_}};
+    if (holding_) {
+      o.lease = sim::ProtocolObservables::LeaseClaim{term_, deadline_};
+    }
+    o.terminated = false;
+    return o;
+  }
+
+ private:
+  sim::TimerId Arm(sim::Context& ctx, sim::Time delay) {
+    const std::uint64_t before = g_allocations;
+    const sim::TimerId t = ctx.SetTimer(delay);
+    if (g_budget.measuring) {
+      ++g_budget.arms;
+      g_budget.arm_allocs += g_allocations - before;
+    }
+    return t;
+  }
+
+  sim::NodeId node_;
+  sim::TimerId tick_ = sim::kInvalidTimer;
+  sim::TimerId spare_ = sim::kInvalidTimer;
+  std::int64_t round_ = 0;
+  std::int64_t level_ = 0;
+  std::int64_t term_ = 1;
+  bool holding_ = false;
+  sim::Time deadline_ = sim::Time::Zero();
+};
+
+// Counts allocations inside the monitor (and its chained registry), and
+// starts measuring once the run is past its warm-up.
+class MeasuringObserver : public sim::RunObserver {
+ public:
+  explicit MeasuringObserver(sim::RunObserver& inner) : inner_(inner) {}
+  void AfterEvent(sim::NodeId target, const sim::RunInspect& in) override {
+    if (in.now >= sim::Time::FromUnits(kWarmRounds * kNodes)) {
+      g_budget.measuring = true;
+    }
+    const std::uint64_t before = g_allocations;
+    inner_.AfterEvent(target, in);
+    if (g_budget.measuring) {
+      ++g_budget.after_event_calls;
+      g_budget.after_event_allocs += g_allocations - before;
+    }
+    g_budget.mark = g_allocations;
+  }
+  void AtQuiescence(const sim::RunInspect& in) override {
+    g_budget.measuring = false;
+    inner_.AtQuiescence(in);
+  }
+
+ private:
+  sim::RunObserver& inner_;
+};
+
+TEST(CheckerAllocBudget, WarmLeaseRunAllocatesNothingPerEventOrTimer) {
+  sim::NetworkConfig c;
+  c.n = kNodes;
+  c.mapper = sim::MakeSodMapper(kNodes);
+  c.delays = sim::MakeUnitDelay();
+  c.wakeup = sim::WakeAllAtZero(kNodes);
+
+  InvariantOptions io;
+  io.unique_leader = true;
+  InvariantRegistry registry(io);
+  LeaseMonitorOptions mo;
+  mo.horizon = kHorizon;
+  mo.reelection_window = sim::Time::FromUnits(3);
+  mo.max_timeline = 256;
+  mo.chained = &registry;
+  LeaseMonitor monitor(mo);
+  MeasuringObserver observer(monitor);
+  sim::RuntimeOptions opt;
+  opt.observer = &observer;
+  auto factory = [](const sim::ProcessInit& init) {
+    return std::make_unique<LeaseTicker>(init);
+  };
+  sim::Runtime rt(std::move(c), factory, opt);
+  const sim::RunResult r = rt.Run();
+
+  EXPECT_TRUE(monitor.ok()) << monitor.Summary();
+  EXPECT_TRUE(registry.ok()) << registry.Summary();
+  // The script exercised what it claims to: gaps that closed, a full
+  // timeline, cancels.
+  EXPECT_GT(monitor.election_latency().count(), 1000u);
+  EXPECT_EQ(monitor.timeline().size(), mo.max_timeline);
+  EXPECT_GT(r.counters.at("sim.timers_cancelled"), 1000);
+
+  EXPECT_GT(g_budget.after_event_calls, 10'000u);
+  EXPECT_GT(g_budget.arms, 10'000u);
+  EXPECT_GT(g_budget.cancels, 5'000u);
+  EXPECT_GT(g_budget.fires, 5'000u);
+  EXPECT_EQ(g_budget.after_event_allocs, 0u)
+      << "over " << g_budget.after_event_calls << " AfterEvent calls";
+  EXPECT_EQ(g_budget.arm_allocs, 0u) << "over " << g_budget.arms << " arms";
+  EXPECT_EQ(g_budget.cancel_allocs, 0u)
+      << "over " << g_budget.cancels << " cancels";
+  EXPECT_EQ(g_budget.fire_allocs, 0u) << "over " << g_budget.fires << " fires";
+}
+
+}  // namespace
+}  // namespace celect::analysis

@@ -4,6 +4,8 @@
 
 #include <iostream>
 #include <memory>
+#include <optional>
+#include <utility>
 
 #include "celect/analysis/explorer.h"
 #include "celect/analysis/invariants.h"
@@ -276,6 +278,53 @@ TEST(InvariantRegistry, CleanSeededRunReportsNothing) {
                        proto::nosod::MakeProtocolD(), rt);
   sim::RunResult r = runtime.Run();
   EXPECT_EQ(r.leader_declarations, 1u);
+  EXPECT_TRUE(registry.ok()) << registry.Summary();
+  EXPECT_EQ(r.invariant_violations, 0u);
+}
+
+// Node 1 is the lone base node: it pings everyone and declares once
+// every live peer has answered.
+class PingDeclarer : public sim::Process {
+ public:
+  explicit PingDeclarer(std::uint32_t live_peers) : live_peers_(live_peers) {}
+  void OnWakeup(sim::Context& ctx) override {
+    ctx.SendAll(wire::Packet{kClaim, {}});
+  }
+  void OnMessage(sim::Context& ctx, sim::Port from_port,
+                 const wire::Packet& p) override {
+    if (p.type == kClaim) {
+      ctx.Send(from_port, wire::Packet{kGrant, {}});
+    } else if (++pongs_ == live_peers_) {
+      ctx.DeclareLeader();
+    }
+  }
+
+ private:
+  std::uint32_t live_peers_;
+  std::uint32_t pongs_ = 0;
+};
+
+TEST(InvariantRegistry, MaxIdIgnoresAnInitiallyFailedNodeZero) {
+  // Node 0 holds the largest id but is dead from the start, so the
+  // largest live id (node 1's 50) is the right leader.
+  InvariantOptions io = ExploreInvariants();
+  io.leader_is_max_id = true;
+  InvariantRegistry registry(io);
+  harness::RunOptions o;
+  o.n = 4;
+  o.seed = 3;
+  sim::NetworkConfig config = harness::BuildNetwork(o);
+  config.identities = {100, 50, 10, 20};
+  config.failed = {true, false, false, false};
+  config.wakeup.wakeups = {{1, sim::Time::Zero()}};
+  sim::RuntimeOptions rt;
+  rt.observer = &registry;
+  const sim::ProcessFactory factory = [](const sim::ProcessInit&) {
+    return std::make_unique<PingDeclarer>(2);
+  };
+  sim::Runtime runtime(std::move(config), factory, rt);
+  const sim::RunResult r = runtime.Run();
+  ASSERT_EQ(r.leader_id, std::optional<sim::Id>(50));
   EXPECT_TRUE(registry.ok()) << registry.Summary();
   EXPECT_EQ(r.invariant_violations, 0u);
 }
