@@ -25,39 +25,55 @@ EventQueue::EventQueue()
     : l0_(std::make_unique_for_overwrite<List[]>(kL0)),
       l1_(std::make_unique_for_overwrite<List[]>(kL1)) {}
 
-std::size_t EventQueue::ScanBits(const Bits& b, std::size_t from) {
-  if (from >= kL0) return kNpos;
-  std::size_t w = from >> 6;
-  std::uint64_t word = b[w] & (~std::uint64_t{0} << (from & 63));
-  for (;;) {
-    if (word != 0) {
-      return (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-    }
-    if (++w == kWords) return kNpos;
-    word = b[w];
+EventQueue::~EventQueue() {
+  ReleasePopped();
+  if (Empty()) return;
+  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+    Slot& s = slots_[i];
+    if (s.Pending()) std::destroy_at(&s.ev());
   }
 }
 
-std::uint32_t EventQueue::AllocSlot(Time at, std::uint64_t seq,
-                                    EventBody&& body) {
-  const std::uint32_t i =
-      free_head_ != kNoSlot ? free_head_ : slots_.Grow();
-  Slot& s = slots_[i];
-  free_head_ = s.next_free;
-  s.ev.at = at;
-  s.ev.seq = seq;
-  s.ev.body = std::move(body);
-  s.dead = false;
-  s.next_free = kNoSlot;
+std::uint32_t EventQueue::ClaimSlot() {
+  if (free_head_ == kNoSlot) {
+    const std::uint32_t i = slots_.Grow();
+    // Free until Commit, so an event constructor that throws leaves the
+    // destructor nothing to destroy here.
+    slots_[i].state = SlotState::kFree;
+    return i;
+  }
+  const std::uint32_t i = free_head_;
+  free_head_ = slots_[i].next_free;
   return i;
 }
 
-void EventQueue::FreeSlot(std::uint32_t slot) {
+EventTicket EventQueue::Commit(std::uint32_t slot) {
+  const std::uint64_t seq = next_seq_++;
   Slot& s = slots_[slot];
-  s.ev.seq = kFreeSeq;
-  s.dead = false;
+  s.state = SlotState::kLive;
+  Place(Handle{s.ev().at.ticks(), seq, slot});
+  ++live_;
+  snapshot_dirty_ = true;
+  return EventTicket{seq, slot};
+}
+
+void EventQueue::Recycle(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  std::destroy_at(&s.ev());
+  s.state = SlotState::kFree;
   s.next_free = free_head_;
   free_head_ = slot;
+}
+
+void EventQueue::Unpend(const Slot& s) {
+  if (s.state == SlotState::kTombstone) {
+    CELECT_DCHECK(dead_ > 0);
+    --dead_;
+  } else {
+    CELECT_DCHECK(live_ > 0);
+    --live_;
+  }
+  snapshot_dirty_ = true;
 }
 
 std::uint32_t EventQueue::NewChunk(const Handle& h) {
@@ -86,11 +102,11 @@ void EventQueue::Append(List& l, Chunk& tail, const Handle& h) {
 void EventQueue::AppendL0(const Handle& h) {
   const std::size_t idx = static_cast<std::size_t>(h.at) & (kL0 - 1);
   List& l = l0_[idx];
-  if (TestBit(l0_bits_, idx)) {
+  if (l0_bits_.Test(idx)) {
     Append(l, chunks_[l.tail], h);
   } else {
     l.head = l.tail = NewChunk(h);
-    SetBit(l0_bits_, idx);
+    l0_bits_.Set(idx);
   }
 }
 
@@ -105,15 +121,15 @@ void EventQueue::Place(const Handle& h) {
   if (blk - cur_block_ <= kL1) {
     const std::size_t idx = static_cast<std::size_t>(blk & (kL1 - 1));
     List& l = l1_[idx];
-    if (!TestBit(l1_bits_, idx)) {
+    if (!l1_bits_.Test(idx)) {
       l.head = l.tail = NewChunk(h);
-      SetBit(l1_bits_, idx);
+      l1_bits_.Set(idx);
       return;
     }
     Chunk& tail = chunks_[l.tail];
     // The bucket holds one tick while every handle matches the one
     // before it.
-    if (tail.h[tail.n - 1].at != h.at) SetBit(l1_mixed_, idx);
+    if (tail.h[tail.n - 1].at != h.at) l1_mixed_.Set(idx);
     Append(l, tail, h);
     return;
   }
@@ -121,24 +137,12 @@ void EventQueue::Place(const Handle& h) {
   std::push_heap(far_.begin(), far_.end(), HandleAfterFar{});
 }
 
-std::uint64_t EventQueue::Push(Time at, EventBody body) {
-  return PushTicketed(at, std::move(body)).seq;
-}
-
-EventTicket EventQueue::PushTicketed(Time at, EventBody body) {
-  const std::uint64_t seq = next_seq_++;
-  const std::uint32_t slot = AllocSlot(at, seq, std::move(body));
-  Place(Handle{at.ticks(), seq, slot});
-  ++live_;
-  snapshot_dirty_ = true;
-  return EventTicket{seq, slot};
-}
-
 void EventQueue::Cancel(const EventTicket& t) {
   if (t.slot >= slots_.size()) return;
   Slot& s = slots_[t.slot];
-  if (s.ev.seq != t.seq || s.dead) return;  // already popped / cancelled
-  s.dead = true;
+  // Already popped, cancelled or taken, or the slot was reused.
+  if (s.state != SlotState::kLive || s.ev().seq != t.seq) return;
+  s.state = SlotState::kTombstone;
   CELECT_DCHECK(live_ > 0);
   --live_;
   ++dead_;
@@ -148,13 +152,9 @@ std::optional<std::uint64_t> EventQueue::NextL1Block() const {
   // The wheel holds blocks (cur_block_, cur_block_ + kL1]; scan ring
   // indices in that circular order and map the first hit back to its
   // absolute block.
-  const std::size_t start =
-      static_cast<std::size_t>((cur_block_ + 1) & (kL1 - 1));
-  std::size_t idx = ScanBits(l1_bits_, start);
-  if (idx == kNpos) {
-    idx = ScanBits(l1_bits_, 0);
-    if (idx == kNpos || idx >= start) return std::nullopt;
-  }
+  const std::size_t idx = l1_bits_.ScanCircular(
+      static_cast<std::size_t>((cur_block_ + 1) & (kL1 - 1)));
+  if (idx == kNpos) return std::nullopt;
   const std::uint64_t base = cur_block_ & ~static_cast<std::uint64_t>(kL1 - 1);
   std::uint64_t blk = base + idx;
   if (blk <= cur_block_) blk += kL1;
@@ -182,46 +182,47 @@ bool EventQueue::AdvanceBlock() {
     std::pop_heap(far_.begin(), far_.end(), HandleAfterFar{});
     const Handle h = far_.back();
     far_.pop_back();
-    if (slots_[h.slot].ev.seq != h.seq) continue;  // taken; drop stale
+    if (!slots_[h.slot].Holds(h.seq)) continue;  // taken; drop stale
     AppendL0(h);
   }
   if (lb && *lb == b) {
     const std::size_t idx = static_cast<std::size_t>(b & (kL1 - 1));
     const List src = l1_[idx];
-    if (!TestBit(l1_mixed_, idx)) {
+    if (!l1_mixed_.Test(idx)) {
       // One instant, in seq order: the whole list becomes (or extends)
       // that instant's L0 bucket with no per-handle copying. Stale
       // (taken) handles ride along; Pop skips them by seq.
       const std::size_t l0i =
           static_cast<std::size_t>(chunks_[src.head].h[0].at) & (kL0 - 1);
       List& dst = l0_[l0i];
-      if (TestBit(l0_bits_, l0i)) {
+      if (l0_bits_.Test(l0i)) {
         chunks_[dst.tail].next = src.head;
         dst.tail = src.tail;
       } else {
         dst = src;
-        SetBit(l0_bits_, l0i);
+        l0_bits_.Set(l0i);
       }
     } else {
       for (std::uint32_t c = src.head; c != kNoChunk;) {
         const Chunk& k = chunks_[c];
         for (std::uint32_t i = 0; i < k.n; ++i) {
           const Handle& h = k.h[i];
-          if (slots_[h.slot].ev.seq != h.seq) continue;  // taken; stale
+          if (!slots_[h.slot].Holds(h.seq)) continue;  // taken; stale
           AppendL0(h);
         }
         const std::uint32_t next = k.next;
         FreeChunk(c);
         c = next;
       }
-      ClearBit(l1_mixed_, idx);
+      l1_mixed_.Clear(idx);
     }
-    ClearBit(l1_bits_, idx);
+    l1_bits_.Clear(idx);
   }
   return true;
 }
 
-std::optional<Event> EventQueue::Pop() {
+const Event* EventQueue::Pop() {
+  ReleasePopped();
   for (;;) {
     if (Chunk* const k = cur_chunk_) {
       while (cur_pos_ < k->n) {
@@ -232,18 +233,11 @@ std::optional<Event> EventQueue::Pop() {
           __builtin_prefetch(&slots_[k->h[cur_pos_].slot], 1, 1);
         }
         Slot& s = slots_[h.slot];
-        if (s.ev.seq != h.seq) continue;  // taken; stale handle
-        const bool was_dead = s.dead;
-        Event e = std::move(s.ev);
-        FreeSlot(h.slot);
-        if (was_dead) {
-          --dead_;
-        } else {
-          CELECT_DCHECK(live_ > 0);
-          --live_;
-        }
-        snapshot_dirty_ = true;
-        return e;
+        if (!s.Holds(h.seq)) continue;  // taken; stale handle
+        Unpend(s);
+        s.state = SlotState::kPopped;
+        popped_ = h.slot;
+        return &s.ev();
       }
       // The head chunk is spent: hand it back, then serve the next one.
       // A bucket ends only when a pop finds nothing after its last
@@ -257,12 +251,12 @@ std::optional<Event> EventQueue::Pop() {
         cur_chunk_ = &chunks_[next];
         continue;
       }
-      ClearBit(l0_bits_, cur_bucket_);
+      l0_bits_.Clear(cur_bucket_);
       cur_chunk_ = nullptr;
     }
-    const std::size_t next = ScanBits(l0_bits_, cur_bucket_);
+    const std::size_t next = l0_bits_.Scan(cur_bucket_);
     if (next == kNpos) {
-      if (!AdvanceBlock()) return std::nullopt;
+      if (!AdvanceBlock()) return nullptr;
       continue;
     }
     cur_bucket_ = next;
@@ -289,8 +283,8 @@ Time EventQueue::PeekTime() const {
   CELECT_CHECK(Size() > 0) << "PeekTime on a queue with no live events";
   // L0: buckets are single instants in time order — the first bucket with
   // a live handle holds the earliest.
-  for (std::size_t i = ScanBits(l0_bits_, cur_bucket_); i != kNpos;
-       i = ScanBits(l0_bits_, i + 1)) {
+  for (std::size_t i = l0_bits_.Scan(cur_bucket_); i != kNpos;
+       i = l0_bits_.Scan(i + 1)) {
     const std::uint32_t from =
         i == cur_bucket_ && cur_chunk_ != nullptr ? cur_pos_ : 0;
     if (const auto at = EarliestLive(l0_[i], from)) {
@@ -305,7 +299,7 @@ Time EventQueue::PeekTime() const {
       static_cast<std::size_t>((cur_block_ + 1) & (kL1 - 1));
   for (std::size_t step = 0; step < kL1; ++step) {
     const std::size_t idx = (start + step) & (kL1 - 1);
-    if (!TestBit(l1_bits_, idx)) continue;
+    if (!l1_bits_.Test(idx)) continue;
     if (const auto at = EarliestLive(l1_[idx], 0)) {
       best = *at;
       break;
@@ -323,7 +317,7 @@ const std::vector<Event>& EventQueue::events() const {
     snapshot_.clear();
     for (std::uint32_t i = 0; i < slots_.size(); ++i) {
       const Slot& s = slots_[i];
-      if (s.ev.seq != kFreeSeq) snapshot_.push_back(s.ev);
+      if (s.Pending()) snapshot_.push_back(s.ev());
     }
     snapshot_dirty_ = false;
   }
@@ -331,19 +325,13 @@ const std::vector<Event>& EventQueue::events() const {
 }
 
 Event EventQueue::Take(std::uint64_t seq) {
+  ReleasePopped();
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
     Slot& s = slots_[i];
-    if (s.ev.seq != seq) continue;
-    const bool was_dead = s.dead;
-    Event e = std::move(s.ev);
-    FreeSlot(i);
-    if (was_dead) {
-      --dead_;
-    } else {
-      CELECT_DCHECK(live_ > 0);
-      --live_;
-    }
-    snapshot_dirty_ = true;
+    if (!s.Holds(seq)) continue;
+    Unpend(s);
+    Event e = std::move(s.ev());
+    Recycle(i);
     return e;
   }
   CELECT_CHECK(false) << "Take: no pending event with seq " << seq;

@@ -22,8 +22,10 @@
 // Every L0/L1 bucket is a FIFO list of 16-handle chunks drawn from one
 // queue-owned chunk pool. A bucket's head/tail words are meaningful only
 // while its bit in the occupancy bitmap is set, so building a queue
-// writes three 512-byte bitmaps and nothing per bucket, and destroying
-// one frees a handful of pool segments. A bucket whose handles share one
+// writes three 520-byte bitmaps and nothing per bucket, and destroying
+// one frees a handful of pool segments. Each bitmap keeps a summary word
+// (bit w set iff word w is non-zero), so finding the next non-empty
+// bucket is O(1) however far away it is. A bucket whose handles share one
 // tick (the common case under unit delays) moves L1 -> L0 by copying or
 // splicing its head/tail words; Pop hands each chunk back to the pool as
 // it leaves it, so a wave's pushes reuse the chunks its pops emptied.
@@ -32,6 +34,13 @@
 // run touches little memory, and a million-event peak costs no
 // regrow copy.
 //
+// Slots are raw storage. An event is constructed once, in its slot, by
+// Push, and Pop hands out a pointer to it rather than a copy: the slot
+// stays occupied (state "popped") until the next Pop or Take recycles
+// it, so the runtime dispatches straight from the arena. A one-byte
+// state per slot (free, live, tombstone, popped) says which slots hold
+// an event; the destructor destroys only those.
+//
 // Total order is identical to the old heap: (at, seq) ascending, seq
 // stamped monotonically at push. Buckets receive handles in seq order by
 // construction: for any block, every far push precedes every L1 push,
@@ -39,7 +48,7 @@
 // AdvanceBlock drains far before L1 — so no bucket ever needs a sort.
 //
 // Cancelled timers are lazy-deleted tombstones: Cancel() marks the slot
-// dead so Size()/PeekTime() see only live events (the live-count
+// a tombstone so Size()/PeekTime() see only live events (the live-count
 // bugfix), but the event still pops in order and the runtime discards it
 // at dispatch — bit-identical event accounting with the reference heap.
 //
@@ -54,9 +63,14 @@
 
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <optional>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "celect/sim/event.h"
@@ -71,26 +85,116 @@ struct EventTicket {
   std::uint32_t slot = 0xFFFFFFFFu;
 };
 
+// Occupancy bitmap over the 4096 buckets of one ladder region. Word w
+// covers buckets [64w, 64w + 64); bit w of `summary_` is set iff word w
+// is non-zero, so both searches cost two count-trailing-zeros however
+// many empty buckets they pass.
+class BucketBits {
+ public:
+  static constexpr std::size_t kBits = 4096;
+  static constexpr std::size_t kNpos = ~std::size_t{0};
+
+  void Set(std::size_t i) {
+    words_[i >> 6] |= std::uint64_t{1} << (i & 63);
+    summary_ |= std::uint64_t{1} << (i >> 6);
+  }
+  void Clear(std::size_t i) {
+    std::uint64_t& w = words_[i >> 6];
+    w &= ~(std::uint64_t{1} << (i & 63));
+    if (w == 0) summary_ &= ~(std::uint64_t{1} << (i >> 6));
+  }
+  bool Test(std::size_t i) const { return (words_[i >> 6] >> (i & 63)) & 1; }
+
+  // First set bit at index >= from, or kNpos.
+  std::size_t Scan(std::size_t from) const {
+    if (from >= kBits) return kNpos;
+    const std::size_t w = from >> 6;
+    const std::uint64_t word = words_[w] & (~std::uint64_t{0} << (from & 63));
+    if (word != 0) return (w << 6) + Ctz(word);
+    // The non-empty words after w, if any.
+    const std::uint64_t later =
+        w == 63 ? 0 : summary_ & (~std::uint64_t{0} << (w + 1));
+    if (later == 0) return kNpos;
+    const std::size_t v = Ctz(later);
+    return (v << 6) + Ctz(words_[v]);
+  }
+  // First set bit in circular order start, start + 1, ..., kBits - 1, 0,
+  // ..., start - 1; kNpos when the bitmap is empty.
+  std::size_t ScanCircular(std::size_t start) const {
+    const std::size_t i = Scan(start);
+    if (i != kNpos || summary_ == 0) return i;
+    const std::size_t v = Ctz(summary_);
+    return (v << 6) + Ctz(words_[v]);
+  }
+
+ private:
+  static std::size_t Ctz(std::uint64_t x) {
+    return static_cast<std::size_t>(std::countr_zero(x));
+  }
+
+  std::array<std::uint64_t, kBits / 64> words_{};
+  std::uint64_t summary_ = 0;
+};
+
+// True iff T is one of EventBody's alternatives.
+template <typename T, typename Body = EventBody>
+inline constexpr bool kIsEventAlternative = false;
+template <typename T, typename... Alts>
+inline constexpr bool kIsEventAlternative<T, std::variant<Alts...>> =
+    (std::is_same_v<T, Alts> || ...);
+
+// A (possibly cv- or reference-qualified) EventBody alternative.
+template <typename B>
+concept EventAlternative = kIsEventAlternative<std::remove_cvref_t<B>>;
+
 class EventQueue {
  public:
   EventQueue();
+  // Destroys the events still in the arena; O(1) once the queue is
+  // drained.
+  ~EventQueue();
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
-  // Schedules `body` at absolute time `at` (non-negative ticks). Returns
-  // the sequence number assigned to the event.
-  std::uint64_t Push(Time at, EventBody body);
+  // Schedules `body` at absolute time `at` (non-negative ticks), building
+  // the event in its arena slot: `body` is moved (or copied) once.
+  // Returns the sequence number assigned to the event.
+  template <EventAlternative B>
+  std::uint64_t Push(Time at, B&& body) {
+    return PushTicketed(at, std::forward<B>(body)).seq;
+  }
+  std::uint64_t Push(Time at, EventBody body) {
+    return PushTicketed(at, std::move(body)).seq;
+  }
 
   // Push that also returns a cancellation ticket (timers).
-  EventTicket PushTicketed(Time at, EventBody body);
+  template <EventAlternative B>
+  EventTicket PushTicketed(Time at, B&& body) {
+    using Alt = std::remove_cvref_t<B>;
+    const std::uint32_t slot = ClaimSlot();
+    Build(slot, at, std::in_place_type<Alt>, std::forward<B>(body));
+    return Commit(slot);
+  }
+  EventTicket PushTicketed(Time at, EventBody body) {
+    const std::uint32_t slot = ClaimSlot();
+    Build(slot, at, std::move(body));
+    return Commit(slot);
+  }
 
   // Marks a pending event as a tombstone: it no longer counts toward
   // Size()/PeekTime(), but still pops in order (the runtime discards it
   // at dispatch — exactly the pre-ladder accounting, so fingerprints are
-  // unchanged). No-op if the event already popped.
+  // unchanged). No-op if the event already popped, including the one
+  // Pop last returned.
   void Cancel(const EventTicket& t);
 
-  // Pops the earliest pending event (tombstones included); nullopt when
-  // the queue is physically empty.
-  std::optional<Event> Pop();
+  // Pops the earliest pending event (tombstones included) and returns a
+  // pointer to it in its arena slot; null when the queue is physically
+  // empty. The caller borrows the event: the pointer stays valid, and
+  // the event unchanged, until the next Pop or Take, which recycles the
+  // slot. Pushes and cancels in between are fine. The popped event no
+  // longer counts as pending anywhere (Size, Tombstones, events, Take).
+  const Event* Pop();
 
   // Physically empty — no pending events, not even tombstones.
   bool Empty() const { return live_ + dead_ == 0; }
@@ -118,13 +222,11 @@ class EventQueue {
   static constexpr int kBlockBits = 12;
   static constexpr std::size_t kL0 = std::size_t{1} << kBlockBits;
   static constexpr std::size_t kL1 = std::size_t{1} << kBlockBits;
-  static constexpr std::size_t kWords = kL0 / 64;
+  static_assert(kL0 == BucketBits::kBits && kL1 == BucketBits::kBits);
+  static constexpr std::size_t kNpos = BucketBits::kNpos;
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
   static constexpr std::uint32_t kNoChunk = 0xFFFFFFFFu;
   static constexpr std::uint32_t kChunkHandles = 16;
-  // Arena slots are freed by stamping this sentinel into ev.seq; a
-  // handle is stale (already taken) when its seq no longer matches.
-  static constexpr std::uint64_t kFreeSeq = ~std::uint64_t{0};
 
   struct Handle {
     std::int64_t at;  // ticks
@@ -132,10 +234,28 @@ class EventQueue {
     std::uint32_t slot;
   };
 
+  // What a slot's storage holds. Only live, tombstone and popped slots
+  // hold a constructed Event.
+  enum class SlotState : std::uint8_t { kFree, kLive, kTombstone, kPopped };
+
+  // Trivial, so a new arena segment is left uninitialised.
   struct Slot {
-    Event ev;
-    std::uint32_t next_free = kNoSlot;
-    bool dead = false;  // cancelled (tombstone) but not yet popped
+    alignas(Event) std::byte raw[sizeof(Event)];
+    std::uint32_t next_free;  // free-list link while kFree
+    SlotState state;
+
+    Event& ev() { return *std::launder(reinterpret_cast<Event*>(raw)); }
+    const Event& ev() const {
+      return *std::launder(reinterpret_cast<const Event*>(raw));
+    }
+    bool Pending() const {
+      return state == SlotState::kLive || state == SlotState::kTombstone;
+    }
+    // Pending under `seq`: a handle with another seq is stale (its
+    // event was taken and the slot reused, or the slot is free).
+    bool Holds(std::uint64_t seq) const {
+      return Pending() && ev().seq == seq;
+    }
   };
 
   // One link of a bucket's FIFO list. Only the tail chunk of a list can
@@ -192,26 +312,32 @@ class EventQueue {
     std::uint32_t size_ = 0;
   };
 
-  using Bits = std::array<std::uint64_t, kWords>;
-
-  static void SetBit(Bits& b, std::size_t i) {
-    b[i >> 6] |= std::uint64_t{1} << (i & 63);
+  // Takes a slot off the free list (or grows the arena) for the next
+  // push to construct its event in.
+  std::uint32_t ClaimSlot();
+  // Constructs the next seq's event in `slot`, its body straight from
+  // `body_args`.
+  template <typename... Args>
+  void Build(std::uint32_t slot, Time at, Args&&... body_args) {
+    ::new (static_cast<void*>(slots_[slot].raw))
+        Event{at, next_seq_, EventBody(std::forward<Args>(body_args)...)};
   }
-  static void ClearBit(Bits& b, std::size_t i) {
-    b[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+  // Stamps the event just built in `slot` live and files its handle.
+  EventTicket Commit(std::uint32_t slot);
+  // Destroys the event in an occupied slot and frees the slot.
+  void Recycle(std::uint32_t slot);
+  // Recycles the slot Pop last handed out, if any.
+  void ReleasePopped() {
+    if (popped_ != kNoSlot) {
+      Recycle(popped_);
+      popped_ = kNoSlot;
+    }
   }
-  static bool TestBit(const Bits& b, std::size_t i) {
-    return (b[i >> 6] >> (i & 63)) & 1;
-  }
-  // First set bit at index >= from, or npos.
-  static std::size_t ScanBits(const Bits& b, std::size_t from);
-  static constexpr std::size_t kNpos = ~std::size_t{0};
-
-  std::uint32_t AllocSlot(Time at, std::uint64_t seq, EventBody&& body);
-  void FreeSlot(std::uint32_t slot);
+  // Un-counts an event leaving the pending set (pop or take).
+  void Unpend(const Slot& s);
   bool HandleLive(const Handle& h) const {
     const Slot& s = slots_[h.slot];
-    return s.ev.seq == h.seq && !s.dead;
+    return s.state == SlotState::kLive && s.ev().seq == h.seq;
   }
 
   // Takes a chunk from the pool's free list (or grows the pool), stores
@@ -240,16 +366,18 @@ class EventQueue {
 
   SegmentedPool<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
+  // The slot Pop last returned (state kPopped), or kNoSlot.
+  std::uint32_t popped_ = kNoSlot;
   SegmentedPool<Chunk> chunks_;
   std::uint32_t chunk_free_ = kNoChunk;
 
   // Bucket ends, left uninitialised: see List.
   std::unique_ptr<List[]> l0_;  // kL0 width-1-tick buckets
   std::unique_ptr<List[]> l1_;  // kL1 block buckets
-  Bits l0_bits_{};   // non-empty L0 buckets
-  Bits l1_bits_{};   // non-empty L1 buckets
+  BucketBits l0_bits_;  // non-empty L0 buckets
+  BucketBits l1_bits_;  // non-empty L1 buckets
   // L1 buckets holding more than one tick. The rest move into L0 whole.
-  Bits l1_mixed_{};
+  BucketBits l1_mixed_;
   std::vector<Handle> far_;  // min-heap by (at, seq)
 
   std::uint64_t cur_block_ = 0;   // block being served

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "celect/sim/event.h"
@@ -76,18 +77,26 @@ class DualQueue {
     }
   }
 
-  std::uint64_t Push(Time at, EventBody body) {
-    return ladder_ ? ladder_->Push(at, std::move(body))
-                   : ref_->Push(at, std::move(body));
+  template <typename B>
+  std::uint64_t Push(Time at, B&& body) {
+    return ladder_ ? ladder_->Push(at, std::forward<B>(body))
+                   : ref_->Push(at, EventBody(std::forward<B>(body)));
   }
-  EventTicket PushTicketed(Time at, EventBody body) {
-    return ladder_ ? ladder_->PushTicketed(at, std::move(body))
-                   : ref_->PushTicketed(at, std::move(body));
+  template <typename B>
+  EventTicket PushTicketed(Time at, B&& body) {
+    return ladder_ ? ladder_->PushTicketed(at, std::forward<B>(body))
+                   : ref_->PushTicketed(at, EventBody(std::forward<B>(body)));
   }
   void Cancel(const EventTicket& t) {
     return ladder_ ? ladder_->Cancel(t) : ref_->Cancel(t);
   }
-  std::optional<Event> Pop() { return ladder_ ? ladder_->Pop() : ref_->Pop(); }
+  // The ladder's borrowed-pop contract for both backends: the event
+  // stays valid until the next Pop or Take.
+  const Event* Pop() {
+    if (ladder_) return ladder_->Pop();
+    ref_popped_ = ref_->Pop();
+    return ref_popped_ ? &*ref_popped_ : nullptr;
+  }
   bool Empty() const { return ladder_ ? ladder_->Empty() : ref_->Empty(); }
   const std::vector<Event>& events() const {
     return ladder_ ? ladder_->events() : ref_->events();
@@ -100,6 +109,8 @@ class DualQueue {
   // Exactly one is engaged.
   std::optional<EventQueue> ladder_;
   std::optional<HeapEventQueue> ref_;
+  // The reference heap's last popped event, lent out by Pop.
+  std::optional<Event> ref_popped_;
 };
 
 }  // namespace celect::sim

@@ -441,8 +441,8 @@ RunResult Runtime::Run() {
     RunControlled(events);
   } else {
     while (!stop_requested_) {
-      auto e = queue_.Pop();
-      if (!e) break;
+      const Event* e = queue_.Pop();
+      if (e == nullptr) break;
       CELECT_CHECK(++events <= options_.max_events)
           << "event budget exceeded — protocol is not quiescing "
           << "(messages so far: " << metrics.messages_sent() << ")";

@@ -1,9 +1,10 @@
-// Allocation budget of the per-event checker and the timer table. Once
-// a run has warmed up, a LeaseMonitor with a chained InvariantRegistry
-// must check every event without touching the heap, and arming,
-// cancelling and firing a timer must not either. The binary replaces
-// global operator new with a counting one, which is why it is an
-// executable of its own.
+// Allocation budget of the per-event checker, the timer table and the
+// delivery path. Once a run has warmed up, a LeaseMonitor with a
+// chained InvariantRegistry must check every event without touching the
+// heap; arming, cancelling and firing a timer must not either, nor may
+// a message on its way from Send through the event queue to Deliver.
+// The binary replaces global operator new with a counting one, which is
+// why it is an executable of its own.
 //
 // The scripted lease run: every node ticks once per round on a timer.
 // On its tick a node re-arms the tick, cancels and re-arms a spare
@@ -15,6 +16,7 @@
 // timeline cap, timer storage until its high-water mark.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -22,27 +24,38 @@
 
 #include "celect/analysis/invariants.h"
 #include "celect/analysis/lease_monitor.h"
+#include "celect/sim/event_queue.h"
 #include "celect/sim/network.h"
 #include "celect/sim/runtime.h"
+#include "celect/wire/packet.h"
 
 namespace {
 
 std::uint64_t g_allocations = 0;
+std::uint64_t g_frees = 0;
+// Size of the largest single request since the last reset.
+std::size_t g_largest_request = 0;
 
 void* CountedAlloc(std::size_t size) {
   ++g_allocations;
+  g_largest_request = std::max(g_largest_request, size);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
+}
+
+void CountedFree(void* p) {
+  if (p != nullptr) ++g_frees;
+  std::free(p);
 }
 
 }  // namespace
 
 void* operator new(std::size_t size) { return CountedAlloc(size); }
 void* operator new[](std::size_t size) { return CountedAlloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
 
 namespace celect::analysis {
 namespace {
@@ -209,6 +222,174 @@ TEST(CheckerAllocBudget, WarmLeaseRunAllocatesNothingPerEventOrTimer) {
   EXPECT_EQ(g_budget.cancel_allocs, 0u)
       << "over " << g_budget.cancels << " cancels";
   EXPECT_EQ(g_budget.fire_allocs, 0u) << "over " << g_budget.fires << " fires";
+}
+
+// Two nodes bounce one message until `kVolleys` deliveries. Node 0
+// serves on wakeup; every delivery is answered through its arrival port.
+constexpr std::uint64_t kVolleys = 20'000;
+constexpr std::uint64_t kWarmVolleys = 1'000;
+
+struct DeliveryBudget {
+  std::uint64_t deliveries = 0;
+  std::uint64_t measured = 0;
+  std::uint64_t allocs = 0;
+  // g_allocations at the previous delivery's entry.
+  std::uint64_t mark = 0;
+};
+
+DeliveryBudget g_delivery;
+
+class Volley : public sim::Process {
+ public:
+  explicit Volley(const sim::ProcessInit& init) : node_(init.address) {}
+
+  void OnWakeup(sim::Context& ctx) override {
+    if (node_ == 0) ctx.Send(1, wire::Packet{1, {0, 7, 7}});
+  }
+  void OnMessage(sim::Context& ctx, sim::Port from_port,
+                 const wire::Packet& p) override {
+    // Everything since the previous delivery's entry: that handler's
+    // Send (Transmit, the queue push), the run loop's Pop and dispatch,
+    // and this Deliver.
+    const std::uint64_t now = g_allocations;
+    if (++g_delivery.deliveries > kWarmVolleys) {
+      ++g_delivery.measured;
+      g_delivery.allocs += now - g_delivery.mark;
+    }
+    g_delivery.mark = now;
+    if (g_delivery.deliveries < kVolleys) {
+      ctx.Send(from_port, wire::Packet{p.type, {p.field(0) + 1, 7, 7}});
+    }
+  }
+
+ private:
+  sim::NodeId node_;
+};
+
+TEST(DeliveryAllocBudget, WarmPingPongAllocatesNothingPerDelivery) {
+  sim::NetworkConfig c;
+  c.n = 2;
+  c.mapper = sim::MakeSodMapper(2);
+  c.delays = sim::MakeUnitDelay();
+  c.wakeup = sim::WakeAllAtZero(2);
+  auto factory = [](const sim::ProcessInit& init) {
+    return std::make_unique<Volley>(init);
+  };
+  sim::Runtime rt(std::move(c), factory);
+  const sim::RunResult r = rt.Run();
+
+  EXPECT_EQ(r.total_messages, kVolleys);
+  EXPECT_EQ(g_delivery.deliveries, kVolleys);
+  EXPECT_EQ(g_delivery.measured, kVolleys - kWarmVolleys);
+  EXPECT_EQ(g_delivery.allocs, 0u)
+      << "over " << g_delivery.measured << " deliveries";
+}
+
+// One long timer, armed first, keeps every later timer record in the
+// dense table alive (the table drops only a dead prefix). S short timers
+// then fire one after another, each arming the next.
+constexpr int kShortTimers = 1024;
+// The timer table's record: {seq, slot, node}.
+constexpr std::size_t kTimerRecBytes = 16;
+
+struct TableRequests {
+  int shorts_armed = 0;
+  // Largest single allocation made inside any SetTimer call.
+  std::size_t largest_request = 0;
+};
+
+TableRequests g_table;
+
+class PinnedTimers : public sim::Process {
+ public:
+  explicit PinnedTimers(const sim::ProcessInit& init) : node_(init.address) {}
+
+  void OnWakeup(sim::Context& ctx) override {
+    if (node_ != 0) return;
+    Arm(ctx, sim::Time::FromUnits(kShortTimers + 10));
+    ArmShort(ctx);
+  }
+  void OnMessage(sim::Context&, sim::Port, const wire::Packet&) override {}
+  void OnTimer(sim::Context& ctx, sim::TimerId) override {
+    if (g_table.shorts_armed < kShortTimers) ArmShort(ctx);
+  }
+
+ private:
+  void ArmShort(sim::Context& ctx) {
+    ++g_table.shorts_armed;
+    Arm(ctx, sim::Time::FromUnits(1));
+  }
+  void Arm(sim::Context& ctx, sim::Time delay) {
+    g_largest_request = 0;
+    ctx.SetTimer(delay);
+    g_table.largest_request =
+        std::max(g_table.largest_request, g_largest_request);
+  }
+
+  sim::NodeId node_;
+};
+
+TEST(TimerTableBudget, PinnedTableStaysWithinTwiceTheIdSpan) {
+  sim::NetworkConfig c;
+  c.n = 2;
+  c.mapper = sim::MakeSodMapper(2);
+  c.delays = sim::MakeUnitDelay();
+  c.wakeup = sim::WakeAllAtZero(2);
+  auto factory = [](const sim::ProcessInit& init) {
+    return std::make_unique<PinnedTimers>(init);
+  };
+  sim::Runtime rt(std::move(c), factory);
+  const sim::RunResult r = rt.Run();
+
+  EXPECT_EQ(g_table.shorts_armed, kShortTimers);
+  EXPECT_EQ(r.timers_fired, static_cast<std::uint64_t>(kShortTimers) + 1);
+  // The table held all S + 1 records at once, so the pin was real...
+  EXPECT_GE(g_table.largest_request, kTimerRecBytes * (kShortTimers + 1));
+  // ...and doubling growth never asked for more than twice that.
+  EXPECT_LE(g_table.largest_request, 2 * kTimerRecBytes * (kShortTimers + 1));
+}
+
+// Events still pending when a queue is destroyed, tombstones and the
+// borrowed one included, each free their heap-spilled packet exactly
+// once: the queue hands back every block it and its events took.
+TEST(EventQueueAllocBudget, DestroyFreesEachPendingBodyOnce) {
+  // Pending events left; drained with the last pop still borrowed;
+  // drained through a null pop.
+  enum class End { kPending, kBorrowedLast, kDrained };
+  for (const End end : {End::kPending, End::kBorrowedLast, End::kDrained}) {
+    const std::uint64_t held = g_allocations - g_frees;
+    {
+      sim::EventQueue q;
+      std::vector<sim::EventTicket> tickets;
+      for (std::int64_t i = 0; i < 300; ++i) {
+        wire::Packet p;
+        p.type = 3;
+        for (std::int64_t f = 0; f < wire::FieldVec::kInline + 2; ++f) {
+          p.fields.push_back(i + f);
+        }
+        // Near, in-wheel and far-heap arrival times.
+        const std::int64_t ticks =
+            (i % 3) * (std::int64_t{1} << 23) * 3 + 100 + i;
+        tickets.push_back(q.PushTicketed(
+            sim::Time::FromTicks(ticks),
+            sim::DeliveryEvent{0, 1, 1, 0, 0, 0, std::move(p)}));
+      }
+      for (std::size_t i = 0; i < tickets.size(); i += 5) {
+        q.Cancel(tickets[i]);
+      }
+      for (int i = 0; i < 30; ++i) ASSERT_NE(q.Pop(), nullptr);
+      if (end != End::kPending) {
+        while (q.Size() + q.Tombstones() > 0) {
+          ASSERT_NE(q.Pop(), nullptr);
+        }
+        if (end == End::kDrained) {
+          EXPECT_EQ(q.Pop(), nullptr);
+        }
+      }
+    }
+    EXPECT_EQ(g_allocations - g_frees, held)
+        << "end " << static_cast<int>(end);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Ladder-queue specifics: tombstone accounting, arena reuse across
-// segment boundaries, far-horizon drains, bucket chunk lists, and
+// segment boundaries, far-horizon drains, bucket chunk lists, the
+// borrowed-pop contract, the occupancy bitmaps' summary words, and
 // randomized differential checks against the reference binary heap. The
 // basic ordering contract (time, then insertion order) is covered in
 // test_sim_core.cpp; these tests pin the parts the ladder rework added.
@@ -7,12 +8,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <vector>
 
 #include "celect/sim/event_queue.h"
 #include "celect/sim/heap_event_queue.h"
 #include "celect/util/rng.h"
+#include "celect/wire/packet.h"
 
 namespace celect::sim {
 namespace {
@@ -34,10 +37,10 @@ TEST(EventQueueTombstones, CancelledEventLeavesSizeButStillPops) {
   // ...but the event still pops in order, exactly like the reference
   // heap, so event counts and fingerprints are unchanged.
   auto a = q.Pop();
-  ASSERT_TRUE(a.has_value());
+  ASSERT_NE(a, nullptr);
   EXPECT_EQ(a->at, T(1.0));
   auto b = q.Pop();
-  ASSERT_TRUE(b.has_value());
+  ASSERT_NE(b, nullptr);
   EXPECT_EQ(b->at, T(2.0));
   EXPECT_TRUE(q.Empty());
   EXPECT_EQ(q.Tombstones(), 0u);
@@ -66,7 +69,7 @@ TEST(EventQueueTombstones, FarFutureCancelDoesNotHoldTheHorizon) {
 TEST(EventQueueTombstones, CancelAfterPopIsANoOp) {
   EventQueue q;
   EventTicket t = q.PushTicketed(T(1.0), TimerEvent{0, 1});
-  ASSERT_TRUE(q.Pop().has_value());
+  ASSERT_NE(q.Pop(), nullptr);
   q.Cancel(t);  // slot already freed; must not corrupt accounting
   EXPECT_TRUE(q.Empty());
   EXPECT_EQ(q.Tombstones(), 0u);
@@ -87,7 +90,7 @@ TEST(EventQueue, ArenaSurvivesChunkBoundariesAndReuse) {
   }
   for (int i = 0; i < kCount; ++i) {
     auto e = q.Pop();
-    ASSERT_TRUE(e.has_value());
+    ASSERT_NE(e, nullptr);
     EXPECT_EQ(std::get<WakeupEvent>(e->body).node,
               static_cast<NodeId>(i));
   }
@@ -99,7 +102,7 @@ TEST(EventQueue, ArenaSurvivesChunkBoundariesAndReuse) {
   }
   for (int i = 0; i < kCount; ++i) {
     auto e = q.Pop();
-    ASSERT_TRUE(e.has_value());
+    ASSERT_NE(e, nullptr);
     EXPECT_EQ(std::get<WakeupEvent>(e->body).node,
               static_cast<NodeId>(i));
   }
@@ -112,10 +115,10 @@ TEST(EventQueue, FarDrainPreservesSameInstantSeqOrder) {
   const Time far = T(50000.0);
   for (NodeId i = 0; i < 64; ++i) q.Push(far, WakeupEvent{i});
   q.Push(T(0.5), WakeupEvent{1000});
-  ASSERT_TRUE(q.Pop().has_value());  // the near event first
+  ASSERT_NE(q.Pop(), nullptr);  // the near event first
   for (NodeId i = 0; i < 64; ++i) {
     auto e = q.Pop();
-    ASSERT_TRUE(e.has_value());
+    ASSERT_NE(e, nullptr);
     EXPECT_EQ(std::get<WakeupEvent>(e->body).node, i) << "push order broken";
   }
 }
@@ -176,7 +179,7 @@ TEST(EventQueue, RandomizedDifferentialAgainstReferenceHeap) {
     } else {  // pop
       auto a = ladder.Pop();
       auto b = heap.Pop();
-      ASSERT_EQ(a.has_value(), b.has_value()) << "round " << round;
+      ASSERT_EQ(a != nullptr, b.has_value()) << "round " << round;
       if (!a) continue;
       ASSERT_EQ(a->at, b->at) << "round " << round;
       ASSERT_EQ(a->seq, b->seq) << "round " << round;
@@ -187,7 +190,7 @@ TEST(EventQueue, RandomizedDifferentialAgainstReferenceHeap) {
   for (;;) {
     auto a = ladder.Pop();
     auto b = heap.Pop();
-    ASSERT_EQ(a.has_value(), b.has_value());
+    ASSERT_EQ(a != nullptr, b.has_value());
     if (!a) break;
     ASSERT_EQ(a->at, b->at);
     ASSERT_EQ(a->seq, b->seq);
@@ -199,6 +202,241 @@ TEST(EventQueue, RandomizedDifferentialAgainstReferenceHeap) {
 // offsets pick the region a push lands in.
 constexpr std::int64_t kChunkHandles = 16;
 constexpr std::int64_t kWheelTicks = std::int64_t{1} << 24;
+
+// A packet with more fields than FieldVec keeps inline, so its fields
+// live on the heap and a double destroy or a leak shows under ASan.
+wire::Packet SpilledPacket(std::int64_t tag) {
+  wire::Packet p;
+  p.type = 9;
+  for (std::int64_t i = 0; i < wire::FieldVec::kInline + 3; ++i) {
+    p.fields.push_back(tag * 100 + i);
+  }
+  return p;
+}
+
+DeliveryEvent Delivery(NodeId to, std::int64_t tag) {
+  return DeliveryEvent{0, to, 1, static_cast<std::uint32_t>(tag), 0, 0,
+                       SpilledPacket(tag)};
+}
+
+// Pop lends the event in its slot: pushes made while it is borrowed,
+// enough to open several new arena segments (64, 128, 256, ... slots),
+// must neither move nor overwrite it.
+TEST(EventQueueBorrowedPop, PoppedEventSurvivesArenaGrowth) {
+  EventQueue q;
+  q.Push(T(1.0), Delivery(3, 42));
+  const Event* e = q.Pop();
+  ASSERT_NE(e, nullptr);
+  const Event copy = *e;
+  for (int i = 0; i < 5000; ++i) {
+    q.Push(T(2.0 + 0.001 * i), Delivery(static_cast<NodeId>(i), i));
+  }
+  EXPECT_EQ(e->at, copy.at);
+  EXPECT_EQ(e->seq, copy.seq);
+  const auto& d = std::get<DeliveryEvent>(e->body);
+  EXPECT_EQ(d.to, 3u);
+  EXPECT_EQ(d.mid, 42u);
+  EXPECT_EQ(d.packet, SpilledPacket(42));
+  EXPECT_EQ(d.packet, std::get<DeliveryEvent>(copy.body).packet);
+  EXPECT_EQ(q.Size(), 5000u);
+  for (int i = 0; i < 5000; ++i) {
+    const Event* next = q.Pop();
+    ASSERT_NE(next, nullptr);
+    EXPECT_EQ(std::get<DeliveryEvent>(next->body).packet, SpilledPacket(i));
+  }
+  EXPECT_EQ(q.Pop(), nullptr);
+}
+
+TEST(EventQueueBorrowedPop, CancelOnThePoppedTicketIsANoOp) {
+  EventQueue q;
+  const EventTicket a = q.PushTicketed(T(1.0), TimerEvent{0, 1});
+  const EventTicket b = q.PushTicketed(T(2.0), TimerEvent{0, 2});
+  q.Push(T(3.0), WakeupEvent{1});
+  const Event* e = q.Pop();
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->seq, a.seq);
+  EXPECT_EQ(q.Size(), 2u);
+  EXPECT_EQ(q.Tombstones(), 0u);
+
+  // The popped event left the pending set: cancelling it changes
+  // nothing, however often, and the borrowed event stays intact.
+  q.Cancel(a);
+  q.Cancel(a);
+  EXPECT_EQ(q.Size(), 2u);
+  EXPECT_EQ(q.Tombstones(), 0u);
+  EXPECT_EQ(std::get<TimerEvent>(e->body).timer, 1u);
+
+  // A pending timer still tombstones exactly once.
+  q.Cancel(b);
+  q.Cancel(b);
+  EXPECT_EQ(q.Size(), 1u);
+  EXPECT_EQ(q.Tombstones(), 1u);
+  q.Cancel(a);
+  EXPECT_EQ(q.Size(), 1u);
+  EXPECT_EQ(q.Tombstones(), 1u);
+
+  // The tombstone pops next; cancelling it now is a no-op as well.
+  e = q.Pop();
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->seq, b.seq);
+  EXPECT_EQ(q.Size(), 1u);
+  EXPECT_EQ(q.Tombstones(), 0u);
+  q.Cancel(b);
+  EXPECT_EQ(q.Size(), 1u);
+  EXPECT_EQ(q.Tombstones(), 0u);
+
+  // Once recycled, the popped slot takes the next push; the old ticket
+  // must not kill that occupant either.
+  e = q.Pop();
+  ASSERT_NE(e, nullptr);
+  const EventTicket c = q.PushTicketed(T(4.0), TimerEvent{0, 3});
+  EXPECT_TRUE(c.slot == a.slot || c.slot == b.slot);
+  q.Cancel(a);
+  q.Cancel(b);
+  EXPECT_EQ(q.Size(), 1u);
+  EXPECT_EQ(q.Tombstones(), 0u);
+}
+
+TEST(EventQueueBorrowedPopDeathTest, EventsAndTakeNeverReturnThePoppedEvent) {
+  EventQueue q;
+  q.Push(T(1.0), WakeupEvent{0});
+  const std::uint64_t s1 = q.Push(T(2.0), WakeupEvent{1});
+  q.Push(T(3.0), WakeupEvent{2});
+  ASSERT_EQ(q.events().size(), 3u);
+  const Event* e = q.Pop();
+  ASSERT_NE(e, nullptr);
+  const std::uint64_t popped = e->seq;
+
+  // The snapshot was rebuilt without the popped event.
+  ASSERT_EQ(q.events().size(), 2u);
+  for (const Event& pending : q.events()) {
+    EXPECT_NE(pending.seq, popped);
+  }
+  // Take cannot find it: it is no longer pending.
+  EXPECT_DEATH(q.Take(popped), "no pending event");
+  const Event taken = q.Take(s1);
+  EXPECT_EQ(std::get<WakeupEvent>(taken.body).node, 1u);
+  ASSERT_EQ(q.events().size(), 1u);
+  EXPECT_EQ(std::get<WakeupEvent>(q.events()[0].body).node, 2u);
+  EXPECT_DEATH(q.Take(popped), "no pending event");
+}
+
+// Live events in every region, tombstones and a borrowed event all
+// hold heap-spilled packets when the queue goes away; each must be
+// destroyed exactly once (ASan reports a leak or a double free). The
+// allocation-counting binary checks the same balance by count.
+TEST(EventQueueBorrowedPop, DestroyWithPendingEventsFreesEachBodyOnce) {
+  {
+    // In L0, in the wheel, and beyond it.
+    const std::int64_t region[] = {100, kWheelTicks / 2, 4 * kWheelTicks};
+    EventQueue q;
+    std::vector<EventTicket> tickets;
+    for (int i = 0; i < 300; ++i) {
+      const std::int64_t ticks = region[i % 3] + i;
+      tickets.push_back(q.PushTicketed(Time::FromTicks(ticks),
+                                       Delivery(static_cast<NodeId>(i), i)));
+    }
+    for (std::size_t i = 0; i < tickets.size(); i += 7) q.Cancel(tickets[i]);
+    for (int i = 0; i < 20; ++i) ASSERT_NE(q.Pop(), nullptr);
+    EXPECT_GT(q.Size(), 0u);
+    EXPECT_GT(q.Tombstones(), 0u);
+  }
+  // A drained queue whose last pop is still borrowed.
+  EventQueue drained;
+  drained.Push(T(1.0), Delivery(1, 1));
+  ASSERT_NE(drained.Pop(), nullptr);
+  EXPECT_TRUE(drained.Empty());
+}
+
+// Reference for BucketBits::Scan: the first set bit at or after `from`.
+std::size_t LinearScan(const std::vector<bool>& bits, std::size_t from) {
+  for (std::size_t i = from; i < bits.size(); ++i) {
+    if (bits[i]) return i;
+  }
+  return BucketBits::kNpos;
+}
+
+// Reference for BucketBits::ScanCircular.
+std::size_t LinearScanCircular(const std::vector<bool>& bits,
+                               std::size_t start) {
+  for (std::size_t step = 0; step < bits.size(); ++step) {
+    const std::size_t i = (start + step) % bits.size();
+    if (bits[i]) return i;
+  }
+  return BucketBits::kNpos;
+}
+
+// The summary word turns both searches into O(1) lookups; they must
+// agree with a linear scan over the same bits, including at word edges
+// (63/64) and in the last word (4032/4095), where the summary's top bit
+// lives.
+TEST(BucketBits, RandomizedDifferentialAgainstLinearScan) {
+  Rng rng(20261018);
+  constexpr std::size_t kBits = BucketBits::kBits;
+  const std::size_t edges[] = {0, 1, 63, 64, 127, 128, 4032, 4033, 4095};
+  for (int trial = 0; trial < 200; ++trial) {
+    BucketBits b;
+    std::vector<bool> ref(kBits, false);
+    // A handful of bits, or a few hundred; set-only, or with clears.
+    const int ops = trial % 4 == 0 ? 6 : 400;
+    const std::uint64_t clear_one_in = trial % 3 == 0 ? 2 : 8;
+    for (int op = 0; op < ops; ++op) {
+      std::size_t i = static_cast<std::size_t>(rng.NextBelow(kBits));
+      if (rng.NextBelow(3) == 0) i = edges[rng.NextBelow(std::size(edges))];
+      if (trial % 3 == 2 || rng.NextBelow(clear_one_in) != 0) {
+        b.Set(i);
+        ref[i] = true;
+      } else {
+        b.Clear(i);
+        ref[i] = false;
+      }
+      if (op % 20 != 0 && op != ops - 1) continue;
+      for (const std::size_t from : edges) {
+        ASSERT_EQ(b.Scan(from), LinearScan(ref, from))
+            << "trial " << trial << " from " << from;
+        ASSERT_EQ(b.ScanCircular(from), LinearScanCircular(ref, from))
+            << "trial " << trial << " start " << from;
+      }
+      for (int k = 0; k < 8; ++k) {
+        const std::size_t from = rng.NextBelow(kBits);
+        ASSERT_EQ(b.Test(from), static_cast<bool>(ref[from]));
+        ASSERT_EQ(b.Scan(from), LinearScan(ref, from));
+        ASSERT_EQ(b.ScanCircular(from), LinearScanCircular(ref, from));
+      }
+      EXPECT_EQ(b.Scan(kBits), BucketBits::kNpos);
+    }
+    // Clearing every set bit empties the summary too.
+    for (std::size_t i = 0; i < kBits; ++i) {
+      if (ref[i]) b.Clear(i);
+    }
+    EXPECT_EQ(b.Scan(0), BucketBits::kNpos);
+    EXPECT_EQ(b.ScanCircular(4095), BucketBits::kNpos);
+  }
+}
+
+// Clears inside a non-empty word must keep its summary bit; only the
+// last clear in a word drops it.
+TEST(BucketBits, SummaryTracksWordsAtTheEdges) {
+  BucketBits b;
+  b.Set(63);
+  b.Set(64);
+  b.Set(4032);
+  b.Set(4095);
+  EXPECT_EQ(b.Scan(0), 63u);
+  EXPECT_EQ(b.Scan(64), 64u);
+  EXPECT_EQ(b.Scan(65), 4032u);
+  b.Clear(4032);
+  EXPECT_EQ(b.Scan(65), 4095u);
+  EXPECT_EQ(b.ScanCircular(4095), 4095u);
+  b.Clear(4095);
+  EXPECT_EQ(b.Scan(65), BucketBits::kNpos);
+  EXPECT_EQ(b.ScanCircular(65), 63u);
+  b.Clear(63);
+  EXPECT_EQ(b.ScanCircular(65), 64u);
+  EXPECT_EQ(b.Scan(0), 64u);
+  b.Clear(64);
+  EXPECT_EQ(b.ScanCircular(0), BucketBits::kNpos);
+}
 
 // Drives the ladder and the reference heap in lockstep. Cancel and Take
 // apply to both (the heap keeps cancelled events, and so does the ladder
@@ -226,7 +464,7 @@ class Lockstep {
   bool PopBoth() {
     auto a = ladder_.Pop();
     auto b = heap_.Pop();
-    EXPECT_EQ(a.has_value(), b.has_value());
+    EXPECT_EQ(a != nullptr, b.has_value());
     if (!a || !b) return false;
     EXPECT_EQ(a->at, b->at);
     EXPECT_EQ(a->seq, b->seq);

@@ -40,7 +40,7 @@ TEST(EventQueue, OrdersByTime) {
   EXPECT_EQ(std::get<WakeupEvent>(q.Pop()->body).node, 1u);
   EXPECT_EQ(std::get<WakeupEvent>(q.Pop()->body).node, 3u);
   EXPECT_EQ(std::get<WakeupEvent>(q.Pop()->body).node, 5u);
-  EXPECT_FALSE(q.Pop().has_value());
+  EXPECT_EQ(q.Pop(), nullptr);
 }
 
 TEST(EventQueue, TiesBreakByInsertionOrder) {
