@@ -47,6 +47,11 @@ class DatagramQueue {
     bytes_.clear();
     ends_.clear();
   }
+  // Room for `bytes` bytes in `datagrams` datagrams before any growth.
+  void reserve(std::size_t bytes, std::size_t datagrams) {
+    bytes_.reserve(bytes);
+    ends_.reserve(datagrams);
+  }
 
   // Appending one datagram: encode it onto the end of buffer(), then
   // Seal() it.

@@ -16,52 +16,39 @@ namespace {
 // buffered. Anything beyond is dropped (the sender's window is far
 // smaller, so only corruption gets here).
 constexpr std::uint64_t kRecvWindow = 256;
-// Merge-time ceiling on the pooled sample vector (per-session caps are
-// SessionParams::rtt_sample_cap); overflow is counted, never silent.
+// Ceiling on the RTT samples one endpoint keeps across its sessions
+// (each session's own is SessionParams::rtt_sample_cap); overflow is
+// counted, never silent.
 constexpr std::size_t kMaxRttSamples = 4096;
+
+// First-use sizes of the session's buffers, from the high-water marks
+// of the net_chaos elections' sessions: a few packets queued or
+// delivered at once, tens of bytes each. More than 99% of sessions
+// never grow past them.
+constexpr std::size_t kQueueReserve = 4;
+constexpr std::size_t kPacketBytesReserve = 64;
+constexpr std::size_t kDeliveredReserve = 4;
+// And of the endpoint's: one frame payload, one session call's
+// datagrams, and the RTT samples of a short run.
+constexpr std::size_t kScratchReserve = 64;
+constexpr std::size_t kOutboxBytesReserve = 512;
+constexpr std::size_t kOutboxDatagramsReserve = 16;
+constexpr std::size_t kRttSamplesReserve = 64;
 
 }  // namespace
 
-void SessionStats::MergeFrom(const SessionStats& o) {
-  hellos_sent += o.hellos_sent;
-  hello_acks_sent += o.hello_acks_sent;
-  data_sent += o.data_sent;
-  data_retransmits += o.data_retransmits;
-  acks_sent += o.acks_sent;
-  resets_sent += o.resets_sent;
-  delivered += o.delivered;
-  duplicates += o.duplicates;
-  out_of_order += o.out_of_order;
-  dropped_beyond_window += o.dropped_beyond_window;
-  stale_epoch += o.stale_epoch;
-  decode_errors += o.decode_errors;
-  frame_errors += o.frame_errors;
-  resets_received += o.resets_received;
-  peer_restarts += o.peer_restarts;
-  exhaustions += o.exhaustions;
-  suspicions += o.suspicions;
-  version_mismatch += o.version_mismatch;
-  rtt_count += o.rtt_count;
-  rtt_sum_us += o.rtt_sum_us;
-  rtt_samples_dropped += o.rtt_samples_dropped;
-  for (Micros s : o.rtt_samples) {
-    if (rtt_samples.size() >= kMaxRttSamples) {
-      ++rtt_samples_dropped;
-      continue;
-    }
-    rtt_samples.push_back(s);
-  }
-  rtt_us.Merge(o.rtt_us);
-  backoff_us.Merge(o.backoff_us);
-  window.Merge(o.window);
-  suspicion_us.Merge(o.suspicion_us);
+SessionEndpoint::SessionEndpoint() {
+  scratch.reserve(kScratchReserve);
+  outbox.reserve(kOutboxBytesReserve, kOutboxDatagramsReserve);
 }
 
 ReliableSession::ReliableSession(std::uint64_t local_epoch,
-                                 const SessionParams& params)
+                                 const SessionParams& params,
+                                 SessionEndpoint& endpoint)
     : params_(params),
       rng_(SplitMix64(params.seed ^ local_epoch).Next()),
-      local_epoch_(local_epoch == 0 ? 1 : local_epoch) {}
+      local_epoch_(local_epoch == 0 ? 1 : local_epoch),
+      endpoint_(&endpoint) {}
 
 void ReliableSession::Flight(Micros now, obs::FlightKind kind,
                              std::uint64_t a, std::uint64_t b) {
@@ -71,14 +58,21 @@ void ReliableSession::Flight(Micros now, obs::FlightKind kind,
 }
 
 void ReliableSession::NoteRttSample(Micros rtt) {
-  ++stats_.rtt_count;
-  stats_.rtt_sum_us += rtt;
-  stats_.rtt_us.Add(rtt);
-  if (stats_.rtt_samples.size() < params_.rtt_sample_cap) {
-    stats_.rtt_samples.push_back(rtt);
+  SessionStats& st = endpoint_->stats;
+  ++st.rtt_count;
+  st.rtt_sum_us += rtt;
+  st.rtt_us.Add(rtt);
+  if (rtt_kept_ < params_.rtt_sample_cap) {
+    ++rtt_kept_;
+    if (st.rtt_samples.size() < kMaxRttSamples) {
+      if (st.rtt_samples.empty()) st.rtt_samples.reserve(kRttSamplesReserve);
+      st.rtt_samples.push_back(rtt);
+    } else {
+      ++st.rtt_samples_dropped;
+    }
     return;
   }
-  ++stats_.rtt_samples_dropped;
+  ++st.rtt_samples_dropped;
   if (!rtt_cap_warned_) {
     rtt_cap_warned_ = true;
     CELECT_LOG(Warn) << "rtt sample cap (" << params_.rtt_sample_cap
@@ -111,9 +105,11 @@ std::uint64_t ReliableSession::AckBits() const {
 
 void ReliableSession::EmitFrame(FrameKind kind, const std::uint8_t* body,
                                 std::size_t body_len) {
-  EncodeFrame(kind, scratch_.data(), scratch_.size(), body, body_len,
-              outbox_.buffer());
-  outbox_.Seal();
+  const std::vector<std::uint8_t>& head = endpoint_->scratch;
+  DatagramQueue& outbox = endpoint_->outbox;
+  EncodeFrame(kind, head.data(), head.size(), body, body_len,
+              outbox.buffer());
+  outbox.Seal();
 }
 
 void ReliableSession::Repack(Stored& s, std::size_t& end) {
@@ -126,74 +122,80 @@ void ReliableSession::Repack(Stored& s, std::size_t& end) {
 }
 
 std::uint64_t ReliableSession::OldestUnsentOrUnacked() const {
-  return unacked_.empty() ? next_seq_ : unacked_.front().seq;
+  return in_flight_ == 0 ? next_seq_ : queue_.front().seq;
 }
 
 void ReliableSession::SendHello(Micros now) {
-  scratch_.clear();
-  wire::PutVarint(scratch_, local_epoch_);
-  wire::PutVarint(scratch_, OldestUnsentOrUnacked());
-  wire::PutVarint(scratch_, kWireVersion);
+  std::vector<std::uint8_t>& head = endpoint_->scratch;
+  head.clear();
+  wire::PutVarint(head, local_epoch_);
+  wire::PutVarint(head, OldestUnsentOrUnacked());
+  wire::PutVarint(head, kWireVersion);
   EmitFrame(FrameKind::kHello);
-  ++stats_.hellos_sent;
+  ++endpoint_->stats.hellos_sent;
   next_hello_at_ = now + Backoff(hello_retries_);
 }
 
 void ReliableSession::SendHelloAck(Micros) {
-  scratch_.clear();
-  wire::PutVarint(scratch_, local_epoch_);
-  wire::PutVarint(scratch_, remote_epoch_);
-  wire::PutVarint(scratch_, OldestUnsentOrUnacked());
-  wire::PutVarint(scratch_, kWireVersion);
+  std::vector<std::uint8_t>& head = endpoint_->scratch;
+  head.clear();
+  wire::PutVarint(head, local_epoch_);
+  wire::PutVarint(head, remote_epoch_);
+  wire::PutVarint(head, OldestUnsentOrUnacked());
+  wire::PutVarint(head, kWireVersion);
   EmitFrame(FrameKind::kHelloAck);
-  ++stats_.hello_acks_sent;
+  ++endpoint_->stats.hello_acks_sent;
 }
 
 void ReliableSession::SendAck() {
-  scratch_.clear();
-  wire::PutVarint(scratch_, local_epoch_);
-  wire::PutVarint(scratch_, recv_next_);
-  wire::PutVarint(scratch_, AckBits());
+  std::vector<std::uint8_t>& head = endpoint_->scratch;
+  head.clear();
+  wire::PutVarint(head, local_epoch_);
+  wire::PutVarint(head, recv_next_);
+  wire::PutVarint(head, AckBits());
   EmitFrame(FrameKind::kAck);
-  ++stats_.acks_sent;
+  ++endpoint_->stats.acks_sent;
   ack_dirty_ = false;
 }
 
 void ReliableSession::SendReset(Micros now) {
-  scratch_.clear();
-  wire::PutVarint(scratch_, local_epoch_);
+  std::vector<std::uint8_t>& head = endpoint_->scratch;
+  head.clear();
+  wire::PutVarint(head, local_epoch_);
   EmitFrame(FrameKind::kReset);
-  ++stats_.resets_sent;
+  ++endpoint_->stats.resets_sent;
   Flight(now, obs::FlightKind::kResetSent, local_epoch_);
 }
 
-void ReliableSession::TransmitData(Unacked& u, Micros now, bool retransmit) {
-  scratch_.clear();
+void ReliableSession::TransmitData(Outgoing& u, Micros now,
+                                   bool retransmit) {
+  std::vector<std::uint8_t>& head = endpoint_->scratch;
+  head.clear();
   // Acks are stamped at (re)transmit time, never stored, so a frame
   // retransmitted after a peer restart carries acks for the *current*
   // receive stream. The trace context is the opposite: stamped once at
   // SendPacket and frozen, because it names the logical message, not
   // the transmission.
-  wire::PutVarint(scratch_, local_epoch_);
-  wire::PutVarint(scratch_, u.seq);
-  wire::PutVarint(scratch_, recv_next_);
-  wire::PutVarint(scratch_, AckBits());
-  wire::PutVarint(scratch_, u.tc.clock);
-  wire::PutVarint(scratch_, u.tc.mid);
+  wire::PutVarint(head, local_epoch_);
+  wire::PutVarint(head, u.seq);
+  wire::PutVarint(head, recv_next_);
+  wire::PutVarint(head, AckBits());
+  wire::PutVarint(head, u.tc.clock);
+  wire::PutVarint(head, u.tc.mid);
   EmitFrame(FrameKind::kData, packet_bytes_.data() + u.bytes.offset,
             u.bytes.len);
   if (retransmit) {
-    ++stats_.data_retransmits;
+    ++endpoint_->stats.data_retransmits;
     ++u.retries;
   } else {
-    ++stats_.data_sent;
+    ++endpoint_->stats.data_sent;
     u.first_sent = now;
-    stats_.window.Add(unacked_.size());
+    endpoint_->stats.window.Add(in_flight_);
   }
   Micros backoff = Backoff(u.retries);
   u.next_retx = now + backoff;
   if (retransmit) {
-    stats_.backoff_us.Add(backoff);
+    endpoint_->stats.backoff_us.Add(backoff);
     Flight(now, obs::FlightKind::kRetransmit, u.seq, backoff);
   }
   ack_dirty_ = false;  // acks rode along
@@ -201,18 +203,11 @@ void ReliableSession::TransmitData(Unacked& u, Micros now, bool retransmit) {
 
 void ReliableSession::FillWindow(Micros now) {
   if (!established_) return;
-  std::size_t moved = 0;
-  while (moved < pending_.size() && unacked_.size() < params_.window) {
-    const PendingPacket& pp = pending_[moved++];
-    Unacked u;
+  while (in_flight_ < queue_.size() && in_flight_ < params_.window) {
+    Outgoing& u = queue_[in_flight_++];
     u.seq = next_seq_++;
-    u.bytes = pp.bytes;  // already in place: pending bytes follow unacked
-    u.tc = pp.tc;
-    unacked_.push_back(u);
-    TransmitData(unacked_.back(), now, /*retransmit=*/false);
+    TransmitData(u, now, /*retransmit=*/false);
   }
-  pending_.erase(pending_.begin(),
-                 pending_.begin() + static_cast<std::ptrdiff_t>(moved));
 }
 
 void ReliableSession::Start(Micros now) {
@@ -226,44 +221,47 @@ void ReliableSession::Start(Micros now) {
 void ReliableSession::SendPacket(const wire::Packet& p, Micros now,
                                  TraceContext tc) {
   Start(now);
-  PendingPacket pp;
-  pp.bytes.offset = packet_bytes_.size();
+  if (queue_.capacity() == 0) {
+    queue_.reserve(kQueueReserve);
+    packet_bytes_.reserve(kPacketBytesReserve);
+  }
+  Outgoing& u = queue_.emplace_back();
+  u.bytes.offset = packet_bytes_.size();
   wire::EncodeTo(p, packet_bytes_);
-  pp.bytes.len = packet_bytes_.size() - pp.bytes.offset;
-  pp.tc = tc;
-  pending_.push_back(pp);
+  u.bytes.len = packet_bytes_.size() - u.bytes.offset;
+  u.tc = tc;
   FillWindow(now);
-  if (!pending_.empty()) {
+  if (queued() != 0) {
     // The window (or the handshake) is holding this packet back.
-    Flight(now, obs::FlightKind::kWindowStall, pending_.size());
+    Flight(now, obs::FlightKind::kWindowStall, queued());
   }
 }
 
 void ReliableSession::NoteProgress(Micros now) {
   if (suspect_signalled_) {
     Micros duration = now - suspect_since_;
-    stats_.suspicion_us.Add(duration);
+    endpoint_->stats.suspicion_us.Add(duration);
     Flight(now, obs::FlightKind::kSuspectEnd, duration);
   }
   exhaustion_streak_ = 0;
   suspect_signalled_ = false;
   suspect_pending_ = false;
-  for (auto& u : unacked_) u.exhausted = false;
+  for (std::size_t i = 0; i < in_flight_; ++i) queue_[i].exhausted = false;
 }
 
-void ReliableSession::NoteExhaustion(Unacked* u, Micros now) {
+void ReliableSession::NoteExhaustion(Outgoing* u, Micros now) {
   if (u != nullptr) {
     if (u->exhausted) return;  // count each frame's budget once
     u->exhausted = true;
   }
-  ++stats_.exhaustions;
+  ++endpoint_->stats.exhaustions;
   ++exhaustion_streak_;
   if (exhaustion_streak_ >= params_.suspicion_exhaustions &&
       !suspect_signalled_) {
     suspect_pending_ = true;
     suspect_signalled_ = true;
     suspect_since_ = now;
-    ++stats_.suspicions;
+    ++endpoint_->stats.suspicions;
     Flight(now, obs::FlightKind::kSuspectBegin, exhaustion_streak_);
   }
 }
@@ -271,11 +269,12 @@ void ReliableSession::NoteExhaustion(Unacked* u, Micros now) {
 void ReliableSession::ProcessAck(std::uint64_t cum, std::uint64_t bits,
                                  Micros now) {
   if (cum > next_seq_) return;  // insane ack; corrupt or hostile
-  // Compacts unacked_ in place, keeping seq order, and repacks the
+  // Compacts the queue in place, keeping seq order, and repacks the
   // packet bytes of what stays over those of the acked frames.
   std::size_t kept = 0;
   std::size_t end = 0;
-  for (Unacked& u : unacked_) {
+  for (std::size_t i = 0; i < in_flight_; ++i) {
+    Outgoing& u = queue_[i];
     std::uint64_t seq = u.seq;
     bool acked = seq < cum;
     if (!acked && seq > cum) {
@@ -289,17 +288,22 @@ void ReliableSession::ProcessAck(std::uint64_t cum, std::uint64_t bits,
       }
     } else {
       Repack(u.bytes, end);
-      unacked_[kept++] = u;
+      queue_[kept++] = u;
     }
   }
-  const bool progress = kept < unacked_.size();
-  if (progress) {
-    for (PendingPacket& pp : pending_) Repack(pp.bytes, end);
-    packet_bytes_.resize(end);
-    unacked_.resize(kept);
-    NoteProgress(now);
-    FillWindow(now);
+  if (kept == in_flight_) return;  // no progress
+  // The waiting packets follow what stays in flight.
+  const std::size_t waiting = queue_.size() - in_flight_;
+  for (std::size_t i = 0; i < waiting; ++i) {
+    Outgoing& u = queue_[in_flight_ + i];
+    Repack(u.bytes, end);
+    queue_[kept + i] = u;
   }
+  queue_.resize(kept + waiting);
+  packet_bytes_.resize(end);
+  in_flight_ = kept;
+  NoteProgress(now);
+  FillWindow(now);
 }
 
 void ReliableSession::AdoptRemote(std::uint64_t epoch,
@@ -310,7 +314,7 @@ void ReliableSession::AdoptRemote(std::uint64_t epoch,
   reorder_.clear();
   ack_dirty_ = false;
   if (restart) {
-    ++stats_.peer_restarts;
+    ++endpoint_->stats.peer_restarts;
     peer_restart_pending_ = true;
     Flight(now, obs::FlightKind::kEpochAdopt, epoch);
     // The new incarnation has no session state for us: freeze the send
@@ -330,7 +334,7 @@ void ReliableSession::OnHello(const FrameView& f, Micros now) {
   auto start = r.ReadVarint();
   auto version = r.ReadVarint();
   if (!epoch || !start || *epoch == 0) {
-    ++stats_.decode_errors;
+    ++endpoint_->stats.decode_errors;
     return;
   }
   // A missing version field is a version-1 peer. Reject anything but
@@ -338,7 +342,7 @@ void ReliableSession::OnHello(const FrameView& f, Micros now) {
   // peer keeps re-helloing and its operator sees a stuck handshake
   // plus our counter, instead of misparsed Data payloads later.
   if (!version || *version != kWireVersion) {
-    ++stats_.version_mismatch;
+    ++endpoint_->stats.version_mismatch;
     Flight(now, obs::FlightKind::kVersionMismatch, version ? *version : 1);
     return;
   }
@@ -357,17 +361,17 @@ void ReliableSession::OnHelloAck(const FrameView& f, Micros now) {
   auto start = r.ReadVarint();
   auto version = r.ReadVarint();
   if (!epoch || !echoed || !start || *epoch == 0) {
-    ++stats_.decode_errors;
+    ++endpoint_->stats.decode_errors;
     return;
   }
   if (!version || *version != kWireVersion) {
-    ++stats_.version_mismatch;
+    ++endpoint_->stats.version_mismatch;
     Flight(now, obs::FlightKind::kVersionMismatch, version ? *version : 1);
     return;
   }
   if (*echoed != local_epoch_) {
     // Meant for a previous incarnation of this node.
-    ++stats_.stale_epoch;
+    ++endpoint_->stats.stale_epoch;
     return;
   }
   if (remote_epoch_ == 0 || *epoch != remote_epoch_) {
@@ -387,7 +391,8 @@ void ReliableSession::OnHelloAck(const FrameView& f, Micros now) {
     // establishing transition — a duplicated HelloAck must not blast
     // the whole window again — and run before FillWindow so frames
     // first sent right now aren't re-sent.
-    for (auto& u : unacked_) {
+    for (std::size_t i = 0; i < in_flight_; ++i) {
+      Outgoing& u = queue_[i];
       if (u.retries <= params_.max_retries) TransmitData(u, now, true);
     }
   }
@@ -403,13 +408,13 @@ void ReliableSession::OnData(const FrameView& f, Micros now) {
   auto tc_clock = r.ReadVarint();
   auto tc_mid = r.ReadVarint();
   if (!epoch || !seq || !cum || !bits || !tc_clock || !tc_mid) {
-    ++stats_.decode_errors;
+    ++endpoint_->stats.decode_errors;
     return;
   }
   if (*epoch != remote_epoch_ || remote_epoch_ == 0) {
     // Unknown or dead incarnation: we cannot place its seqs. Ask it to
     // re-hello rather than guessing a receive stream.
-    ++stats_.stale_epoch;
+    ++endpoint_->stats.stale_epoch;
     SendReset(now);
     return;
   }
@@ -426,7 +431,7 @@ void ReliableSession::OnData(const FrameView& f, Micros now) {
   ProcessAck(*cum, *bits, now);
   std::uint64_t s = *seq;
   if (s < recv_next_) {
-    ++stats_.duplicates;
+    ++endpoint_->stats.duplicates;
     ack_dirty_ = true;  // re-ack so the sender stops retransmitting
     return;
   }
@@ -437,7 +442,7 @@ void ReliableSession::OnData(const FrameView& f, Micros now) {
     // The frame checksum passed but the inner packet is malformed —
     // nothing a retransmit would fix, so consume the seq rather than
     // wedging the stream on it.
-    ++stats_.decode_errors;
+    ++endpoint_->stats.decode_errors;
     if (s == recv_next_) {
       ++recv_next_;
       ack_dirty_ = true;
@@ -446,16 +451,12 @@ void ReliableSession::OnData(const FrameView& f, Micros now) {
   }
   TraceContext tc{*tc_clock, *tc_mid};
   if (s == recv_next_) {
-    delivered_.push_back(Delivered{std::move(*pkt), tc});
-    ++stats_.delivered;
-    ++recv_next_;
+    Deliver(Delivered{std::move(*pkt), tc});
     // Drain any buffered successors.
     std::size_t drained = 0;
     while (drained < reorder_.size() &&
            reorder_[drained].first == recv_next_) {
-      delivered_.push_back(std::move(reorder_[drained++].second));
-      ++stats_.delivered;
-      ++recv_next_;
+      Deliver(std::move(reorder_[drained++].second));
     }
     reorder_.erase(reorder_.begin(),
                    reorder_.begin() + static_cast<std::ptrdiff_t>(drained));
@@ -465,15 +466,22 @@ void ReliableSession::OnData(const FrameView& f, Micros now) {
     };
     auto it = std::lower_bound(reorder_.begin(), reorder_.end(), s, by_seq);
     if (it != reorder_.end() && it->first == s) {
-      ++stats_.duplicates;
+      ++endpoint_->stats.duplicates;
     } else {
       reorder_.insert(it, {s, Delivered{std::move(*pkt), tc}});
-      ++stats_.out_of_order;
+      ++endpoint_->stats.out_of_order;
     }
   } else {
-    ++stats_.dropped_beyond_window;
+    ++endpoint_->stats.dropped_beyond_window;
   }
   ack_dirty_ = true;
+}
+
+void ReliableSession::Deliver(Delivered d) {
+  if (delivered_.capacity() == 0) delivered_.reserve(kDeliveredReserve);
+  delivered_.push_back(std::move(d));
+  ++endpoint_->stats.delivered;
+  ++recv_next_;
 }
 
 void ReliableSession::OnAck(const FrameView& f, Micros now) {
@@ -482,13 +490,13 @@ void ReliableSession::OnAck(const FrameView& f, Micros now) {
   auto cum = r.ReadVarint();
   auto bits = r.ReadVarint();
   if (!epoch || !cum || !bits) {
-    ++stats_.decode_errors;
+    ++endpoint_->stats.decode_errors;
     return;
   }
   if (*epoch != remote_epoch_ || remote_epoch_ == 0) {
     // An ack from a dead incarnation must not mark frames the new one
     // never saw as delivered.
-    ++stats_.stale_epoch;
+    ++endpoint_->stats.stale_epoch;
     return;
   }
   if (!established_) {
@@ -504,10 +512,10 @@ void ReliableSession::OnReset(const FrameView& f, Micros now) {
   wire::VarintReader r(f.payload, f.len);
   auto epoch = r.ReadVarint();
   if (!epoch) {
-    ++stats_.decode_errors;
+    ++endpoint_->stats.decode_errors;
     return;
   }
-  ++stats_.resets_received;
+  ++endpoint_->stats.resets_received;
   Flight(now, obs::FlightKind::kResetReceived, local_epoch_);
   // The peer has no session for our epoch; re-run the handshake. Keep
   // the send window intact — seqs survive, the Hello re-seeds the
@@ -542,7 +550,7 @@ void ReliableSession::OnDatagram(const std::uint8_t* data, std::size_t size,
         break;
     }
   }
-  stats_.frame_errors += frames.errors();
+  endpoint_->stats.frame_errors += frames.errors();
   if (ack_dirty_) SendAck();
 }
 
@@ -557,7 +565,8 @@ void ReliableSession::Tick(Micros now) {
     SendHello(now);
   }
   if (established_) {
-    for (auto& u : unacked_) {
+    for (std::size_t i = 0; i < in_flight_; ++i) {
+      Outgoing& u = queue_[i];
       if (now < u.next_retx) continue;
       if (u.retries >= params_.max_retries) {
         NoteExhaustion(&u, now);
@@ -589,7 +598,9 @@ std::optional<Micros> ReliableSession::NextWake() const {
   };
   if (started_ && !established_) consider(next_hello_at_);
   if (established_) {
-    for (const auto& u : unacked_) consider(u.next_retx);
+    for (std::size_t i = 0; i < in_flight_; ++i) {
+      consider(queue_[i].next_retx);
+    }
   }
   return wake;
 }

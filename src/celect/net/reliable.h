@@ -21,14 +21,21 @@
 // queues — which is what makes the differential chaos suite over
 // FakeLink bit-reproducible.
 //
+// Sessions are cheap to open. What every session of one transport
+// endpoint can share lives in a SessionEndpoint its owner provides:
+// the SessionStats they all record into, the scratch buffer frame
+// payloads are built in, and the outbox their datagrams are packed
+// into. A session itself holds only per-peer state, and each of its
+// buffers is sized once on first use to what nearly every session
+// needs, so opening one costs its own allocation plus a few more
+// the first time it sends or delivers a packet.
+//
 // Buffers are reused, so a warmed-up session handles a datagram
-// without heap traffic: frame payloads are built in one scratch
-// buffer, outgoing datagrams are packed into one outbox buffer (a Data
-// frame is gathered from the header plus the packet bytes stored at
-// SendPacket), received frames are read in place inside the datagram,
-// and the bytes of every queued packet share one buffer, repacked as
-// acks free it. Each buffer grows only when its high-water mark
-// doubles.
+// without heap traffic: a Data frame is gathered from its header plus
+// the packet bytes stored at SendPacket, received frames are read in
+// place inside the datagram, and the bytes of every queued packet
+// share one buffer, repacked as acks free it. Each buffer grows only
+// when its high-water mark doubles.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +77,9 @@ struct SessionParams {
   // the peer is reported suspect.
   std::uint32_t suspicion_exhaustions = 1;
   std::uint64_t seed = 1;          // jitter stream
-  // Karn-filtered RTT samples kept for bench percentiles; overflow is
-  // counted in rtt_samples_dropped and warn-logged once per session.
+  // Karn-filtered RTT samples this session keeps for bench
+  // percentiles (in its endpoint's SessionStats); overflow is counted
+  // in rtt_samples_dropped and warn-logged once per session.
   std::size_t rtt_sample_cap = 4096;
   // Optional flight recorder (owned by the transport endpoint, shared
   // across its sessions); session-layer moments are Note()d into it so
@@ -101,9 +109,12 @@ struct SessionStats {
   std::uint64_t version_mismatch = 0;   // handshakes rejected on version
   std::uint64_t rtt_count = 0;
   std::uint64_t rtt_sum_us = 0;
-  std::vector<Micros> rtt_samples;      // capped; for bench percentiles
-  // Samples discarded once rtt_samples hit the cap (at sampling time or
-  // when merging) — never silent, so a capped p99 is visibly capped.
+  // Capped, for bench percentiles: each session keeps its first
+  // rtt_sample_cap samples, in arrival order, and an endpoint keeps at
+  // most 4,096.
+  std::vector<Micros> rtt_samples;
+  // Samples discarded at either cap — never silent, so a capped p99 is
+  // visibly capped.
   std::uint64_t rtt_samples_dropped = 0;
 
   // Mergeable distributions (power-of-two buckets, exact count/sum):
@@ -111,15 +122,27 @@ struct SessionStats {
   obs::Histogram backoff_us;     // RTO scheduled at each retransmit
   obs::Histogram window;         // in-flight frames at first transmit
   obs::Histogram suspicion_us;   // suspect-episode durations
+};
 
-  void MergeFrom(const SessionStats& o);
+// What the sessions of one transport endpoint share. The owner (a
+// SessionTable, or a test) keeps it alive as long as its sessions and
+// puts the outbox on the wire after every session call that can fill
+// it, so the outbox only ever holds one peer's datagrams.
+struct SessionEndpoint {
+  SessionEndpoint();
+
+  SessionStats stats;                 // every session records here
+  std::vector<std::uint8_t> scratch;  // the frame payload being built
+  DatagramQueue outbox;               // datagrams to send, in order
 };
 
 class ReliableSession {
  public:
   // local_epoch must be nonzero and unique per incarnation of this
-  // node (tests pass counters; real transports use HostEpoch()).
-  ReliableSession(std::uint64_t local_epoch, const SessionParams& params);
+  // node (tests pass counters; real transports use HostEpoch()). The
+  // session records into endpoint, which must outlive it.
+  ReliableSession(std::uint64_t local_epoch, const SessionParams& params,
+                  SessionEndpoint& endpoint);
 
   // A packet delivered exactly once, in order, with the trace context
   // its sender stamped on the wire.
@@ -140,8 +163,8 @@ class ReliableSession {
   void Tick(Micros now);
 
   // ---- outputs (drained by the owning transport) --------------------
-  // Datagrams to put on the wire, in send order.
-  DatagramQueue& outbox() { return outbox_; }
+  // Datagrams to put on the wire, in send order: the endpoint's outbox.
+  DatagramQueue& outbox() { return endpoint_->outbox; }
   // Packets delivered exactly once, in order.
   std::vector<Delivered>& delivered() { return delivered_; }
   // True at most once per suspicion episode; an episode ends when the
@@ -155,9 +178,10 @@ class ReliableSession {
   bool established() const { return established_; }
   std::uint64_t local_epoch() const { return local_epoch_; }
   std::uint64_t remote_epoch() const { return remote_epoch_; }
-  std::size_t in_flight() const { return unacked_.size(); }
-  std::size_t queued() const { return pending_.size(); }
-  const SessionStats& stats() const { return stats_; }
+  std::size_t in_flight() const { return in_flight_; }
+  std::size_t queued() const { return queue_.size() - in_flight_; }
+  // The endpoint's stats: this session's, and its siblings'.
+  const SessionStats& stats() const { return endpoint_->stats; }
 
  private:
   // A queued packet's wire::EncodeTo output, in packet_bytes_.
@@ -166,12 +190,9 @@ class ReliableSession {
     std::size_t len = 0;
   };
 
-  struct PendingPacket {
-    Stored bytes;
-    TraceContext tc;
-  };
-
-  struct Unacked {
+  // A packet in the send queue. seq and the retransmit state are set
+  // when it enters the window.
+  struct Outgoing {
     std::uint64_t seq = 0;
     Stored bytes;
     TraceContext tc;
@@ -183,7 +204,8 @@ class ReliableSession {
 
   Micros Backoff(std::uint32_t retries);
   std::uint64_t AckBits() const;
-  // Appends a frame whose payload is scratch_ followed by body.
+  // Appends a frame whose payload is the endpoint's scratch followed
+  // by body to the outbox.
   void EmitFrame(FrameKind kind, const std::uint8_t* body = nullptr,
                  std::size_t body_len = 0);
   // Moves s's bytes down to offset end of packet_bytes_ and advances
@@ -193,12 +215,14 @@ class ReliableSession {
   void SendHelloAck(Micros now);
   void SendAck();
   void SendReset(Micros now);
-  void TransmitData(Unacked& u, Micros now, bool retransmit);
+  void TransmitData(Outgoing& u, Micros now, bool retransmit);
   void FillWindow(Micros now);
   void ProcessAck(std::uint64_t cum, std::uint64_t bits, Micros now);
   void NoteProgress(Micros now);
-  void NoteExhaustion(Unacked* u, Micros now);
+  void NoteExhaustion(Outgoing* u, Micros now);
   void NoteRttSample(Micros rtt);
+  // Hands d to the app and advances recv_next_ past it.
+  void Deliver(Delivered d);
   void AdoptRemote(std::uint64_t epoch, std::uint64_t start_seq, Micros now);
   // Flight-recorder hook; no-op without a recorder.
   void Flight(Micros now, obs::FlightKind kind, std::uint64_t a = 0,
@@ -222,10 +246,11 @@ class ReliableSession {
   Micros next_hello_at_ = 0;
 
   std::uint64_t next_seq_ = 1;              // next data seq to assign
-  std::vector<Unacked> unacked_;            // in seq order
-  std::vector<PendingPacket> pending_;      // beyond the window
-  // The bytes of every unacked then every pending packet, end to end
-  // in seq order.
+  // In seq order: the first in_flight_ packets are unacked frames in
+  // the window, the rest wait for room in it.
+  std::vector<Outgoing> queue_;
+  std::size_t in_flight_ = 0;
+  // The bytes of every queued packet, end to end in queue order.
   std::vector<std::uint8_t> packet_bytes_;
 
   std::uint64_t recv_next_ = 1;             // next in-order seq expected
@@ -238,12 +263,11 @@ class ReliableSession {
   Micros suspect_since_ = 0;                // episode start (for duration)
   bool peer_restart_pending_ = false;
   bool ack_dirty_ = false;
+  std::size_t rtt_kept_ = 0;                // kept toward rtt_sample_cap
   bool rtt_cap_warned_ = false;
 
-  std::vector<std::uint8_t> scratch_;  // the frame payload being built
-  DatagramQueue outbox_;
   std::vector<Delivered> delivered_;
-  SessionStats stats_;
+  SessionEndpoint* endpoint_;
 };
 
 }  // namespace celect::net

@@ -20,7 +20,8 @@ ReliableSession& SessionTable::Session(PeerId peer) {
     params.seed = seed_of_(peer);
     params.recorder = &recorder_;
     params.recorder_peer = peer;
-    slot.session = std::make_unique<ReliableSession>(epoch_, params);
+    slot.session =
+        std::make_unique<ReliableSession>(epoch_, params, endpoint_);
   }
   return *slot.session;
 }
@@ -30,13 +31,7 @@ DatagramQueue& SessionTable::Send(PeerId peer, const wire::Packet& p,
   ReliableSession& s = Session(peer);
   s.SendPacket(p, now, tc);
   Rewake(slots_[peer]);
-  return s.outbox();
-}
-
-void SessionTable::Receive(PeerId peer, const std::uint8_t* data,
-                           std::size_t size, Micros now) {
-  Session(peer).OnDatagram(data, size, now);
-  slots_[peer].marked = true;
+  return endpoint_.outbox;
 }
 
 DatagramQueue& SessionTable::Tick(PeerId peer, Micros now,
@@ -59,7 +54,7 @@ DatagramQueue& SessionTable::Tick(PeerId peer, Micros now,
   }
   slot.marked = false;
   Rewake(slot);
-  return s.outbox();
+  return endpoint_.outbox;
 }
 
 std::optional<Micros> SessionTable::NextWake() const {
@@ -71,9 +66,7 @@ std::optional<Micros> SessionTable::NextWake() const {
 
 TransportStats SessionTable::Stats(const TransportStats& link) const {
   TransportStats st = link;
-  for (const Slot& slot : slots_) {
-    if (slot.session != nullptr) st.sessions.MergeFrom(slot.session->stats());
-  }
+  st.sessions = endpoint_.stats;
   return st;
 }
 

@@ -1,6 +1,15 @@
 // The session half of a Transport endpoint, shared by SimNet's nodes
 // and UdpTransport: one lazily built ReliableSession per peer, the
-// flight recorder they share, and the Poll loop over them.
+// SessionEndpoint they share (stats, frame scratch, outbox), the
+// flight recorder, and the Poll loop over them.
+//
+// Every call that can fill the shared outbox — Send, Receive, and each
+// session Poll ticks — hands it to the caller to put on the wire
+// before the table returns or moves on to another session, so each
+// flush carries one peer's datagrams, in the order the session made
+// them. Flushing a peer's datagrams at Receive rather than at its next
+// tick changes only the interleaving across channels, never the order
+// within one, and every channel draws its chaos from its own stream.
 //
 // The table caches each session's NextWake as of its last input and
 // marks the sessions that got a datagram since the last Poll. Poll
@@ -8,11 +17,15 @@
 // cached wake is due. Skipping any other session is exact: its Tick
 // would do nothing (no hello or retransmit is due, and ack_dirty_ is
 // never left set outside OnDatagram), and it holds no delivered
-// packet, restart or suspect notice, or outbox datagram, because every
-// call that fills those — OnDatagram, Tick, SendPacket — is followed
-// by a drain before the table returns. So the events appended and the
-// datagrams flushed, and their order, are those of ticking every
-// session.
+// packet or restart or suspect notice: only OnDatagram and Tick make
+// those, a session fed a datagram is marked and so ticked, and a
+// tick's outputs are drained at once. So the events appended, and the
+// datagrams put on each channel and their order, are those of ticking
+// every session.
+//
+// Stats are one SessionStats per endpoint that every session records
+// into; the counters and histograms are sums, so they equal the
+// per-session stats merged in any order.
 #pragma once
 
 #include <cstdint>
@@ -44,9 +57,15 @@ class SessionTable {
                       TraceContext tc);
 
   // Feeds one datagram from peer to its session (created on first
-  // contact) and marks the session for the next Poll.
+  // contact), marks the session for the next Poll, and hands what it
+  // answered to flush(peer, outbox), as Poll does.
+  template <typename Flush>
   void Receive(PeerId peer, const std::uint8_t* data, std::size_t size,
-               Micros now);
+               Micros now, Flush&& flush) {
+    Session(peer).OnDatagram(data, size, now);
+    slots_[peer].marked = true;
+    flush(peer, endpoint_.outbox);
+  }
 
   // Ticks, in peer order, every session marked by Receive or whose
   // cached wake is <= now; appends its delivered packets and restart
@@ -64,7 +83,7 @@ class SessionTable {
   // Earliest cached session wake; nullopt when every session is idle.
   std::optional<Micros> NextWake() const;
 
-  // link's counters with every session's stats merged in, peer order.
+  // link's counters with the sessions' stats.
   TransportStats Stats(const TransportStats& link) const;
 
  private:
@@ -86,6 +105,7 @@ class SessionTable {
   std::uint64_t epoch_;
   SessionParams params_;
   std::function<std::uint64_t(PeerId)> seed_of_;
+  SessionEndpoint endpoint_;
   obs::FlightRecorder recorder_;
   std::vector<Slot> slots_;
 };

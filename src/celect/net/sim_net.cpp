@@ -39,16 +39,17 @@ class SimNet::Node final : public Transport {
     const Micros now = Now();
     // Feed received datagrams first so acks suppress retransmits that
     // would otherwise fire on this same Tick.
+    auto flush = [this](PeerId peer, DatagramQueue& dgrams) {
+      Flush(peer, dgrams);
+    };
     DatagramPool& pool = net_->pool_;
     for (const Arrival& a : inbox_) {
       const auto bytes = pool.bytes(a.dgram);
-      sessions_.Receive(a.from, bytes.data(), bytes.size(), now);
+      sessions_.Receive(a.from, bytes.data(), bytes.size(), now, flush);
       pool.Release(a.dgram);
     }
     inbox_.clear();
-    sessions_.Poll(now, out, [this](PeerId peer, DatagramQueue& dgrams) {
-      Flush(peer, dgrams);
-    });
+    sessions_.Poll(now, out, flush);
   }
 
   std::optional<Micros> NextWake() const override {

@@ -81,6 +81,9 @@ void UdpTransport::Send(PeerId peer, const wire::Packet& p,
 }
 
 void UdpTransport::DrainSocket() {
+  auto flush = [this](PeerId peer, DatagramQueue& dgrams) {
+    Flush(peer, dgrams);
+  };
   std::uint8_t buf[2048];
   for (;;) {
     sockaddr_in from{};
@@ -97,7 +100,7 @@ void UdpTransport::DrainSocket() {
     if (peer == config_.self) continue;
     ++stats_.datagrams_received;
     stats_.bytes_received += static_cast<std::uint64_t>(got);
-    sessions_.Receive(peer, buf, static_cast<std::size_t>(got), Now());
+    sessions_.Receive(peer, buf, static_cast<std::size_t>(got), Now(), flush);
   }
 }
 

@@ -1,7 +1,6 @@
 #include "celect/proto/nosod/efg_engine.h"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -472,7 +471,7 @@ class EfgNode : public ElectionProcess {
       // Raw AG85: forward immediately; replies match in FIFO order.
       fifo_.push_back(c);
       ctx.MaxCounter(fwd_peak_ref_,
-                     static_cast<std::int64_t>(fifo_.size()));
+                     static_cast<std::int64_t>(fifo_.size() - fifo_head_));
       ctx.Send(owner_port_, Packet{kFFwd, {c.id, c.level}});
       return;
     }
@@ -532,9 +531,12 @@ class EfgNode : public ElectionProcess {
   void HandleFwdReply(Context& ctx, bool owner_killed,
                       Credential rejecter) {
     if (!params_.throttle_forwards) {
-      CELECT_CHECK(!fifo_.empty()) << "unmatched forward reply";
-      Contender c = fifo_.front();
-      fifo_.pop_front();
+      CELECT_CHECK(fifo_head_ < fifo_.size()) << "unmatched forward reply";
+      const Contender c = fifo_[fifo_head_++];
+      if (fifo_head_ == fifo_.size()) {
+        fifo_.clear();
+        fifo_head_ = 0;
+      }
       if (owner_killed) {
         owner_port_ = c.port;
         ctx.Send(c.port, Packet{kFAccept, {}});
@@ -1239,7 +1241,11 @@ class EfgNode : public ElectionProcess {
   // Forwarding state (captured nodes).
   std::vector<Contender> pending_;
   std::optional<Contender> inflight_;
-  std::deque<Contender> fifo_;  // unthrottled mode
+  // Unthrottled mode: forwarded contenders awaiting their replies,
+  // oldest at fifo_head_. A vector, emptied once every reply is in,
+  // rather than a deque, whose construction alone allocates.
+  std::vector<Contender> fifo_;
+  std::size_t fifo_head_ = 0;
   // Interned handle for the per-forward queue-peak gauge, resolved on
   // first use (contexts without a metrics backend leave it unresolved
   // and the record falls back to the string path).

@@ -1,6 +1,6 @@
 #include "celect/sim/network.h"
 
-#include <unordered_set>
+#include <algorithm>
 
 #include "celect/util/check.h"
 
@@ -37,10 +37,10 @@ void ValidateConfig(const NetworkConfig& config) {
   CELECT_CHECK(config.delays != nullptr);
   if (!config.identities.empty()) {
     CELECT_CHECK(config.identities.size() == config.n);
-    std::unordered_set<Id> seen;
-    for (Id id : config.identities) {
-      CELECT_CHECK(seen.insert(id).second) << "duplicate identity " << id;
-    }
+    std::vector<Id> sorted = config.identities;
+    std::sort(sorted.begin(), sorted.end());
+    const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
+    CELECT_CHECK(dup == sorted.end()) << "duplicate identity " << *dup;
   }
   if (!config.failed.empty()) {
     CELECT_CHECK(config.failed.size() == config.n);

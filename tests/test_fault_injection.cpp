@@ -246,6 +246,14 @@ TEST(FaultInjection, MidRunCrashVictimMayBeABaseNode) {
   EXPECT_EQ(rt.Run().faults_injected, 1u);
 }
 
+TEST(FaultInjectionDeathTest, RejectsDuplicateIdentities) {
+  NetworkConfig c = BasicConfig(4);
+  c.identities = {5, 9, 7, 1};
+  ValidateConfig(c);  // distinct: must not CHECK-fail
+  c.identities = {5, 9, 7, 9};
+  EXPECT_DEATH(ValidateConfig(c), "duplicate identity 9");
+}
+
 TEST(FaultInjectionDeathTest, RejectsOutOfRangeVictim) {
   FaultPlan plan;
   plan.crashes.push_back(CrashSpec{.node = 9});

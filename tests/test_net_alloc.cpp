@@ -11,6 +11,10 @@
 // streak than any before, a burstier channel. Such peaks get
 // exponentially rarer as the run goes on; the warm-up below outlasts
 // them for this seeded run, so the measured rounds see none.
+//
+// A fresh election is the other budget: one built from nothing, as
+// every net_chaos election is, must stay within a fixed number of
+// allocations and bytes, so opening a session stays cheap.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,15 +22,19 @@
 #include <new>
 #include <vector>
 
+#include "celect/net/cluster.h"
 #include "celect/net/sim_net.h"
 #include "celect/obs/shard.h"
+#include "celect/proto/nosod/fault_tolerant.h"
 
 namespace {
 
 std::uint64_t g_allocations = 0;
+std::uint64_t g_bytes = 0;
 
 void* CountedAlloc(std::size_t size) {
   ++g_allocations;
+  g_bytes += size;
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -35,10 +43,20 @@ void* CountedAlloc(std::size_t size) {
 
 void* operator new(std::size_t size) { return CountedAlloc(size); }
 void* operator new[](std::size_t size) { return CountedAlloc(size); }
+// std::stable_sort's temporary buffer comes from the nothrow form, so
+// it must be the counted one too, and must pair with free().
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_allocations;
+  g_bytes += size;
+  return std::malloc(size == 0 ? 1 : size);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace celect::net {
 namespace {
@@ -146,6 +164,47 @@ TEST(NetAlloc, SteadyStateRoundsAllocateNothing) {
   EXPECT_GT(mesh.Total(&SessionStats::data_retransmits), retransmits);
   EXPECT_GT(mesh.Total(&SessionStats::acks_sent), acks);
   EXPECT_GT(mesh.Total(&SessionStats::frame_errors), frame_errors);
+}
+
+// The net_chaos benchmark's election: FT(f=1) among 16 PeerNodes over
+// lossy, duplicating, reordering links, with node 1 killed at 100 ms.
+ClusterConfig NetChaosConfig(std::uint64_t seed) {
+  ClusterConfig c;
+  c.n = 16;
+  c.seed = seed;
+  c.link.loss = 0.10;
+  c.link.duplicate = 0.02;
+  c.link.reorder = 0.05;
+  c.link.delay_min = 500;
+  c.link.delay_max = 3'000;
+  c.link.reorder_extra = 8'000;
+  c.unit_us = 20'000;
+  c.chaos = {{100'000, 1, ChaosEvent::What::kKill}};
+  return c;
+}
+
+TEST(NetAlloc, FreshElectionStaysWithinBudget) {
+  // Every election builds its endpoints and 240 sessions from nothing,
+  // so what it allocates is mostly that warm-up: opening a session
+  // must cost a few small allocations, not a buffer grown byte by
+  // byte and a stats block per session.
+  constexpr std::uint64_t kSeeds = 8;
+  const sim::ProcessFactory factory = proto::nosod::MakeFaultTolerant(1);
+  RunSimElection(NetChaosConfig(0), factory);  // one-time statics
+  const std::uint64_t allocations_before = g_allocations;
+  const std::uint64_t bytes_before = g_bytes;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    const ClusterResult r = RunSimElection(NetChaosConfig(seed), factory);
+    EXPECT_TRUE(r.agreed) << "seed " << seed;
+  }
+  const std::uint64_t allocations =
+      (g_allocations - allocations_before) / kSeeds;
+  const std::uint64_t bytes = (g_bytes - bytes_before) / kSeeds;
+  // The budget sits between what opening sessions cheaply costs (about
+  // 3,050 allocations and 0.62 MB) and what growing each session's
+  // stats and buffers from empty costs (about 7,400 and 1.09 MB).
+  EXPECT_LE(allocations, 4'000u) << "allocations per election";
+  EXPECT_LE(bytes, 700'000u) << "bytes allocated per election";
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 // covers the socket path (skipped if binding fails in the sandbox).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "celect/net/cluster.h"
 #include "celect/proto/nosod/fault_tolerant.h"
 
@@ -208,6 +210,100 @@ TEST(NetCluster, ScheduledLoopMatchesPinnedRuns) {
     if (pin.setup == Setup::kKillRestartKill) {
       EXPECT_GT(r.peer_restarts, 0u) << "the restart must reach the peers";
     }
+  }
+}
+
+// ClusterResult::metrics of four n = 16 elections in the compact wire
+// form "c:counter=v,... h:histogram=count;sum;min;max;buckets,...":
+// every counter, and every session histogram with its count, sum, min,
+// max and buckets through the last non-empty one. A session histogram
+// a run never fed (suspicion_us without suspicions) is absent.
+constexpr char kChaosLinksMetrics[] =
+    "c:net.datagrams_received=1045,net.datagrams_sent=1345,"
+    "net.delivered=343,net.peer_restarts=0,net.retransmits=40,"
+    "net.rtt_samples_dropped=0,net.suspicions=0,net.version_mismatch=0,"
+    "node.events_dispatched=343,node.suspicions_seen=0,"
+    "node.trace_dropped=0,proto.f.broadcasters=1,proto.f.fwd_queue_peak=3 "
+    "h:backoff_us=40;3673785;60066;197972;"
+    "0:0:0:0:0:0:0:0:0:0:0:0:0:0:0:0:5:30:5,"
+    "rtt_us=269;1334303;1138;18339;0:0:0:0:0:0:0:0:0:0:0:23:147:47:51:1,"
+    "window_occupancy=481;530;1;3;0:436:45";
+
+constexpr char kKillRestartKillMetrics[] =
+    "c:net.datagrams_received=1078,net.datagrams_sent=1327,"
+    "net.delivered=376,net.peer_restarts=2,net.retransmits=4,"
+    "net.rtt_samples_dropped=0,net.suspicions=0,net.version_mismatch=0,"
+    "node.events_dispatched=378,node.suspicions_seen=0,"
+    "node.trace_dropped=0,proto.f.broadcasters=2,proto.f.fwd_queue_peak=9 "
+    "h:backoff_us=4;321694;63686;94994;"
+    "0:0:0:0:0:0:0:0:0:0:0:0:0:0:0:0:1:3,"
+    "rtt_us=333;581606;55;3824;0:0:0:0:0:0:1:1:4:12:48:149:118,"
+    "window_occupancy=509;564;1;3;0:457:52";
+
+constexpr char kDeadPeerMetrics[] =
+    "c:net.datagrams_received=2712,net.datagrams_sent=3281,"
+    "net.delivered=447,net.peer_restarts=0,net.retransmits=840,"
+    "net.rtt_samples_dropped=0,net.suspicions=276,net.version_mismatch=0,"
+    "node.events_dispatched=723,node.suspicions_seen=276,"
+    "node.trace_dropped=0,proto.f.broadcasters=1,proto.f.fwd_queue_peak=14,"
+    "proto.f.suspicions_acted=26 "
+    "h:backoff_us=840;2324657;1500;4998;0:0:0:0:0:0:0:0:0:0:0:284:407:149,"
+    "suspicion_us=261;211043;10;3227;0:0:0:0:3:5:3:13:33:49:74:67:14,"
+    "window_occupancy=595;657;1;6;0:545:47:3";
+
+constexpr char kCappedRttMetrics[] =
+    "c:net.datagrams_received=1045,net.datagrams_sent=1345,"
+    "net.delivered=343,net.peer_restarts=0,net.retransmits=40,"
+    "net.rtt_samples_dropped=12,net.suspicions=0,net.version_mismatch=0,"
+    "node.events_dispatched=343,node.suspicions_seen=0,"
+    "node.trace_dropped=0,proto.f.broadcasters=1,proto.f.fwd_queue_peak=3 "
+    "h:backoff_us=40;3673785;60066;197972;"
+    "0:0:0:0:0:0:0:0:0:0:0:0:0:0:0:0:5:30:5,"
+    "rtt_us=269;1334303;1138;18339;0:0:0:0:0:0:0:0:0:0:0:23:147:47:51:1,"
+    "window_occupancy=481;530;1;3;0:436:45";
+
+void ExpectPinnedStats(const ClusterConfig& config, Micros rtt_p50_us,
+                       Micros rtt_p99_us, const std::string& metrics) {
+  const ClusterResult r = RunSimElection(config, MakeFaultTolerant(1));
+  ASSERT_TRUE(r.agreed);
+  EXPECT_EQ(r.rtt_p50_us, rtt_p50_us);
+  EXPECT_EQ(r.rtt_p99_us, rtt_p99_us);
+  EXPECT_EQ(r.metrics.SerializeCompact(), metrics);
+}
+
+TEST(NetCluster, SessionStatsMatchPinnedRuns) {
+  // Pinned from the build in which every session owned its stats and
+  // an endpoint merged them in peer order: counters, the session
+  // histograms and the RTT percentiles must not depend on where the
+  // sessions record them.
+  {
+    SCOPED_TRACE("chaos links");
+    ExpectPinnedStats(PinnedConfig(Setup::kChaosLinks, 16), 3650, 13578,
+                      kChaosLinksMetrics);
+  }
+  {
+    SCOPED_TRACE("kill, restart, kill");
+    ExpectPinnedStats(PinnedConfig(Setup::kKillRestartKill, 16), 1717, 3531,
+                      kKillRestartKillMetrics);
+  }
+  {
+    // Every frame to the dead peer exhausts its budget: suspicion
+    // episodes, and no clean RTT sample at all.
+    SCOPED_TRACE("dead peer");
+    ClusterConfig config;
+    config.n = 16;
+    config.seed = 3;
+    config.session.rto_initial = 1'000;
+    config.session.max_retries = 1;
+    config.chaos = {{4'000, 1, ChaosEvent::What::kKill}};
+    ExpectPinnedStats(config, 0, 0, kDeadPeerMetrics);
+  }
+  {
+    // Each session keeps 4 samples; the percentiles are over those.
+    SCOPED_TRACE("chaos links, 4 RTT samples per session");
+    ClusterConfig config = PinnedConfig(Setup::kChaosLinks, 16);
+    config.session.rtt_sample_cap = 4;
+    ExpectPinnedStats(config, 3692, 13578, kCappedRttMetrics);
   }
 }
 

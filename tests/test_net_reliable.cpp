@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "celect/net/fake_link.h"
@@ -27,9 +28,12 @@ wire::Packet MakePacket(std::int64_t tag) {
 }
 
 // Two sessions joined by a chaos link pair, plus a tiny event loop.
+// Each side is an endpoint of its own, so a.stats() are a's alone.
 struct Pair {
   VirtualClock clock;
   DatagramPool pool;  // the links' in-flight bytes
+  SessionEndpoint side_a;
+  SessionEndpoint side_b;  // shared by every incarnation of b
   ReliableSession a;
   ReliableSession b;
   FakeLink ab;  // a -> b
@@ -41,7 +45,8 @@ struct Pair {
 
   Pair(const SessionParams& sp, const FakeLinkParams& lp,
        std::uint64_t epoch_a = 0xA, std::uint64_t epoch_b = 0xB)
-      : a(epoch_a, sp), b(epoch_b, WithSeed(sp, sp.seed + 1)),
+      : a(epoch_a, sp, side_a),
+        b(epoch_b, WithSeed(sp, sp.seed + 1), side_b),
         ab(lp, pool), ba(WithSeed(lp, lp.seed + 1), pool) {}
 
   static SessionParams WithSeed(SessionParams sp, std::uint64_t seed) {
@@ -273,7 +278,7 @@ TEST(NetReliable, PeerRestartIsDetectedAndStreamResyncs) {
   ASSERT_EQ(pair.got_b.size(), 10u);
 
   // Kill B: replace it with a fresh incarnation under a new epoch.
-  pair.b = ReliableSession(0xB2, Pair::WithSeed(sp, 99));
+  pair.b = ReliableSession(0xB2, Pair::WithSeed(sp, 99), pair.side_b);
   pair.got_b.clear();
   // A keeps sending; B2 must Reset the unknown stream, the handshake
   // must re-run, and delivery must resume exactly once, in order.
@@ -307,7 +312,7 @@ TEST(NetReliable, StaleAcksFromDeadIncarnationAreRejected) {
   ASSERT_FALSE(stale_acks.empty());
 
   // B restarts; A adopts the new epoch; then the old ack arrives.
-  pair.b = ReliableSession(0xB3, Pair::WithSeed(sp, 77));
+  pair.b = ReliableSession(0xB3, Pair::WithSeed(sp, 77), pair.side_b);
   pair.clock.AdvanceTo(later);
   pair.RunUntil(later + 20'000'000);
   std::uint64_t stale_before = pair.a.stats().stale_epoch;
@@ -414,9 +419,81 @@ TEST(NetReliable, RttSampleCapTruncatesVisibly) {
   EXPECT_EQ(st.rtt_us.count(), st.rtt_count);
 }
 
+TEST(NetReliable, SessionsOfOneEndpointShareItsStatsButNotTheRttCap) {
+  // A hub endpoint with a session to each of two spokes, over clean
+  // instant links. The hub's sessions record into one SessionEndpoint
+  // and share its outbox, so each call's datagrams go out before the
+  // next call, as SessionTable does it.
+  SessionParams sp;
+  sp.rtt_sample_cap = 3;
+  SessionEndpoint hub;
+  SessionEndpoint spoke_side[2];
+  // Sessions 0 and 1 are the hub's, toward spokes 0 and 1; sessions 2
+  // and 3 are the spokes', toward the hub. Session i talks to i ^ 2.
+  std::vector<ReliableSession> session;
+  session.emplace_back(0xA, Pair::WithSeed(sp, 1), hub);
+  session.emplace_back(0xA, Pair::WithSeed(sp, 2), hub);
+  session.emplace_back(0xB, Pair::WithSeed(sp, 3), spoke_side[0]);
+  session.emplace_back(0xC, Pair::WithSeed(sp, 4), spoke_side[1]);
+  // Datagrams in flight: (receiving session, bytes).
+  std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> wire;
+  auto flush = [&](std::size_t i) {
+    for (const auto d : session[i].outbox()) {
+      wire.emplace_back(i ^ 2, std::vector<std::uint8_t>(d.begin(), d.end()));
+    }
+    session[i].outbox().clear();
+  };
+
+  constexpr int kPackets = 10;
+  Micros now = 0;
+  for (int p = 0; p < kPackets; ++p) {
+    for (std::size_t i = 0; i < 2; ++i) {
+      session[i].SendPacket(MakePacket(100 * static_cast<int>(i) + p), now);
+      flush(i);
+    }
+  }
+  std::vector<wire::Packet> got[2];
+  for (int step = 0; step < 100 && !wire.empty(); ++step) {
+    now += 1'000;
+    const auto arrived = std::move(wire);
+    wire.clear();
+    for (const auto& [to, bytes] : arrived) {
+      session[to].OnDatagram(bytes.data(), bytes.size(), now);
+      flush(to);
+    }
+    for (std::size_t i = 0; i < session.size(); ++i) {
+      session[i].Tick(now);
+      flush(i);
+    }
+    for (std::size_t k = 0; k < 2; ++k) {
+      for (auto& d : session[2 + k].delivered()) got[k].push_back(d.packet);
+      session[2 + k].delivered().clear();
+    }
+  }
+  for (std::size_t k = 0; k < 2; ++k) {
+    ASSERT_EQ(got[k].size(), static_cast<std::size_t>(kPackets));
+    for (int p = 0; p < kPackets; ++p) {
+      EXPECT_EQ(got[k][p].field(0), 100 * static_cast<int>(k) + p);
+    }
+    EXPECT_EQ(session[k].in_flight(), 0u);
+    EXPECT_EQ(&session[k].stats(), &hub.stats);
+    EXPECT_EQ(spoke_side[k].stats.delivered,
+              static_cast<std::uint64_t>(kPackets));
+  }
+  const SessionStats& st = hub.stats;
+  EXPECT_EQ(st.data_sent, 2u * kPackets);
+  EXPECT_EQ(st.data_retransmits, 0u);
+  EXPECT_EQ(st.rtt_count, 2u * kPackets);
+  EXPECT_EQ(st.rtt_us.count(), 2u * kPackets);
+  // Each session keeps its own first three samples.
+  EXPECT_EQ(st.rtt_samples.size(), 2 * sp.rtt_sample_cap);
+  EXPECT_EQ(st.rtt_samples_dropped, 2u * kPackets - 2 * sp.rtt_sample_cap);
+}
+
 TEST(NetReliable, WrongWireVersionIsRejectedAtTheDoor) {
   SessionParams sp;
-  ReliableSession s(0xB0B, sp);
+  SessionEndpoint endpoint;
+  ReliableSession s(0xB0B, sp, endpoint);
 
   // A future-version peer: Hello carrying kWireVersion + 1.
   std::vector<std::uint8_t> payload;
