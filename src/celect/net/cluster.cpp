@@ -33,7 +33,7 @@ struct Agreement {
 // Live nodes unanimous, and the believed id was actually declared.
 template <typename NodeVec>
 Agreement CheckAgreement(const NodeVec& nodes,
-                         const std::vector<bool>& alive,
+                         const std::vector<std::uint8_t>& alive,
                          const std::set<sim::Id>& declared) {
   Agreement a;
   std::optional<sim::Id> belief;
@@ -50,8 +50,8 @@ Agreement CheckAgreement(const NodeVec& nodes,
   return a;
 }
 
-// Folds one incarnation's transport stats, metrics snapshot and (when
-// tracing) shard; st is the incarnation's Stats(), taken once.
+// Folds one incarnation's transport stats, metrics (in place) and
+// (when tracing) shard; st is the incarnation's Stats(), taken once.
 void Fold(ClusterResult& r, const PeerNode& node, const TransportStats& st,
           bool trace, bool complete) {
   r.datagrams += st.datagrams_sent;
@@ -59,7 +59,7 @@ void Fold(ClusterResult& r, const PeerNode& node, const TransportStats& st,
   r.suspicions += st.sessions.suspicions;
   r.peer_restarts += st.sessions.peer_restarts;
   r.delivered += st.sessions.delivered;
-  r.metrics.MergeFrom(node.SnapshotMetrics(st));
+  node.FoldMetrics(r.metrics, st);
   if (trace) r.shards.push_back(node.MakeShard(complete, st));
 }
 
@@ -93,7 +93,7 @@ ClusterResult RunSimElection(const ClusterConfig& config,
     pc.trace_cap = config.trace_cap;
     return std::make_unique<PeerNode>(pc, net.at(i), factory);
   };
-  std::vector<bool> alive(config.n, true);
+  std::vector<std::uint8_t> alive(config.n, 1);
   for (PeerId i = 0; i < config.n; ++i) nodes[i] = make_node(i, false);
 
   auto chaos = config.chaos;
@@ -136,7 +136,7 @@ ClusterResult RunSimElection(const ClusterConfig& config,
   std::vector<std::optional<Micros>> wake(config.n);
   // Nodes that must pump this round whatever their wake: a datagram
   // landed in their inbox, or they were just restarted.
-  std::vector<bool> due(config.n, false);
+  std::vector<std::uint8_t> due(config.n, 0);
   // Set when some node's leader() or declared_self() moved, or a node
   // was killed or restarted: the only events agreement depends on.
   bool beliefs_changed = true;
@@ -154,7 +154,7 @@ ClusterResult RunSimElection(const ClusterConfig& config,
   for (PeerId i = 0; i < config.n; ++i) pump(i);
 
   // The scheduled loop. Each round advances the clock to the earliest
-  // of: the SimNet arrival index head, the cached node wakes, and the
+  // of: the SimNet in-flight heap top, the cached node wakes, and the
   // next chaos event. It applies the chaos due by then, delivers the
   // due datagrams in (from, to) channel order, then pumps in node order
   // only the nodes that received a datagram, just restarted, or have a
@@ -194,20 +194,20 @@ ClusterResult RunSimElection(const ClusterConfig& config,
         fold_node(ev.node, /*survived=*/false);
         net.Kill(ev.node);
         nodes[ev.node].reset();
-        alive[ev.node] = false;
+        alive[ev.node] = 0;
       } else {
         if (alive[ev.node]) continue;
         net.Restart(ev.node);
         nodes[ev.node] = make_node(ev.node, /*rejoin=*/true);
-        alive[ev.node] = true;
-        due[ev.node] = true;
+        alive[ev.node] = 1;
+        due[ev.node] = 1;
       }
       beliefs_changed = true;
     }
-    for (PeerId i : net.DeliverDue()) due[i] = true;
+    for (PeerId i : net.DeliverDue()) due[i] = 1;
     for (PeerId i = 0; i < config.n; ++i) {
       if (!alive[i] || !(due[i] || (wake[i] && *wake[i] <= now))) continue;
-      due[i] = false;
+      due[i] = 0;
       pump(i);
     }
   }
@@ -238,7 +238,7 @@ std::optional<ClusterResult> RunUdpElection(
     if (!transports[i]->Open()) return std::nullopt;
   }
   std::vector<std::unique_ptr<PeerNode>> nodes(config.n);
-  std::vector<bool> alive(config.n, true);
+  std::vector<std::uint8_t> alive(config.n, 1);
   for (PeerId i = 0; i < config.n; ++i) {
     PeerNodeConfig pc;
     pc.id = ids[i];

@@ -4,7 +4,7 @@
 // virtual clock — fully deterministic, with scripted kill/restart chaos
 // — and is what the reliability test suite and the sim rows of
 // bench_transport run. Its loop is scheduled on due work: each round
-// jumps to the earliest of SimNet's arrival index head, the nodes'
+// jumps to the earliest of SimNet's in-flight heap top, the nodes'
 // cached NextWake and the next chaos event, delivers the due datagrams
 // in (from, to) order, then pumps in node order only the nodes that
 // received one, just restarted, or whose wake is due. Any other pump
@@ -74,8 +74,9 @@ struct ClusterResult {
   // RTT percentiles over never-retransmitted frames (0 when no samples).
   Micros rtt_p50_us = 0;
   Micros rtt_p99_us = 0;
-  // Every incarnation's PeerNode::SnapshotMetrics, folded: cluster-wide
-  // counters and session-layer histograms (rtt_us, backoff_us, ...).
+  // Every incarnation's PeerNode::FoldMetrics, added in place:
+  // cluster-wide counters and session-layer histograms (rtt_us,
+  // backoff_us, ...).
   obs::MetricsRegistry metrics;
   // One shard per node incarnation when ClusterConfig::trace is set,
   // in capture order (deaths first, then survivors in node order).

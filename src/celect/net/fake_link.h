@@ -1,23 +1,19 @@
-// Deterministic byte-pipe with seeded chaos.
+// Deterministic chaos for one datagram channel.
 //
-// FakeLink is a unidirectional datagram channel that loses, duplicates,
-// reorders (via extra delay), and corrupts (bit flips) traffic under a
-// seeded Rng — so the full reliability stack is unit-testable
-// bit-reproducibly without opening a socket. Two FakeLinks back to back
-// make a duplex link; SimNet wires n*(n-1) of them into a mesh.
-//
-// Datagram bytes live in a DatagramPool the link's owner provides (one
-// per SimNet, shared by every channel); the link keeps only a vector
-// min-heap of (arrival time, send order, slot handle).
+// FakeLink decides, under a seeded Rng, what the wire does to each
+// datagram sent one way between two endpoints: it loses, duplicates,
+// reorders (via extra delay), and corrupts (bit flips) traffic — so the
+// full reliability stack is unit-testable bit-reproducibly without
+// opening a socket. It keeps no datagrams: Admit hands every copy that
+// survives, with its arrival time, to the caller, which stores and
+// later delivers it. SimNet keeps one FakeLink per directed channel of
+// its mesh and all their copies in one in-flight heap.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <vector>
 
 #include "celect/net/clock.h"
-#include "celect/net/datagram.h"
 #include "celect/util/rng.h"
 
 namespace celect::net {
@@ -30,47 +26,44 @@ struct FakeLinkParams {
   Micros delay_min = 500;   // per-datagram propagation delay range
   Micros delay_max = 3'000;
   Micros reorder_extra = 8'000;
-  std::uint64_t seed = 1;
+  std::uint64_t seed = 1;  // SimNet derives one per channel from it
 };
 
 class FakeLink {
  public:
-  // pool must outlive the link; it keeps what is in flight.
-  FakeLink(const FakeLinkParams& params, DatagramPool& pool);
+  // params must outlive the link, and may be shared by many links;
+  // their seed is ignored in favour of `seed`, this link's own stream.
+  FakeLink(const FakeLinkParams& params, std::uint64_t seed);
 
-  void Send(std::span<const std::uint8_t> dgram, Micros now);
+  // Draws the fate of dgram, sent at now. For each copy that survives,
+  // arrive(dgram, at) stores the bytes for delivery at `at` and returns
+  // the stored copy as a std::span<std::uint8_t>, which Admit may then
+  // corrupt in place. The Rng draws come in a fixed order — loss, then
+  // duplication, then per copy delay, reordering and corruption — so a
+  // seed fixes every copy's fate.
+  template <typename Arrive>
+  void Admit(std::span<const std::uint8_t> dgram, Micros now,
+             Arrive&& arrive) {
+    if (params_->loss > 0 && rng_.NextDouble() < params_->loss) {
+      ++lost_;
+      return;
+    }
+    const bool dup =
+        params_->duplicate > 0 && rng_.NextDouble() < params_->duplicate;
+    Corrupt(arrive(dgram, now + Delay()));
+    if (dup) Corrupt(arrive(dgram, now + Delay()));
+  }
 
-  // Earliest pending delivery, if any.
-  std::optional<Micros> NextDelivery() const;
-
-  // Appends the pool handle of every datagram due at or before now to
-  // out, in delivery order (ties broken by send order —
-  // deterministically). The caller takes each handle over and releases
-  // it to the pool once it has read the bytes.
-  void DeliverDue(Micros now, std::vector<DatagramPool::Handle>& out);
-
-  std::uint64_t delivered() const { return delivered_; }
   std::uint64_t lost() const { return lost_; }
 
  private:
-  struct InFlight {
-    Micros at;
-    std::uint64_t order;  // tie-break: monotone enqueue counter
-    DatagramPool::Handle dgram;
-  };
-  // Heap order: the earliest (at, order) on top.
-  static bool Later(const InFlight& a, const InFlight& b) {
-    return a.at != b.at ? a.at > b.at : a.order > b.order;
-  }
+  // One copy's propagation delay, reordering included.
+  Micros Delay();
+  // Flips 1..4 bits of a stored copy, with probability params_->corrupt.
+  void Corrupt(std::span<std::uint8_t> bytes);
 
-  void Enqueue(std::span<const std::uint8_t> dgram, Micros now);
-
-  FakeLinkParams params_;
+  const FakeLinkParams* params_;
   Rng rng_;
-  DatagramPool* pool_;
-  std::vector<InFlight> in_flight_;  // min-heap under Later
-  std::uint64_t order_ = 0;
-  std::uint64_t delivered_ = 0;
   std::uint64_t lost_ = 0;
 };
 

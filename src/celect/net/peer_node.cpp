@@ -1,7 +1,9 @@
 #include "celect/net/peer_node.h"
 
 #include <algorithm>
+#include <functional>
 #include <string>
+#include <string_view>
 
 #include "celect/util/check.h"
 #include "celect/util/rng.h"
@@ -62,7 +64,11 @@ void PeerNode::Transmit(sim::NodeId /*from*/, sim::NodeId to,
 
 sim::TimerId PeerNode::ArmTimer(sim::NodeId /*node*/, sim::Time delay) {
   const sim::TimerId id = next_timer_++;
-  timers_.insert({transport_.Now() + DelayToMicros(delay), id});
+  const std::pair<Micros, sim::TimerId> timer{
+      transport_.Now() + DelayToMicros(delay), id};
+  timers_.insert(std::upper_bound(timers_.begin(), timers_.end(), timer,
+                                  std::greater<>()),
+                 timer);
   return id;
 }
 
@@ -138,9 +144,9 @@ void PeerNode::Dispatch(const TransportEvent& ev) {
 
 void PeerNode::FireDueTimers() {
   while (!timers_.empty()) {
-    auto [deadline, id] = *timers_.begin();
+    const auto [deadline, id] = timers_.back();
     if (deadline > transport_.Now()) break;
-    timers_.erase(timers_.begin());
+    timers_.pop_back();
     digest_.Update(0x7D);  // timer-fired marker
     digest_.Update(static_cast<std::uint8_t>(id));
     core_.FireTimer(*process_, id);
@@ -166,12 +172,17 @@ void PeerNode::Pump() {
   if (leader_ && transport_.Now() >= next_announce_) Announce();
 }
 
-obs::MetricsRegistry PeerNode::SnapshotMetrics(
-    const TransportStats& st) const {
-  obs::MetricsRegistry m;
-  for (const auto& [name, value] : stores_.metrics.registry().counters()) {
-    if (value > 0) m.AddCounter("proto." + name, value);
-  }
+void PeerNode::FoldMetrics(obs::MetricsRegistry& m,
+                           const TransportStats& st) const {
+  std::string name = "proto.";
+  const std::size_t prefix = name.size();
+  stores_.metrics.registry().ForEachCounter(
+      [&](std::string_view counter, std::int64_t value) {
+        if (value <= 0) return;
+        name.resize(prefix);
+        name += counter;
+        m.AddCounter(name, value);
+      });
   m.AddCounter("node.events_dispatched", events_dispatched_);
   m.AddCounter("node.suspicions_seen", suspicions_seen_);
   m.AddCounter("node.trace_dropped", stores_.trace.dropped());
@@ -188,6 +199,12 @@ obs::MetricsRegistry PeerNode::SnapshotMetrics(
   m.MergeHistogram("backoff_us", st.sessions.backoff_us);
   m.MergeHistogram("window_occupancy", st.sessions.window);
   m.MergeHistogram("suspicion_us", st.sessions.suspicion_us);
+}
+
+obs::MetricsRegistry PeerNode::SnapshotMetrics(
+    const TransportStats& st) const {
+  obs::MetricsRegistry m;
+  FoldMetrics(m, st);
   return m;
 }
 
@@ -207,7 +224,7 @@ obs::TraceShard PeerNode::MakeShard(bool complete,
           TicksOf(static_cast<Micros>(f.at)));
     }
   }
-  s.metrics = SnapshotMetrics(stats);
+  FoldMetrics(s.metrics, stats);
   return s;
 }
 
@@ -216,7 +233,7 @@ std::optional<Micros> PeerNode::NextWake() const {
   auto consider = [&wake](Micros t) {
     if (!wake || t < *wake) wake = t;
   };
-  if (!timers_.empty()) consider(timers_.begin()->first);
+  if (!timers_.empty()) consider(timers_.back().first);
   if (leader_) consider(next_announce_);
   return wake;
 }

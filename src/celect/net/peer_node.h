@@ -6,7 +6,7 @@
 // sim::SodPortMapper ((self + port) mod n, so port numbers stay 1..n-1
 // and never reveal identities), sim::Time maps to transport
 // microseconds through a configurable unit, timers live in a local
-// deadline set, and transport suspect events surface as
+// deadline list, and transport suspect events surface as
 // Process::OnPeerSuspected.
 //
 // On top of the hosted election it runs a tiny gossip layer: once any
@@ -20,7 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "celect/net/transport.h"
@@ -89,10 +89,14 @@ class PeerNode : private sim::NodeHost {
   // flush (what a SIGKILLed victim leaves behind); complete=true an
   // orderly exit.
   obs::TraceShard MakeShard(bool complete, const TransportStats& stats) const;
-  // Counters + histograms spanning the protocol engine (Context
-  // counters) and the reliability layer (`stats`, the transport's
-  // Stats()). The one place the session histograms get their names:
-  // rtt_us, backoff_us, window_occupancy, suspicion_us.
+  // Adds this incarnation's counters + histograms into `into`: the
+  // protocol engine's (Context counters) and the reliability layer's
+  // (`stats`, the transport's Stats()). The one place the session
+  // histograms get their names: rtt_us, backoff_us, window_occupancy,
+  // suspicion_us.
+  void FoldMetrics(obs::MetricsRegistry& into,
+                   const TransportStats& stats) const;
+  // FoldMetrics into a fresh registry.
   obs::MetricsRegistry SnapshotMetrics(const TransportStats& stats) const;
 
  private:
@@ -121,9 +125,10 @@ class PeerNode : private sim::NodeHost {
   sim::NodeCore core_;
   std::unique_ptr<sim::Process> process_;
 
-  // Armed timers by deadline; ties fire in arming order (TimerIds are
-  // monotone), so dispatch is deterministic.
-  std::set<std::pair<Micros, sim::TimerId>> timers_;
+  // Armed timers sorted latest first, so the next to fire is at the
+  // back; deadline ties fire in arming order (TimerIds are monotone),
+  // so dispatch is deterministic.
+  std::vector<std::pair<Micros, sim::TimerId>> timers_;
   sim::TimerId next_timer_ = 1;
 
   std::optional<sim::Id> leader_;

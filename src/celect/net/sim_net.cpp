@@ -78,18 +78,12 @@ class SimNet::Node final : public Transport {
   }
 
   void Flush(PeerId peer, DatagramQueue& dgrams) {
-    if (dgrams.empty()) return;
-    const Micros now = Now();
-    const std::size_t c = net_->ChannelIndex(self_, peer);
-    FakeLink& channel = net_->channels_[c];
-    const std::optional<Micros> old_head = channel.NextDelivery();
     for (const auto dgram : dgrams) {
       stats_.bytes_sent += dgram.size();
       ++stats_.datagrams_sent;
-      channel.Send(dgram, now);
+      net_->Admit(self_, peer, dgram);
     }
     dgrams.clear();
-    net_->Reindex(c, old_head);
   }
 
   SimNet* net_;
@@ -99,69 +93,22 @@ class SimNet::Node final : public Transport {
   TransportStats stats_;
 };
 
-SimNet::ArrivalIndex::ArrivalIndex(std::size_t channels)
-    : slot_(channels, kAbsent) {
-  heap_.reserve(channels);
+bool SimNet::Later::operator()(const InFlight& a, const InFlight& b) const {
+  if (a.at != b.at) return a.at > b.at;
+  if (a.channel != b.channel) return a.channel > b.channel;
+  return a.order > b.order;
 }
 
-void SimNet::ArrivalIndex::Set(std::size_t c, std::optional<Micros> head) {
-  const std::uint32_t i = slot_[c];
-  if (!head) {
-    if (i == kAbsent) return;
-    slot_[c] = kAbsent;
-    const Entry last = heap_.back();
-    heap_.pop_back();
-    if (i < heap_.size()) Place(i, last);
-    return;
-  }
-  const Entry e{*head, static_cast<std::uint32_t>(c)};
-  if (i != kAbsent) {
-    Place(i, e);
-    return;
-  }
-  heap_.push_back(e);
-  Place(heap_.size() - 1, e);
-}
-
-void SimNet::ArrivalIndex::Place(std::size_t i, Entry e) {
-  while (i > 0) {  // up
-    const std::size_t parent = (i - 1) / 2;
-    if (heap_[parent].at <= e.at) break;
-    heap_[i] = heap_[parent];
-    slot_[heap_[i].channel] = static_cast<std::uint32_t>(i);
-    i = parent;
-  }
-  for (;;) {  // down
-    std::size_t child = 2 * i + 1;
-    if (child >= heap_.size()) break;
-    if (child + 1 < heap_.size() && heap_[child + 1].at < heap_[child].at) {
-      ++child;
-    }
-    if (e.at <= heap_[child].at) break;
-    heap_[i] = heap_[child];
-    slot_[heap_[i].channel] = static_cast<std::uint32_t>(i);
-    i = child;
-  }
-  heap_[i] = e;
-  slot_[e.channel] = static_cast<std::uint32_t>(i);
+bool SimNet::ChannelFirst::operator()(const InFlight& a,
+                                      const InFlight& b) const {
+  if (a.channel != b.channel) return a.channel < b.channel;
+  if (a.at != b.at) return a.at < b.at;
+  return a.order < b.order;
 }
 
 SimNet::SimNet(const SimNetConfig& config)
-    : config_(config),
-      alive_(config.n, true),
-      arrivals_(std::size_t{config.n} * (config.n - 1)) {
+    : config_(config), alive_(config.n, true) {
   CELECT_CHECK(config_.n >= 2) << "SimNet needs at least two nodes";
-  channels_.reserve(std::size_t{config_.n} * (config_.n - 1));
-  for (PeerId from = 0; from < config_.n; ++from) {
-    for (PeerId to = 0; to < config_.n; ++to) {
-      if (from == to) continue;
-      FakeLinkParams lp = config_.link;
-      lp.seed = SplitMix64(config_.seed ^
-                           (std::uint64_t{from} * config_.n + to + 1))
-                    .Next();
-      channels_.emplace_back(lp, pool_);
-    }
-  }
   nodes_.resize(config_.n);
   for (PeerId i = 0; i < config_.n; ++i) {
     nodes_[i] = std::make_unique<Node>(this, i, NextEpoch());
@@ -190,14 +137,37 @@ void SimNet::Restart(PeerId i) {
   nodes_[i] = std::make_unique<Node>(this, i, NextEpoch());
 }
 
-void SimNet::Reindex(std::size_t c, std::optional<Micros> old_head) {
-  const std::optional<Micros> head = channels_[c].NextDelivery();
-  if (head != old_head) arrivals_.Set(c, head);
+void SimNet::Admit(PeerId from, PeerId to,
+                   std::span<const std::uint8_t> dgram) {
+  if (channels_.empty()) BuildChannels();
+  const auto c = static_cast<std::uint32_t>(ChannelIndex(from, to));
+  const Micros now = clock_.Now();
+  channels_[c].Admit(
+      dgram, now, [&](std::span<const std::uint8_t> bytes, Micros at) {
+        const DatagramPool::Handle h = pool_.Store(bytes);
+        in_flight_.push_back(InFlight{at, admitted_++, c, h});
+        std::push_heap(in_flight_.begin(), in_flight_.end(), Later{});
+        return pool_.bytes(h);
+      });
+}
+
+void SimNet::BuildChannels() {
+  channels_.reserve(std::size_t{config_.n} * (config_.n - 1));
+  for (PeerId from = 0; from < config_.n; ++from) {
+    for (PeerId to = 0; to < config_.n; ++to) {
+      if (from == to) continue;
+      const std::uint64_t seed = SplitMix64(
+          config_.seed ^ (std::uint64_t{from} * config_.n + to + 1)).Next();
+      channels_.emplace_back(config_.link, seed);
+    }
+  }
+  // Room for one copy per channel before the heap first grows.
+  in_flight_.reserve(channels_.size());
 }
 
 std::optional<Micros> SimNet::NextArrival() const {
-  if (arrivals_.empty()) return std::nullopt;
-  return arrivals_.next();
+  if (in_flight_.empty()) return std::nullopt;
+  return in_flight_.front().at;
 }
 
 std::optional<Micros> SimNet::NextEvent() const {
@@ -211,32 +181,30 @@ std::optional<Micros> SimNet::NextEvent() const {
 }
 
 const std::vector<PeerId>& SimNet::DeliverDue() {
-  Micros now = clock_.Now();
-  due_channels_.clear();
-  while (!arrivals_.empty() && arrivals_.next() <= now) {
-    due_channels_.push_back(arrivals_.top());
-    arrivals_.Pop();
+  const Micros now = clock_.Now();
+  // Each pop parks the top just past the shrinking heap, so the due
+  // entries gather at the vector's tail.
+  auto due = in_flight_.end();
+  while (due != in_flight_.begin() && in_flight_.front().at <= now) {
+    std::pop_heap(in_flight_.begin(), due, Later{});
+    --due;
   }
-  // Channel-index order is (from, to) order: each inbox fills by sender.
-  std::sort(due_channels_.begin(), due_channels_.end());
+  std::sort(due, in_flight_.end(), ChannelFirst{});
   receivers_.clear();
-  for (std::size_t c : due_channels_) {
-    FakeLink& channel = channels_[c];
-    due_dgrams_.clear();
-    channel.DeliverDue(now, due_dgrams_);
-    arrivals_.Set(c, channel.NextDelivery());
-    const auto from = static_cast<PeerId>(c / (config_.n - 1));
-    const auto rest = static_cast<PeerId>(c % (config_.n - 1));
+  for (auto it = due; it != in_flight_.end(); ++it) {
+    const auto from = static_cast<PeerId>(it->channel / (config_.n - 1));
+    const auto rest = static_cast<PeerId>(it->channel % (config_.n - 1));
     const PeerId to = rest + (rest >= from ? 1 : 0);
     if (!alive_[to]) {  // dropped on the dead host's floor
-      for (DatagramPool::Handle dgram : due_dgrams_) pool_.Release(dgram);
+      pool_.Release(it->dgram);
       continue;
     }
-    for (DatagramPool::Handle dgram : due_dgrams_) {
-      nodes_[to]->Receive(from, dgram);
+    nodes_[to]->Receive(from, it->dgram);
+    if (receivers_.empty() || receivers_.back() != to) {
+      receivers_.push_back(to);
     }
-    receivers_.push_back(to);
   }
+  in_flight_.erase(due, in_flight_.end());
   std::sort(receivers_.begin(), receivers_.end());
   receivers_.erase(std::unique(receivers_.begin(), receivers_.end()),
                    receivers_.end());

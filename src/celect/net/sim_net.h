@@ -8,23 +8,28 @@
 // jitter, epochs — derives from the config seed, so a run is
 // bit-reproducible.
 //
-// Arrival index: SimNet keeps a binary min-heap of (head arrival time,
-// channel index), with one entry per channel that has traffic in
-// flight and a slot map from channel to heap position, so a channel's
-// entry is moved in place rather than removed and re-added. It is
-// updated whenever a channel's head changes — after an endpoint hands
-// datagrams to a channel, and after DeliverDue drains one — so
-// NextArrival() is the heap top and DeliverDue() touches only the
-// channels that are due, never the whole mesh. The queued arrivals are
-// also the choice points a schedule explorer would pick among.
+// In-flight heap: every datagram on the wire, mesh-wide, is one entry
+// of a single binary min-heap keyed on (arrival, channel, admission
+// order), where a channel's FakeLink decides each copy's fate and
+// arrival time as the sender's endpoint flushes it. The FakeLinks share
+// the config's chaos params and are seeded at the first flush, so a
+// mesh that has sent nothing holds only its endpoints. NextArrival() is
+// the heap top. DeliverDue() pops every entry due by now and sorts
+// just those by (channel, arrival, order): channel index order is
+// (from, to) order, so this is exactly the delivery order of one
+// (arrival, order)-ordered queue per channel drained channel by
+// channel, however many arrival instants the call covers. The keys
+// are unique, so the sort needs no stability and no buffer. The
+// queued arrivals are also the choice points a schedule explorer
+// would pick among.
 //
 // Buffers: every datagram in flight or waiting in an inbox lives in
-// one DatagramPool slot owned by the SimNet. A channel copies the
-// sender's outbox bytes into a slot at Send, its handle moves to the
+// one DatagramPool slot owned by the SimNet. Admission copies the
+// sender's outbox bytes into a slot, its handle moves to the
 // receiver's inbox at DeliverDue, and Poll releases it once the
 // session has read it; a killed node's inbox and a dead host's
-// arrivals are released unread. Channels are stored by value, and
-// each endpoint polls through a SessionTable (session_table.h).
+// arrivals are released unread. Each endpoint polls through a
+// SessionTable (session_table.h).
 //
 // Kill/Restart model a process crash: a killed node loses all session
 // state and its in-flight traffic is discarded on arrival; a restarted
@@ -35,6 +40,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "celect/net/clock.h"
@@ -68,8 +74,8 @@ class SimNet {
   // Revive node i with a fresh, unique session epoch.
   void Restart(PeerId i);
 
-  // Earliest pending link delivery across the mesh (the arrival
-  // index top).
+  // Earliest pending link delivery across the mesh (the in-flight
+  // heap top).
   std::optional<Micros> NextArrival() const;
   // Earliest pending link delivery or session timer across the mesh.
   std::optional<Micros> NextEvent() const;
@@ -82,29 +88,21 @@ class SimNet {
  private:
   class Node;
 
-  // The arrival index: channels with traffic in flight, as a binary
-  // min-heap on head arrival time with each channel's heap position.
-  class ArrivalIndex {
-   public:
-    explicit ArrivalIndex(std::size_t channels);
-    bool empty() const { return heap_.empty(); }
-    Micros next() const { return heap_.front().at; }
-    std::size_t top() const { return heap_.front().channel; }
-    // Sets channel c's entry to head, removing it when head is nullopt.
-    void Set(std::size_t c, std::optional<Micros> head);
-    void Pop() { Set(top(), std::nullopt); }
-
-   private:
-    struct Entry {
-      Micros at;
-      std::uint32_t channel;
-    };
-    static constexpr std::uint32_t kAbsent = 0xFFFFFFFF;
-    // Moves e up or down from heap slot i to where it belongs.
-    void Place(std::size_t i, Entry e);
-
-    std::vector<Entry> heap_;
-    std::vector<std::uint32_t> slot_;  // channel -> heap slot or kAbsent
+  // One datagram copy on the wire: due at `at` on channel `channel`,
+  // the `order`th copy admitted anywhere in the mesh.
+  struct InFlight {
+    Micros at;
+    std::uint64_t order;
+    std::uint32_t channel;
+    DatagramPool::Handle dgram;
+  };
+  // Heap order: the earliest (at, channel, order) on top.
+  struct Later {
+    bool operator()(const InFlight& a, const InFlight& b) const;
+  };
+  // Delivery order: channel by channel, each in (at, order).
+  struct ChannelFirst {
+    bool operator()(const InFlight& a, const InFlight& b) const;
   };
 
   // Channels are indexed densely in (from, to) order, skipping from ==
@@ -112,23 +110,28 @@ class SimNet {
   std::size_t ChannelIndex(PeerId from, PeerId to) const {
     return std::size_t{from} * (config_.n - 1) + to - (to > from ? 1 : 0);
   }
-  // Moves channel c's index entry from old_head to its current head.
-  void Reindex(std::size_t c, std::optional<Micros> old_head);
+  // Puts one datagram flushed by `from` toward `to` on the wire: its
+  // channel's chaos decides which copies arrive, and when.
+  void Admit(PeerId from, PeerId to, std::span<const std::uint8_t> dgram);
+  // Seeds every channel's chaos stream. Called at the first Admit, so
+  // building a mesh costs only its endpoints until traffic flows.
+  void BuildChannels();
   std::uint64_t NextEpoch() { return ++epoch_counter_; }
 
   SimNetConfig config_;
   VirtualClock clock_;
-  // Declared before the channels and nodes that hold its handles.
+  // Declared before the nodes and the heap that hold its handles.
   DatagramPool pool_;
-  std::vector<FakeLink> channels_;  // [ChannelIndex(from, to)]
+  // [ChannelIndex(from, to)]; empty until the first datagram.
+  std::vector<FakeLink> channels_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<bool> alive_;
   std::uint64_t epoch_counter_ = 0;
-  ArrivalIndex arrivals_;
-  // DeliverDue's reused buffers.
-  std::vector<std::size_t> due_channels_;
-  std::vector<DatagramPool::Handle> due_dgrams_;
-  std::vector<PeerId> receivers_;
+  // Min-heap on (at, channel, order); DeliverDue parks the due entries
+  // past the heap's end while it hands them out.
+  std::vector<InFlight> in_flight_;
+  std::uint64_t admitted_ = 0;  // copies put on the wire so far
+  std::vector<PeerId> receivers_;  // DeliverDue's reused result
 };
 
 }  // namespace celect::net

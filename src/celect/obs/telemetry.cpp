@@ -127,16 +127,20 @@ std::uint32_t MetricsRegistry::InternCounter(std::string_view name) {
   return slot;
 }
 
-void MetricsRegistry::MergeHistogram(const std::string& name,
+void MetricsRegistry::MergeHistogram(std::string_view name,
                                      const Histogram& h) {
   if (h.count() == 0) return;
-  histograms_[name].Merge(h);
+  const auto it = histograms_.find(name);
+  if (it != histograms_.end()) {
+    it->second.Merge(h);
+  } else {
+    histograms_.emplace(std::string(name), h);
+  }
 }
 
 void MetricsRegistry::MergeFrom(const MetricsRegistry& o) {
-  for (const auto& [name, slot] : o.slots_) {
-    if (o.cells_[slot].recorded) AddCounter(name, o.cells_[slot].value);
-  }
+  o.ForEachCounter(
+      [this](std::string_view name, std::int64_t v) { AddCounter(name, v); });
   for (const auto& [name, h] : o.histograms_) MergeHistogram(name, h);
 }
 
@@ -148,10 +152,9 @@ bool MetricsRegistry::Empty() const {
 
 std::map<std::string, std::int64_t> MetricsRegistry::counters() const {
   std::map<std::string, std::int64_t> out;
-  for (const auto& [name, slot] : slots_) {
-    if (cells_[slot].recorded) out.emplace_hint(out.end(), name,
-                                                cells_[slot].value);
-  }
+  ForEachCounter([&out](std::string_view name, std::int64_t v) {
+    out.emplace_hint(out.end(), name, v);
+  });
   return out;
 }
 
@@ -163,11 +166,10 @@ std::string MetricsRegistry::SerializeCompact() const {
   if (Empty()) return "-";
   std::ostringstream os;
   const char* sep = "c:";
-  for (const auto& [name, slot] : slots_) {
-    if (!cells_[slot].recorded) continue;
-    os << sep << name << "=" << cells_[slot].value;
+  ForEachCounter([&os, &sep](std::string_view name, std::int64_t v) {
+    os << sep << name << "=" << v;
     sep = ",";
-  }
+  });
   sep = *sep == ',' ? " h:" : "h:";
   for (const auto& [name, h] : histograms_) {
     os << sep << name << "=" << h.count() << ";" << h.sum() << ";"

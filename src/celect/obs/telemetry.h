@@ -124,14 +124,24 @@ class MetricsRegistry {
   }
 
   // Skips empty histograms, so a name exists only with samples behind it.
-  void MergeHistogram(const std::string& name, const Histogram& h);
+  void MergeHistogram(std::string_view name, const Histogram& h);
   void MergeFrom(const MetricsRegistry& o);
 
   bool Empty() const;
 
+  // Calls fn(std::string_view name, std::int64_t value) for each
+  // recorded counter, in name order, without materialising anything.
+  template <typename Fn>
+  void ForEachCounter(Fn&& fn) const {
+    for (const auto& [name, slot] : slots_) {
+      if (cells_[slot].recorded) {
+        fn(std::string_view(name), cells_[slot].value);
+      }
+    }
+  }
   // Recorded counters, materialised in name order.
   std::map<std::string, std::int64_t> counters() const;
-  const std::map<std::string, Histogram>& histograms() const {
+  const std::map<std::string, Histogram, std::less<>>& histograms() const {
     return histograms_;
   }
 
@@ -157,7 +167,7 @@ class MetricsRegistry {
   std::vector<Cell> cells_;
   // name → slot; iterating it visits the counters in name order.
   std::map<std::string, std::uint32_t, std::less<>> slots_;
-  std::map<std::string, Histogram> histograms_;
+  std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
 // Full-token decimal parses for the obs text formats: nullopt unless all

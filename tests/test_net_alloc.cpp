@@ -14,12 +14,15 @@
 //
 // A fresh election is the other budget: one built from nothing, as
 // every net_chaos election is, must stay within a fixed number of
-// allocations and bytes, so opening a session stays cheap.
+// allocations and bytes, so opening sessions, carrying datagrams and
+// folding metrics stay cheap. It prints what it measured.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "celect/net/cluster.h"
@@ -200,11 +203,18 @@ TEST(NetAlloc, FreshElectionStaysWithinBudget) {
   const std::uint64_t allocations =
       (g_allocations - allocations_before) / kSeeds;
   const std::uint64_t bytes = (g_bytes - bytes_before) / kSeeds;
-  // The budget sits between what opening sessions cheaply costs (about
-  // 3,050 allocations and 0.62 MB) and what growing each session's
-  // stats and buffers from empty costs (about 7,400 and 1.09 MB).
-  EXPECT_LE(allocations, 4'000u) << "allocations per election";
-  EXPECT_LE(bytes, 700'000u) << "bytes allocated per election";
+  RecordProperty("allocations_per_election", std::to_string(allocations));
+  RecordProperty("bytes_per_election", std::to_string(bytes));
+  std::printf("fresh net_chaos election: %llu allocations, %llu bytes\n",
+              static_cast<unsigned long long>(allocations),
+              static_cast<unsigned long long>(bytes));
+  // The budget sits just above what one mesh-wide in-flight heap, a
+  // slab datagram pool and metrics folded in place cost (about 1,770
+  // allocations and 0.50 MB). A heap per channel, a separately
+  // allocated vector per pool slot and a registry built per
+  // incarnation cost about 3,020 and 0.61 MB, and fail it.
+  EXPECT_LE(allocations, 2'200u) << "allocations per election";
+  EXPECT_LE(bytes, 590'000u) << "bytes allocated per election";
 }
 
 }  // namespace

@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "celect/net/cluster.h"
+#include "celect/net/sim_net.h"
+#include "celect/obs/shard.h"
 #include "celect/proto/nosod/fault_tolerant.h"
+#include "celect/wire/checksum.h"
 
 namespace celect::net {
 namespace {
@@ -305,6 +309,104 @@ TEST(NetCluster, SessionStatsMatchPinnedRuns) {
     config.session.rtt_sample_cap = 4;
     ExpectPinnedStats(config, 3692, 13578, kCappedRttMetrics);
   }
+}
+
+// Digest of a 5-node SimNet run whose clock moves in fixed 2.5 ms
+// strides rather than to the next arrival, so one DeliverDue drains
+// datagrams due at several instants, from several channels, some
+// toward a node that is dead or was restarted. Folds DeliverDue's
+// receivers, every Poll event, the final Stats() and each endpoint's
+// flight recorder.
+std::uint64_t StridedMeshDigest(std::uint64_t seed) {
+  SimNetConfig config;
+  config.n = 5;
+  config.seed = seed;
+  config.link.loss = 0.10;
+  config.link.duplicate = 0.10;
+  config.link.reorder = 0.20;
+  config.link.corrupt = 0.05;
+  config.session.rto_initial = 20'000;
+  SimNet net(config);
+  constexpr PeerId kVictim = 2;
+  constexpr Micros kStride = 2'500;
+
+  wire::Fnv1aStream h;
+  auto fold = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h.Update(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  std::vector<bool> alive(config.n, true);
+  std::vector<TransportEvent> events;
+  for (int round = 0; round < 400; ++round) {
+    if (round == 120) {
+      net.Kill(kVictim);
+      alive[kVictim] = false;
+    }
+    if (round == 200) {
+      net.Restart(kVictim);
+      alive[kVictim] = true;
+    }
+    if (round % 5 == 0 && round < 300) {
+      for (PeerId from = 0; from < config.n; ++from) {
+        for (PeerId to = 0; to < config.n; ++to) {
+          if (from == to || !alive[from]) continue;
+          net.at(from).Send(to, wire::Packet{7, {round, from, to}});
+        }
+      }
+    }
+    net.virtual_clock().AdvanceTo(net.virtual_clock().Now() + kStride);
+    fold(0xD0);
+    for (PeerId to : net.DeliverDue()) fold(to);
+    for (PeerId i = 0; i < config.n; ++i) {
+      if (!alive[i]) continue;
+      events.clear();
+      net.at(i).Poll(events);
+      for (const TransportEvent& ev : events) {
+        fold(i);
+        fold(static_cast<std::uint64_t>(ev.kind));
+        fold(ev.peer);
+        fold(ev.packet.type);
+        for (std::int64_t f : ev.packet.fields) {
+          fold(static_cast<std::uint64_t>(f));
+        }
+      }
+    }
+  }
+  for (PeerId i = 0; i < config.n; ++i) {
+    const TransportStats st = net.at(i).Stats();
+    for (std::uint64_t v :
+         {st.datagrams_sent, st.datagrams_received, st.bytes_sent,
+          st.bytes_received, st.sessions.data_sent,
+          st.sessions.data_retransmits, st.sessions.acks_sent,
+          st.sessions.delivered, st.sessions.duplicates,
+          st.sessions.out_of_order, st.sessions.stale_epoch,
+          st.sessions.frame_errors, st.sessions.decode_errors,
+          st.sessions.peer_restarts, st.sessions.suspicions,
+          st.sessions.rtt_count, st.sessions.rtt_sum_us}) {
+      fold(v);
+    }
+    // Both in arrival order across the node's sessions, so they see
+    // the order of its inbox, not just of each channel.
+    for (Micros rtt : st.sessions.rtt_samples) fold(rtt);
+    for (const obs::FlightEvent& e : net.at(i).recorder()->Snapshot()) {
+      for (std::uint64_t v : {e.at, std::uint64_t{e.peer},
+                              static_cast<std::uint64_t>(e.kind), e.a, e.b}) {
+        fold(v);
+      }
+    }
+  }
+  return h.Digest64();
+}
+
+TEST(NetSimNet, StridedClockKeepsChannelDeliveryOrder) {
+  // Pinned from the build that kept one in-flight heap per channel and
+  // drained due channels in (from, to) order: a single mesh-wide heap
+  // must deliver the same datagrams to the same inboxes in the same
+  // order, however many arrival instants one DeliverDue covers.
+  EXPECT_EQ(StridedMeshDigest(1), 2382802623240261652u);
+  EXPECT_EQ(StridedMeshDigest(2), 15233044924400491979u);
+  EXPECT_NE(StridedMeshDigest(1), StridedMeshDigest(2));
 }
 
 TEST(NetCluster, UdpLoopbackElectionSmoke) {

@@ -1,15 +1,19 @@
 // Framing-layer tests: encode/decode round trips under arbitrary
 // chunking, resync after garbage and corruption, the hard payload
-// bound, and FrameCursor (in-place datagram reading) held to
-// FrameDecoder's decisions on mangled datagrams. All seeded — failures
-// reproduce bit-identically.
+// bound, FrameCursor (in-place datagram reading) held to
+// FrameDecoder's decisions on mangled datagrams, and the DatagramPool
+// slots datagrams wait in. All seeded — failures reproduce
+// bit-identically.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "celect/net/datagram.h"
 #include "celect/net/frame.h"
 #include "celect/util/rng.h"
 
@@ -318,6 +322,74 @@ TEST(NetFrame, CursorReadsMangledDatagramsLikeTheDecoder) {
         break;
     }
     ExpectSameReading(dgram, "trial " + std::to_string(trial));
+  }
+}
+
+std::vector<std::uint8_t> Bytes(std::span<const std::uint8_t> s) {
+  return {s.begin(), s.end()};
+}
+
+TEST(NetDatagramPool, DatagramsLongerThanASlotRoundTrip) {
+  Rng rng(41);
+  DatagramPool pool;
+  for (std::size_t len : {0, 1, 127, 128, 129, 300, 4'000}) {
+    std::vector<std::uint8_t> dgram(len);
+    for (auto& b : dgram) b = static_cast<std::uint8_t>(rng.NextBelow(256));
+    const DatagramPool::Handle h = pool.Store(dgram);
+    EXPECT_EQ(Bytes(pool.bytes(h)), dgram) << "length " << len;
+    // The slot, and any spill buffer it took, serve the next datagram.
+    pool.Release(h);
+  }
+  const std::vector<std::uint8_t> longer(600, 0xAB);
+  const std::vector<std::uint8_t> shorter = {1, 2, 3};
+  const DatagramPool::Handle a = pool.Store(longer);
+  const DatagramPool::Handle b = pool.Store(shorter);
+  EXPECT_EQ(Bytes(pool.bytes(a)), longer);
+  EXPECT_EQ(Bytes(std::as_const(pool).bytes(b)), shorter);
+}
+
+TEST(NetDatagramPool, HeldBytesSurviveGrowthPastChunkBoundaries) {
+  // A session may read its inbox datagram through a span while its
+  // own flush stores new datagrams; the slot must not move meanwhile.
+  DatagramPool pool;
+  const std::vector<std::uint8_t> early = {9, 8, 7, 6, 5};
+  const std::vector<std::uint8_t> early_long(200, 0x5A);
+  const DatagramPool::Handle h = pool.Store(early);
+  const DatagramPool::Handle h_long = pool.Store(early_long);
+  const std::span<const std::uint8_t> held = pool.bytes(h);
+  const std::span<const std::uint8_t> held_long = pool.bytes(h_long);
+  const std::size_t slots_before = pool.slots();
+  std::vector<DatagramPool::Handle> later;
+  for (int i = 0; i < 1'000; ++i) {
+    std::vector<std::uint8_t> d(1 + i % 200, static_cast<std::uint8_t>(i));
+    later.push_back(pool.Store(d));
+  }
+  EXPECT_GT(pool.slots(), 8 * slots_before) << "no chunk boundary crossed";
+  EXPECT_EQ(Bytes(held), early);
+  EXPECT_EQ(Bytes(held_long), early_long);
+  EXPECT_EQ(pool.bytes(h).data(), held.data());
+  for (int i = 0; i < 1'000; ++i) {
+    const auto d = pool.bytes(later[i]);
+    ASSERT_EQ(d.size(), 1u + i % 200);
+    EXPECT_TRUE(std::all_of(d.begin(), d.end(), [i](std::uint8_t b) {
+      return b == static_cast<std::uint8_t>(i);
+    }));
+  }
+}
+
+TEST(NetDatagramPool, ReleasedSlotsAreReusedWithoutGrowth) {
+  DatagramPool pool;
+  const std::vector<std::uint8_t> dgram(64, 1);
+  std::set<DatagramPool::Handle> first;
+  for (int i = 0; i < 100; ++i) first.insert(pool.Store(dgram));
+  ASSERT_EQ(first.size(), 100u);
+  const std::size_t slots = pool.slots();
+  for (int round = 0; round < 5; ++round) {
+    for (DatagramPool::Handle h : first) pool.Release(h);
+    std::set<DatagramPool::Handle> again;
+    for (int i = 0; i < 100; ++i) again.insert(pool.Store(dgram));
+    EXPECT_EQ(again, first);
+    EXPECT_EQ(pool.slots(), slots);
   }
 }
 

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -27,17 +29,78 @@ wire::Packet MakePacket(std::int64_t tag) {
   return p;
 }
 
-// Two sessions joined by a chaos link pair, plus a tiny event loop.
+// One direction of a Pair: a FakeLink's chaos draws feeding the
+// in-flight queue that SimNet keeps mesh-wide, here for one channel.
+class Channel {
+ public:
+  // pool must outlive the channel; it keeps what is in flight.
+  Channel(const FakeLinkParams& params, DatagramPool& pool)
+      : params_(params), link_(params_, params.seed), pool_(&pool) {}
+  Channel(const Channel&) = delete;  // link_ points at params_
+  Channel& operator=(const Channel&) = delete;
+
+  void Send(std::span<const std::uint8_t> dgram, Micros now) {
+    link_.Admit(dgram, now,
+                [&](std::span<const std::uint8_t> bytes, Micros at) {
+                  const DatagramPool::Handle h = pool_->Store(bytes);
+                  in_flight_.push_back(InFlight{at, order_++, h});
+                  std::push_heap(in_flight_.begin(), in_flight_.end(),
+                                 Later);
+                  return pool_->bytes(h);
+                });
+  }
+
+  // Earliest pending delivery, if any.
+  std::optional<Micros> NextDelivery() const {
+    if (in_flight_.empty()) return std::nullopt;
+    return in_flight_.front().at;
+  }
+
+  // Appends the pool handle of every datagram due at or before now to
+  // out, in (arrival, send order). The caller takes each handle over
+  // and releases it to the pool once it has read the bytes.
+  void DeliverDue(Micros now, std::vector<DatagramPool::Handle>& out) {
+    while (!in_flight_.empty() && in_flight_.front().at <= now) {
+      std::pop_heap(in_flight_.begin(), in_flight_.end(), Later);
+      out.push_back(in_flight_.back().dgram);
+      in_flight_.pop_back();
+      ++delivered_;
+    }
+  }
+
+  std::uint64_t delivered() const { return delivered_; }
+  std::uint64_t lost() const { return link_.lost(); }
+
+ private:
+  struct InFlight {
+    Micros at;
+    std::uint64_t order;  // tie-break: monotone send counter
+    DatagramPool::Handle dgram;
+  };
+  // Heap order: the earliest (at, order) on top.
+  static bool Later(const InFlight& a, const InFlight& b) {
+    return a.at != b.at ? a.at > b.at : a.order > b.order;
+  }
+
+  FakeLinkParams params_;
+  FakeLink link_;
+  DatagramPool* pool_;
+  std::vector<InFlight> in_flight_;  // min-heap under Later
+  std::uint64_t order_ = 0;
+  std::uint64_t delivered_ = 0;
+};
+
+// Two sessions joined by a chaos channel pair, plus a tiny event loop.
 // Each side is an endpoint of its own, so a.stats() are a's alone.
 struct Pair {
   VirtualClock clock;
-  DatagramPool pool;  // the links' in-flight bytes
+  DatagramPool pool;  // the channels' in-flight bytes
   SessionEndpoint side_a;
   SessionEndpoint side_b;  // shared by every incarnation of b
   ReliableSession a;
   ReliableSession b;
-  FakeLink ab;  // a -> b
-  FakeLink ba;  // b -> a
+  Channel ab;  // a -> b
+  Channel ba;  // b -> a
   std::vector<wire::Packet> got_a;  // delivered to a
   std::vector<wire::Packet> got_b;
   std::vector<TraceContext> tc_b;   // trace context riding each delivery
@@ -70,7 +133,7 @@ struct Pair {
 
   // Feeds every datagram link delivers by now to s (or drops them when
   // s is null), returning their pool slots.
-  void Deliver(FakeLink& link, ReliableSession* s, Micros now) {
+  void Deliver(Channel& link, ReliableSession* s, Micros now) {
     std::vector<DatagramPool::Handle> due;
     link.DeliverDue(now, due);
     for (DatagramPool::Handle h : due) {
