@@ -23,16 +23,20 @@
 // queue-owned chunk pool. A bucket's head/tail words are meaningful only
 // while its bit in the occupancy bitmap is set, so building a queue
 // writes three 520-byte bitmaps and nothing per bucket, and destroying
-// one frees a handful of pool segments. Each bitmap keeps a summary word
-// (bit w set iff word w is non-zero), so finding the next non-empty
-// bucket is O(1) however far away it is. A bucket whose handles share one
-// tick (the common case under unit delays) moves L1 -> L0 by copying or
-// splicing its head/tail words; Pop hands each chunk back to the pool as
-// it leaves it, so a wave's pushes reuse the chunks its pops emptied.
+// one frees or parks a handful of pool segments. Each bitmap keeps a
+// summary word (bit w set iff word w is non-zero), so finding the next
+// non-empty bucket is O(1) however far away it is. A bucket whose
+// handles share one tick (the common case under unit delays) moves
+// L1 -> L0 by copying or splicing its head/tail words; Pop hands each
+// chunk back to the pool as it leaves it, so a wave's pushes reuse the
+// chunks its pops emptied.
 // The slot arena and the chunk pool both grow in doubling segments that
 // start at 64 entries (64, 128, 256, ...): entries never move, a short
 // run touches little memory, and a million-event peak costs no
-// regrow copy.
+// regrow copy. A pool that grew to segments of 1 MiB or more outlives
+// its queue: it parks its segments in a process-wide table, one per
+// size, and the next queue to reach a size takes the parked segment
+// instead of mapping and faulting in fresh pages (see SegmentedPool).
 //
 // Slots are raw storage. An event is constructed once, in its slot, by
 // Push, and Pop hands out a pointer to it rather than a copy: the slot
@@ -62,6 +66,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -277,9 +282,37 @@ class EventQueue {
   // default-initialised entries: entries never move and indexing is
   // O(1). Entry i lives in segment s = bit_width(i + 64) - 7, at offset
   // (i + 64) minus the segment's base power of two.
+  //
+  // A large pool's segments are recycled process-wide. Each segment
+  // index has one parking place per entry type. Grow takes the parked
+  // segment, if any, before allocating; a pool that grew a segment of
+  // kKeepBytes or more, or took one from a place, parks all of its
+  // segments when it is destroyed (freeing those whose place is taken),
+  // and any other pool frees its own. So at most one segment per size
+  // stays allocated between queues, a queue as large as an earlier one
+  // maps and faults in no new pages, and a process whose queues all stay
+  // small never parks anything. Segments are raw storage: every entry is
+  // written before it is read.
   template <typename T>
   class SegmentedPool {
    public:
+    SegmentedPool() = default;
+    SegmentedPool(const SegmentedPool&) = delete;
+    SegmentedPool& operator=(const SegmentedPool&) = delete;
+    ~SegmentedPool() {
+      if (!keep_) return;
+      // Segments open in index order, so the first missing one ends it.
+      for (std::size_t s = 0; s < kSegments && segs_[s]; ++s) {
+        T* const seg = segs_[s].release();
+        T* empty = nullptr;
+        if (!parked_[s].compare_exchange_strong(empty, seg,
+                                                std::memory_order_release,
+                                                std::memory_order_relaxed)) {
+          delete[] seg;
+        }
+      }
+    }
+
     T& operator[](std::uint32_t i) {
       const std::uint64_t j = std::uint64_t{i} + kFirst;
       const std::size_t s = Segment(j);
@@ -296,7 +329,12 @@ class EventQueue {
       // i opens a segment when j is its base, a power of two; the
       // segment's capacity equals its base.
       if (std::has_single_bit(j)) {
-        segs_[Segment(j)] = std::make_unique_for_overwrite<T[]>(j);
+        const std::size_t s = Segment(j);
+        T* const parked =
+            parked_[s].exchange(nullptr, std::memory_order_acquire);
+        keep_ = keep_ || parked != nullptr || s >= kFirstKept;
+        segs_[s] = parked != nullptr ? std::unique_ptr<T[]>(parked)
+                                     : std::make_unique_for_overwrite<T[]>(j);
       }
       return i;
     }
@@ -304,12 +342,35 @@ class EventQueue {
    private:
     static constexpr int kFirstBits = 6;
     static constexpr std::uint64_t kFirst = std::uint64_t{1} << kFirstBits;
+    // j = i + 64 < 2^33 for any 32-bit i.
+    static constexpr std::size_t kSegments = 33 - kFirstBits;
+    // Below this, blocks come from and go back to malloc's free lists,
+    // which reuse them cheaply. From here up, glibc serves a block with
+    // a mapping of its own, or trims it off the heap top, and returns its
+    // pages on free, so each reuse would fault them in again. A large
+    // pool parks its small segments too: freed between queues, they
+    // drift into the holes other large blocks leave in the heap and
+    // fragment it.
+    static constexpr std::size_t kKeepBytes = std::size_t{1} << 20;
+    static constexpr std::size_t kFirstKept = [] {
+      std::size_t s = 0;
+      while ((kFirst << s) * sizeof(T) < kKeepBytes) ++s;
+      return s;
+    }();
     static std::size_t Segment(std::uint64_t j) {
       return static_cast<std::size_t>(std::bit_width(j) - kFirstBits - 1);
     }
-    // j = i + 64 < 2^33 for any 32-bit i.
-    std::array<std::unique_ptr<T[]>, 33 - kFirstBits> segs_;
+
+    // Constant-initialised and trivially destructible, so the table
+    // costs no start-up or exit work; segments still parked at exit are
+    // reachable from it.
+    static_assert(std::is_trivially_destructible_v<std::atomic<T*>>);
+    static inline std::atomic<T*> parked_[kSegments] = {};
+
+    std::array<std::unique_ptr<T[]>, kSegments> segs_;
     std::uint32_t size_ = 0;
+    // Park the segments on destruction.
+    bool keep_ = false;
   };
 
   // Takes a slot off the free list (or grows the arena) for the next

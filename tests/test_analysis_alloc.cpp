@@ -35,10 +35,14 @@ std::uint64_t g_allocations = 0;
 std::uint64_t g_frees = 0;
 // Size of the largest single request since the last reset.
 std::size_t g_largest_request = 0;
+// Requests of kLargeRequest bytes or more, ever.
+constexpr std::size_t kLargeRequest = std::size_t{1} << 20;
+std::uint64_t g_large_requests = 0;
 
 void* CountedAlloc(std::size_t size) {
   ++g_allocations;
   g_largest_request = std::max(g_largest_request, size);
+  if (size >= kLargeRequest) ++g_large_requests;
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -390,6 +394,47 @@ TEST(EventQueueAllocBudget, DestroyFreesEachPendingBodyOnce) {
     EXPECT_EQ(g_allocations - g_frees, held)
         << "end " << static_cast<int>(end);
   }
+}
+
+// A large queue's pool segments are parked when it is destroyed and
+// taken by the next queue, so a run of same-sized elections maps its
+// large blocks once, and small queues in between do not undo that.
+// 80,000 events at 8 instants take the slot arena (128-byte slots) past
+// 65,536 entries and the chunk pool (16 handles a chunk) past 4,096.
+constexpr std::int64_t kLargeQueue = 80'000;
+
+// Fills a fresh queue with `n` events, drains it and destroys it; returns
+// the requests of 1 MiB or more it made.
+std::uint64_t FillAndDrain(std::int64_t n) {
+  const std::uint64_t before = g_large_requests;
+  sim::EventQueue q;
+  for (std::int64_t i = 0; i < n; ++i) {
+    q.Push(sim::Time::FromTicks(100 + i % 8),
+           sim::WakeupEvent{static_cast<sim::NodeId>(i)});
+  }
+  while (q.Pop() != nullptr) {
+  }
+  return g_large_requests - before;
+}
+
+TEST(EventQueueAllocBudget, SecondLargeQueueReusesTheFirstsSegments) {
+  // The first queue asks for its large segments (unless an earlier test
+  // left some parked)...
+  FillAndDrain(kLargeQueue);
+  // ...and a second queue of the same size asks for none.
+  EXPECT_EQ(FillAndDrain(kLargeQueue), 0u);
+}
+
+TEST(EventQueueAllocBudget, SmallQueuesBetweenLargeOnesKeepNoLargeRequests) {
+  const std::uint64_t before = g_large_requests;
+  FillAndDrain(kLargeQueue);
+  const std::uint64_t after_first = g_large_requests;
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(FillAndDrain(1'000), 0u) << "small queue " << i;
+    EXPECT_EQ(FillAndDrain(kLargeQueue), 0u) << "large queue " << i;
+  }
+  EXPECT_EQ(g_large_requests, after_first)
+      << (after_first - before) << " large requests in the first queue";
 }
 
 }  // namespace

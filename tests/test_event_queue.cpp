@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <optional>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "celect/sim/event_queue.h"
@@ -137,13 +138,15 @@ TEST(EventQueue, TakeRemovesBySeqAndKeepsOrder) {
   (void)s2;
 }
 
-// Differential test: random pushes (near, wheel-horizon, and far times),
-// random ticketed cancels, and interleaved pops must match the reference
-// binary heap event for event. The heap has no tombstones, so cancelled
-// events are tracked outside and skipped on its side.
-TEST(EventQueue, RandomizedDifferentialAgainstReferenceHeap) {
-  Rng rng(20260807);
-  EventQueue ladder;
+// Differential check: random pushes (near, wheel-horizon, and far
+// times), random ticketed cancels, and interleaved pops on `ladder` must
+// match the reference binary heap event for event. `prefill` pushes come
+// first, so the run can start from a large queue. The heap has no
+// tombstones, so cancelled events are tracked outside and skipped on its
+// side.
+void RandomizedDifferential(EventQueue& ladder, std::uint64_t seed,
+                            int prefill) {
+  Rng rng(seed);
   HeapEventQueue heap;
   std::vector<EventTicket> cancellable;
   std::uint64_t time_floor = 0;  // popped times never go backwards
@@ -161,6 +164,12 @@ TEST(EventQueue, RandomizedDifferentialAgainstReferenceHeap) {
         static_cast<std::int64_t>(time_floor + rng.NextBelow(span)));
   };
 
+  for (int i = 0; i < prefill; ++i) {
+    const Time at = random_time();
+    const NodeId node = static_cast<NodeId>(~std::uint32_t{0} - i);
+    ladder.Push(at, WakeupEvent{node});
+    heap.Push(at, WakeupEvent{node});
+  }
   for (int round = 0; round < 20000; ++round) {
     const std::uint32_t op = rng.NextBelow(10);
     if (op < 5) {  // push
@@ -195,6 +204,11 @@ TEST(EventQueue, RandomizedDifferentialAgainstReferenceHeap) {
     ASSERT_EQ(a->at, b->at);
     ASSERT_EQ(a->seq, b->seq);
   }
+}
+
+TEST(EventQueue, RandomizedDifferentialAgainstReferenceHeap) {
+  EventQueue ladder;
+  RandomizedDifferential(ladder, 20260807, 0);
 }
 
 // Bucket chunk lists. A bucket holds 16 handles per chunk; the ladder's
@@ -614,6 +628,60 @@ TEST(EventQueueChunks, LargeInstantsDifferentialAgainstReferenceHeap) {
   q.ExpectPeekTimeMatchesHeap();
   popped += q.Drain();
   EXPECT_GT(popped, static_cast<std::size_t>(5 * kWave));
+}
+
+// Parked segments. A large queue's pool segments outlive it and back
+// the next queue, still holding the old queue's bytes. 20,000 pending
+// events at mixed times take the slot arena (128-byte slots) past
+// 16,384 entries and the chunk pool into its 1.6 MB segment, so both
+// pools grow segments of 1 MiB or more.
+constexpr int kLargeFill = 20000;
+
+// Grows `q` to `n` pending events at mixed times, cancels one in eight
+// and drains it, leaving every slot dirty.
+void GrowAndDrain(EventQueue& q, std::uint64_t seed, int n) {
+  Rng rng(seed);
+  std::vector<EventTicket> tickets;
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t span = std::uint64_t{1} << (3 + 9 * rng.NextBelow(3));
+    tickets.push_back(q.PushTicketed(
+        Time::FromTicks(static_cast<std::int64_t>(rng.NextBelow(span))),
+        WakeupEvent{static_cast<NodeId>(i)}));
+  }
+  for (const EventTicket& t : tickets) {
+    if (rng.NextBelow(8) == 0) q.Cancel(t);
+  }
+  std::size_t popped = 0;
+  while (q.Pop() != nullptr) ++popped;
+  EXPECT_EQ(popped, tickets.size());
+}
+
+// The second queue's segments are the first queue's, dirty; the
+// randomized differential must still match the reference heap.
+TEST(EventQueueParkedSegments, ReusedSegmentsMatchReferenceHeap) {
+  {
+    EventQueue first;
+    GrowAndDrain(first, 20261019, 2 * kLargeFill);
+  }
+  EventQueue second;
+  RandomizedDifferential(second, 20260807, kLargeFill);
+}
+
+// Four threads build, fill past 1 MiB, drain and destroy queues at once,
+// so parked segments change hands between threads mid-run.
+TEST(EventQueueParkedSegments, ConcurrentQueuesMatchReferenceHeap) {
+  constexpr int kThreads = 4;
+  constexpr int kQueuesPerThread = 3;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t] {
+      for (int i = 0; i < kQueuesPerThread; ++i) {
+        EventQueue q;
+        RandomizedDifferential(q, 1000 * t + i + 1, kLargeFill);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
 }
 
 }  // namespace
