@@ -25,48 +25,34 @@ EventQueue::EventQueue()
     : l0_(std::make_unique_for_overwrite<List[]>(kL0)),
       l1_(std::make_unique_for_overwrite<List[]>(kL1)) {}
 
-EventQueue::~EventQueue() {
-  ReleasePopped();
-  if (Empty()) return;
-  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    Slot& s = slots_[i];
-    if (s.Pending()) std::destroy_at(&s.ev());
-  }
-}
-
 std::uint32_t EventQueue::ClaimSlot() {
   if (free_head_ == kNoSlot) {
     const std::uint32_t i = slots_.Grow();
-    // Free until Commit, so an event constructor that throws leaves the
-    // destructor nothing to destroy here.
-    slots_[i].state = SlotState::kFree;
+    states_.Grow();
     return i;
   }
   const std::uint32_t i = free_head_;
-  free_head_ = slots_[i].next_free;
+  free_head_ = slots_[i].next_free();
   return i;
 }
 
 EventTicket EventQueue::Commit(std::uint32_t slot) {
   const std::uint64_t seq = next_seq_++;
-  Slot& s = slots_[slot];
-  s.state = SlotState::kLive;
-  Place(Handle{s.ev().at.ticks(), seq, slot});
+  states_[slot] = SlotState::kLive;
+  Place(Handle{slots_[slot].ev().at.ticks(), seq, slot});
   ++live_;
   snapshot_dirty_ = true;
   return EventTicket{seq, slot};
 }
 
 void EventQueue::Recycle(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  std::destroy_at(&s.ev());
-  s.state = SlotState::kFree;
-  s.next_free = free_head_;
+  states_[slot] = SlotState::kFree;
+  slots_[slot].set_next_free(free_head_);
   free_head_ = slot;
 }
 
-void EventQueue::Unpend(const Slot& s) {
-  if (s.state == SlotState::kTombstone) {
+void EventQueue::Unpend(SlotState st) {
+  if (st == SlotState::kTombstone) {
     CELECT_DCHECK(dead_ > 0);
     --dead_;
   } else {
@@ -139,10 +125,12 @@ void EventQueue::Place(const Handle& h) {
 
 void EventQueue::Cancel(const EventTicket& t) {
   if (t.slot >= slots_.size()) return;
-  Slot& s = slots_[t.slot];
   // Already popped, cancelled or taken, or the slot was reused.
-  if (s.state != SlotState::kLive || s.ev().seq != t.seq) return;
-  s.state = SlotState::kTombstone;
+  if (states_[t.slot] != SlotState::kLive ||
+      slots_[t.slot].ev().seq != t.seq) {
+    return;
+  }
+  states_[t.slot] = SlotState::kTombstone;
   CELECT_DCHECK(live_ > 0);
   --live_;
   ++dead_;
@@ -182,7 +170,7 @@ bool EventQueue::AdvanceBlock() {
     std::pop_heap(far_.begin(), far_.end(), HandleAfterFar{});
     const Handle h = far_.back();
     far_.pop_back();
-    if (!slots_[h.slot].Holds(h.seq)) continue;  // taken; drop stale
+    if (!Holds(h.slot, h.seq)) continue;  // taken; drop stale
     AppendL0(h);
   }
   if (lb && *lb == b) {
@@ -207,7 +195,7 @@ bool EventQueue::AdvanceBlock() {
         const Chunk& k = chunks_[c];
         for (std::uint32_t i = 0; i < k.n; ++i) {
           const Handle& h = k.h[i];
-          if (!slots_[h.slot].Holds(h.seq)) continue;  // taken; stale
+          if (!Holds(h.slot, h.seq)) continue;  // taken; stale
           AppendL0(h);
         }
         const std::uint32_t next = k.next;
@@ -232,12 +220,12 @@ const Event* EventQueue::Pop() {
         if (cur_pos_ < k->n) {
           __builtin_prefetch(&slots_[k->h[cur_pos_].slot], 1, 1);
         }
-        Slot& s = slots_[h.slot];
-        if (!s.Holds(h.seq)) continue;  // taken; stale handle
-        Unpend(s);
-        s.state = SlotState::kPopped;
+        if (!Holds(h.slot, h.seq)) continue;  // taken; stale handle
+        SlotState& st = states_[h.slot];
+        Unpend(st);
+        st = SlotState::kPopped;
         popped_ = h.slot;
-        return &s.ev();
+        return &slots_[h.slot].ev();
       }
       // The head chunk is spent: hand it back, then serve the next one.
       // A bucket ends only when a pop finds nothing after its last
@@ -316,8 +304,7 @@ const std::vector<Event>& EventQueue::events() const {
   if (snapshot_dirty_) {
     snapshot_.clear();
     for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-      const Slot& s = slots_[i];
-      if (s.Pending()) snapshot_.push_back(s.ev());
+      if (Pending(states_[i])) snapshot_.push_back(slots_[i].ev());
     }
     snapshot_dirty_ = false;
   }
@@ -327,10 +314,9 @@ const std::vector<Event>& EventQueue::events() const {
 Event EventQueue::Take(std::uint64_t seq) {
   ReleasePopped();
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    Slot& s = slots_[i];
-    if (!s.Holds(seq)) continue;
-    Unpend(s);
-    Event e = std::move(s.ev());
+    if (!Holds(i, seq)) continue;
+    Unpend(states_[i]);
+    const Event e = slots_[i].ev();
     Recycle(i);
     return e;
   }

@@ -1,13 +1,15 @@
 // Deterministic priority event queue — ladder/timing-wheel edition.
 //
 // The simulator's previous queue was a binary heap over a flat vector of
-// full Event values: every push sifted ~100-byte events (each carrying a
-// heap-allocated packet) through O(log n) moves, and past N≈128 the heap
-// fell out of cache and throughput collapsed ~10x (BENCH_E7.json). This
-// queue replaces it with a three-region ladder over an arena:
+// full Event values: every push sifted events (then ~100 bytes, each
+// carrying a heap-allocated packet) through O(log n) moves, and past
+// N≈128 the heap fell out of cache and throughput collapsed ~10x
+// (BENCH_E7.json). This queue replaces it with a three-region ladder
+// over an arena:
 //
-//   * events live once, in a pooled slot arena, and never move again;
-//     the regions shuffle 24-byte {at, seq, slot} handles instead;
+//   * events live once, in a pooled arena of 64-byte, cache-line-aligned
+//     slots, and never move again; the regions shuffle 24-byte
+//     {at, seq, slot} handles instead;
 //   * L0 — the serving block: 4096 width-one-tick buckets covering the
 //     4096-tick block that contains the current serve position. A bucket
 //     holds same-instant events in push (= seq) order, so serving is a
@@ -38,12 +40,16 @@
 // size, and the next queue to reach a size takes the parked segment
 // instead of mapping and faulting in fresh pages (see SegmentedPool).
 //
-// Slots are raw storage. An event is constructed once, in its slot, by
-// Push, and Pop hands out a pointer to it rather than a copy: the slot
-// stays occupied (state "popped") until the next Pop or Take recycles
-// it, so the runtime dispatches straight from the arena. A one-byte
-// state per slot (free, live, tombstone, popped) says which slots hold
-// an event; the destructor destroys only those.
+// Slots are raw storage, one cache line each: an Event is 64 bytes and
+// trivially destructible (sim/event.h), so a slot holds nothing else.
+// An event is constructed once, in its slot, by Push, and Pop hands out
+// a pointer to it rather than a copy: the slot stays occupied (state
+// "popped") until the next Pop or Take recycles it, so the runtime
+// dispatches straight from the arena. A one-byte state per slot (free,
+// live, tombstone, popped) lives in a parallel byte arena, and a free
+// slot keeps its free-list link in its own bytes. Nothing in a slot
+// needs destroying, so neither recycling a slot nor destroying the
+// queue visits slots.
 //
 // Total order is identical to the old heap: (at, seq) ascending, seq
 // stamped monotonically at push. Buckets receive handles in seq order by
@@ -70,6 +76,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <optional>
@@ -155,9 +162,6 @@ concept EventAlternative = kIsEventAlternative<std::remove_cvref_t<B>>;
 class EventQueue {
  public:
   EventQueue();
-  // Destroys the events still in the arena; O(1) once the queue is
-  // drained.
-  ~EventQueue();
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -240,28 +244,31 @@ class EventQueue {
   };
 
   // What a slot's storage holds. Only live, tombstone and popped slots
-  // hold a constructed Event.
+  // hold a constructed Event; a free slot holds its free-list link.
   enum class SlotState : std::uint8_t { kFree, kLive, kTombstone, kPopped };
+  static bool Pending(SlotState st) {
+    return st == SlotState::kLive || st == SlotState::kTombstone;
+  }
 
-  // Trivial, so a new arena segment is left uninitialised.
-  struct Slot {
-    alignas(Event) std::byte raw[sizeof(Event)];
-    std::uint32_t next_free;  // free-list link while kFree
-    SlotState state;
+  // One cache line of raw storage. Trivial, so a new arena segment is
+  // left uninitialised.
+  struct alignas(64) Slot {
+    std::byte raw[sizeof(Event)];
 
     Event& ev() { return *std::launder(reinterpret_cast<Event*>(raw)); }
     const Event& ev() const {
       return *std::launder(reinterpret_cast<const Event*>(raw));
     }
-    bool Pending() const {
-      return state == SlotState::kLive || state == SlotState::kTombstone;
+    // The free-list link, kept in the bytes of a free slot.
+    std::uint32_t next_free() const {
+      std::uint32_t n;
+      std::memcpy(&n, raw, sizeof n);
+      return n;
     }
-    // Pending under `seq`: a handle with another seq is stale (its
-    // event was taken and the slot reused, or the slot is free).
-    bool Holds(std::uint64_t seq) const {
-      return Pending() && ev().seq == seq;
-    }
+    void set_next_free(std::uint32_t n) { std::memcpy(raw, &n, sizeof n); }
   };
+  static_assert(sizeof(Slot) == 64 && alignof(Slot) == 64);
+  static_assert(std::is_trivially_destructible_v<Event>);
 
   // One link of a bucket's FIFO list. Only the tail chunk of a list can
   // be partly filled, except where a uniform L1 bucket was spliced onto
@@ -300,15 +307,13 @@ class EventQueue {
     SegmentedPool(const SegmentedPool&) = delete;
     SegmentedPool& operator=(const SegmentedPool&) = delete;
     ~SegmentedPool() {
-      if (!keep_) return;
       // Segments open in index order, so the first missing one ends it.
-      for (std::size_t s = 0; s < kSegments && segs_[s]; ++s) {
-        T* const seg = segs_[s].release();
+      for (std::size_t s = 0; s < kSegments && segs_[s] != nullptr; ++s) {
         T* empty = nullptr;
-        if (!parked_[s].compare_exchange_strong(empty, seg,
-                                                std::memory_order_release,
-                                                std::memory_order_relaxed)) {
-          delete[] seg;
+        if (!keep_ || !parked_[s].compare_exchange_strong(
+                          empty, segs_[s], std::memory_order_release,
+                          std::memory_order_relaxed)) {
+          Free(segs_[s]);
         }
       }
     }
@@ -333,8 +338,7 @@ class EventQueue {
         T* const parked =
             parked_[s].exchange(nullptr, std::memory_order_acquire);
         keep_ = keep_ || parked != nullptr || s >= kFirstKept;
-        segs_[s] = parked != nullptr ? std::unique_ptr<T[]>(parked)
-                                     : std::make_unique_for_overwrite<T[]>(j);
+        segs_[s] = parked != nullptr ? parked : Allocate(j);
       }
       return i;
     }
@@ -361,13 +365,48 @@ class EventQueue {
       return static_cast<std::size_t>(std::bit_width(j) - kFirstBits - 1);
     }
 
+    // Uninitialised storage for `n` entries. Over-aligned entries (the
+    // cache-line slots) are aligned by hand inside a plain block, whose
+    // address is kept just before them: glibc's aligned allocation
+    // carves each block out of a larger free chunk, and the offcuts it
+    // frees grew a short election's heap by 4%.
+    static constexpr bool kOverAligned =
+        alignof(T) > __STDCPP_DEFAULT_NEW_ALIGNMENT__;
+    static T* Allocate(std::uint64_t n) {
+      if constexpr (!kOverAligned) {
+        return new T[n];
+      } else {
+        void* const block = ::operator new(n * sizeof(T) + alignof(T));
+        // The block is aligned to the default new alignment, so at least
+        // that much room, enough for its address, is left before the
+        // entries.
+        static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= sizeof(void*));
+        const std::uintptr_t at =
+            (reinterpret_cast<std::uintptr_t>(block) + alignof(T)) &
+            ~std::uintptr_t{alignof(T) - 1};
+        std::memcpy(reinterpret_cast<void*>(at - sizeof block), &block,
+                    sizeof block);
+        return std::launder(reinterpret_cast<T*>(at));
+      }
+    }
+    static void Free(T* seg) {
+      if constexpr (!kOverAligned) {
+        delete[] seg;
+      } else {
+        void* block;
+        std::memcpy(&block, reinterpret_cast<std::byte*>(seg) - sizeof block,
+                    sizeof block);
+        ::operator delete(block);
+      }
+    }
+
     // Constant-initialised and trivially destructible, so the table
     // costs no start-up or exit work; segments still parked at exit are
     // reachable from it.
     static_assert(std::is_trivially_destructible_v<std::atomic<T*>>);
     static inline std::atomic<T*> parked_[kSegments] = {};
 
-    std::array<std::unique_ptr<T[]>, kSegments> segs_;
+    std::array<T*, kSegments> segs_ = {};
     std::uint32_t size_ = 0;
     // Park the segments on destruction.
     bool keep_ = false;
@@ -385,7 +424,7 @@ class EventQueue {
   }
   // Stamps the event just built in `slot` live and files its handle.
   EventTicket Commit(std::uint32_t slot);
-  // Destroys the event in an occupied slot and frees the slot.
+  // Frees an occupied slot.
   void Recycle(std::uint32_t slot);
   // Recycles the slot Pop last handed out, if any.
   void ReleasePopped() {
@@ -395,10 +434,15 @@ class EventQueue {
     }
   }
   // Un-counts an event leaving the pending set (pop or take).
-  void Unpend(const Slot& s);
+  void Unpend(SlotState st);
+  // Pending under `seq`: a handle with another seq is stale (its event
+  // was taken and the slot reused, or the slot is free).
+  bool Holds(std::uint32_t slot, std::uint64_t seq) const {
+    return Pending(states_[slot]) && slots_[slot].ev().seq == seq;
+  }
   bool HandleLive(const Handle& h) const {
-    const Slot& s = slots_[h.slot];
-    return s.state == SlotState::kLive && s.ev().seq == h.seq;
+    return states_[h.slot] == SlotState::kLive &&
+           slots_[h.slot].ev().seq == h.seq;
   }
 
   // Takes a chunk from the pool's free list (or grows the pool), stores
@@ -426,6 +470,8 @@ class EventQueue {
   std::optional<std::uint64_t> NextL1Block() const;
 
   SegmentedPool<Slot> slots_;
+  // Slot i's state; grows in step with slots_.
+  SegmentedPool<SlotState> states_;
   std::uint32_t free_head_ = kNoSlot;
   // The slot Pop last returned (state kPopped), or kNoSlot.
   std::uint32_t popped_ = kNoSlot;

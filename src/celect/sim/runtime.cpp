@@ -249,24 +249,50 @@ void Runtime::Transmit(NodeId from, NodeId to, wire::Packet packet,
         if (ticks > kCeiling) metrics.RecordLatencySaturated();
         return static_cast<std::uint32_t>(std::min(ticks, kCeiling));
       };
+      PackedPacket packed;
+      const bool fits = packed.PackInline(packet);
       if (adm.duplicate_arrival) {
         metrics.RecordDuplicate();
         dest.Record(TraceRecord::Kind::kDuplicate, from, kInvalidPort,
                     packet.type, mid);
+        // A spilled duplicate gets an entry of its own.
         queue_.Push(*adm.duplicate_arrival,
                     DeliveryEvent{from, to, arrival_port, mid32, send_clock,
-                                  latency(*adm.duplicate_arrival), packet});
+                                  latency(*adm.duplicate_arrival),
+                                  fits ? packed : Spill(packet)});
         ++deliveries_inflight_;
         if (stores_.telemetry) ++pending_deliveries_[to];
       }
       queue_.Push(adm.arrival,
                   DeliveryEvent{from, to, arrival_port, mid32, send_clock,
-                                latency(adm.arrival), std::move(packet)});
+                                latency(adm.arrival),
+                                fits ? packed : Spill(std::move(packet))});
       ++deliveries_inflight_;
       if (stores_.telemetry) ++pending_deliveries_[to];
     }
   }
   if (crash_sender) MarkCrashed(from);
+}
+
+PackedPacket Runtime::Spill(wire::Packet packet) {
+  const std::uint16_t type = packet.type;
+  std::uint32_t index;
+  if (spill_free_.empty()) {
+    CELECT_CHECK(spill_.size() < std::numeric_limits<std::uint32_t>::max());
+    index = static_cast<std::uint32_t>(spill_.size());
+    spill_.push_back(std::move(packet));
+  } else {
+    index = spill_free_.back();
+    spill_free_.pop_back();
+    spill_[index] = std::move(packet);
+  }
+  ++spilled_deliveries_;
+  return PackedPacket::Spilled(type, index);
+}
+
+wire::Packet Runtime::Unspill(std::uint32_t index) {
+  spill_free_.push_back(index);
+  return std::move(spill_[index]);
 }
 
 void Runtime::Dispatch(const Event& e) {
@@ -294,6 +320,9 @@ void Runtime::Dispatch(const Event& e) {
     // must stay exact even when the destination is gone.
     CELECT_DCHECK(deliveries_inflight_ > 0);
     --deliveries_inflight_;
+    // Unpacked on every path, so a dropped delivery frees its spill
+    // entry too.
+    const wire::Packet packet = Unpack(d->packet);
     obs::Telemetry* telemetry = stores_.telemetry.get();
     if (telemetry) {
       CELECT_DCHECK(pending_deliveries_[d->to] > 0);
@@ -303,7 +332,7 @@ void Runtime::Dispatch(const Event& e) {
     NodeCore& core = cores_[d->to];
     const auto fate = failed_[d->to] || !injector_
                           ? FaultInjector::DeliveryFate::kProcess
-                          : injector_->NoteDelivery(d->to, d->packet.type);
+                          : injector_->NoteDelivery(d->to, packet.type);
     // Mid-handshake death: the node dies with the message unread.
     if (fate == FaultInjector::DeliveryFate::kCrashBeforeProcessing) {
       MarkCrashed(d->to);
@@ -311,7 +340,7 @@ void Runtime::Dispatch(const Event& e) {
     if (failed_[d->to]) {
       stores_.metrics.RecordDrop(DropCause::kCrashedDestination);
       core.Record(TraceRecord::Kind::kDrop, d->from, d->arrival_port,
-                  d->packet.type, d->mid);
+                  packet.type, d->mid);
       return;
     }
     stores_.metrics.RecordDelivery();
@@ -321,7 +350,7 @@ void Runtime::Dispatch(const Event& e) {
     }
     // Unprocessed drops above do not advance the clock — only
     // protocol-visible events do.
-    core.Deliver(*processes_[d->to], d->from, d->arrival_port, d->packet,
+    core.Deliver(*processes_[d->to], d->from, d->arrival_port, packet,
                  d->send_clock, d->mid);
     if (fate == FaultInjector::DeliveryFate::kCrashAfterProcessing) {
       MarkCrashed(d->to);

@@ -138,6 +138,15 @@ class Runtime : private NodeHost {
   // The process at `address` — tests use this to assert protocol state.
   Process& process(NodeId address);
 
+  // Queued deliveries whose packet did not fit a PackedPacket and went
+  // to the spill store, over the whole run (duplicates included), and
+  // those still queued. Kept out of RunResult::counters, which
+  // FingerprintResult hashes.
+  std::uint64_t spilled_deliveries() const { return spilled_deliveries_; }
+  std::size_t pending_spills() const {
+    return spill_.size() - spill_free_.size();
+  }
+
  private:
   // NodeHost: the event-queue and LinkTable half of every node.
   Time Now() override { return now_; }
@@ -147,6 +156,16 @@ class Runtime : private NodeHost {
   bool DisarmTimer(TimerId timer) override;
   void DeclareLeader(NodeId node) override;
 
+  // Parks a packet too wide for a PackedPacket in the spill store and
+  // returns the queued form that names its entry.
+  PackedPacket Spill(wire::Packet packet);
+  // The packet a dispatched delivery carries; frees its spill entry.
+  wire::Packet Unpack(const PackedPacket& packed) {
+    return packed.spilled ? Unspill(packed.spill_index())
+                          : packed.UnpackInline();
+  }
+  // Takes a packet out of the spill store and frees its entry.
+  wire::Packet Unspill(std::uint32_t index);
   void Dispatch(const Event& e);
   // The controlled-scheduling loop (options_.controller set).
   void RunControlled(std::uint64_t& events);
@@ -237,6 +256,14 @@ class Runtime : private NodeHost {
   // Pending (queued, undelivered) deliveries per destination — the
   // queue-depth histogram's source. Maintained only with telemetry on.
   std::vector<std::uint32_t> pending_deliveries_;
+
+  // Packets of queued deliveries too wide for a PackedPacket, indexed by
+  // its f[0]. Each entry belongs to one queued delivery and is freed
+  // when that delivery is dispatched, delivered or dropped; entries
+  // still queued when a run stops early die with the runtime.
+  std::vector<wire::Packet> spill_;
+  std::vector<std::uint32_t> spill_free_;
+  std::uint64_t spilled_deliveries_ = 0;
 };
 
 }  // namespace celect::sim

@@ -9,8 +9,15 @@
 // Fields live in a small-buffer vector (FieldVec): every protocol here
 // sends at most 5 literal fields (the lease wrap adds one more), so the
 // common case stays inline and a packet copy is a few memcpy'd words —
-// no allocator traffic on the simulator's hot path, where every send
-// used to cost a heap vector and every queued event a free.
+// no allocator traffic on the hot paths, where every send used to cost
+// a heap vector and every queued event a free.
+//
+// The simulator's event queue does not hold Packets. A queued delivery
+// carries a sim::PackedPacket (sim/event.h): the type and up to three
+// fields of 32 bits each, which covers nearly every packet sent. The
+// runtime parks the rest (four or more fields, or a field outside
+// int32) whole in a side store, and hands every handler a Packet equal
+// to the one sent.
 #pragma once
 
 #include <cstdint>

@@ -184,6 +184,9 @@ class MeasuringObserver : public sim::RunObserver {
 };
 
 TEST(CheckerAllocBudget, WarmLeaseRunAllocatesNothingPerEventOrTimer) {
+  // The tallies are global (the processes reach them); a repeated or
+  // shuffled run must start from zero.
+  g_budget = {};
   sim::NetworkConfig c;
   c.n = kNodes;
   c.mapper = sim::MakeSodMapper(kNodes);
@@ -271,6 +274,7 @@ class Volley : public sim::Process {
 };
 
 TEST(DeliveryAllocBudget, WarmPingPongAllocatesNothingPerDelivery) {
+  g_delivery = {};
   sim::NetworkConfig c;
   c.n = 2;
   c.mapper = sim::MakeSodMapper(2);
@@ -334,6 +338,7 @@ class PinnedTimers : public sim::Process {
 };
 
 TEST(TimerTableBudget, PinnedTableStaysWithinTwiceTheIdSpan) {
+  g_table = {};
   sim::NetworkConfig c;
   c.n = 2;
   c.mapper = sim::MakeSodMapper(2);
@@ -354,8 +359,9 @@ TEST(TimerTableBudget, PinnedTableStaysWithinTwiceTheIdSpan) {
 }
 
 // Events still pending when a queue is destroyed, tombstones and the
-// borrowed one included, each free their heap-spilled packet exactly
-// once: the queue hands back every block it and its events took.
+// borrowed one included: the queue hands back every block it took.
+// Queued packets are packed inline and own no memory, so what remains
+// to check is that the pools' segments all come back.
 TEST(EventQueueAllocBudget, DestroyFreesEachPendingBodyOnce) {
   // Pending events left; drained with the last pop still borrowed;
   // drained through a null pop.
@@ -366,17 +372,18 @@ TEST(EventQueueAllocBudget, DestroyFreesEachPendingBodyOnce) {
       sim::EventQueue q;
       std::vector<sim::EventTicket> tickets;
       for (std::int64_t i = 0; i < 300; ++i) {
-        wire::Packet p;
+        sim::PackedPacket p;
         p.type = 3;
-        for (std::int64_t f = 0; f < wire::FieldVec::kInline + 2; ++f) {
-          p.fields.push_back(i + f);
+        p.count = sim::PackedPacket::kInlineFields;
+        for (std::size_t f = 0; f < sim::PackedPacket::kInlineFields; ++f) {
+          p.f[f] = static_cast<std::int32_t>(i + static_cast<int>(f));
         }
         // Near, in-wheel and far-heap arrival times.
         const std::int64_t ticks =
             (i % 3) * (std::int64_t{1} << 23) * 3 + 100 + i;
         tickets.push_back(q.PushTicketed(
             sim::Time::FromTicks(ticks),
-            sim::DeliveryEvent{0, 1, 1, 0, 0, 0, std::move(p)}));
+            sim::DeliveryEvent{0, 1, 1, 0, 0, 0, p}));
       }
       for (std::size_t i = 0; i < tickets.size(); i += 5) {
         q.Cancel(tickets[i]);
@@ -399,8 +406,9 @@ TEST(EventQueueAllocBudget, DestroyFreesEachPendingBodyOnce) {
 // A large queue's pool segments are parked when it is destroyed and
 // taken by the next queue, so a run of same-sized elections maps its
 // large blocks once, and small queues in between do not undo that.
-// 80,000 events at 8 instants take the slot arena (128-byte slots) past
-// 65,536 entries and the chunk pool (16 handles a chunk) past 4,096.
+// 80,000 events at 8 instants take the slot arena (64-byte slots) past
+// 65,536 entries, a 4 MiB segment, and the chunk pool (16 handles a
+// chunk) past 4,096, a 1.6 MB segment.
 constexpr std::int64_t kLargeQueue = 80'000;
 
 // Fills a fresh queue with `n` events, drains it and destroys it; returns

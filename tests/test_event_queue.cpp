@@ -217,20 +217,21 @@ TEST(EventQueue, RandomizedDifferentialAgainstReferenceHeap) {
 constexpr std::int64_t kChunkHandles = 16;
 constexpr std::int64_t kWheelTicks = std::int64_t{1} << 24;
 
-// A packet with more fields than FieldVec keeps inline, so its fields
-// live on the heap and a double destroy or a leak shows under ASan.
-wire::Packet SpilledPacket(std::int64_t tag) {
-  wire::Packet p;
+// A full packed payload, every inline field distinct per tag, so a slot
+// that was moved or overwritten shows as a wrong field.
+PackedPacket Payload(std::int64_t tag) {
+  PackedPacket p;
   p.type = 9;
-  for (std::int64_t i = 0; i < wire::FieldVec::kInline + 3; ++i) {
-    p.fields.push_back(tag * 100 + i);
+  p.count = PackedPacket::kInlineFields;
+  for (std::size_t i = 0; i < PackedPacket::kInlineFields; ++i) {
+    p.f[i] = static_cast<std::int32_t>(tag * 100 + static_cast<int>(i));
   }
   return p;
 }
 
 DeliveryEvent Delivery(NodeId to, std::int64_t tag) {
   return DeliveryEvent{0, to, 1, static_cast<std::uint32_t>(tag), 0, 0,
-                       SpilledPacket(tag)};
+                       Payload(tag)};
 }
 
 // Pop lends the event in its slot: pushes made while it is borrowed,
@@ -250,13 +251,15 @@ TEST(EventQueueBorrowedPop, PoppedEventSurvivesArenaGrowth) {
   const auto& d = std::get<DeliveryEvent>(e->body);
   EXPECT_EQ(d.to, 3u);
   EXPECT_EQ(d.mid, 42u);
-  EXPECT_EQ(d.packet, SpilledPacket(42));
+  EXPECT_EQ(d.packet, Payload(42));
   EXPECT_EQ(d.packet, std::get<DeliveryEvent>(copy.body).packet);
   EXPECT_EQ(q.Size(), 5000u);
   for (int i = 0; i < 5000; ++i) {
     const Event* next = q.Pop();
     ASSERT_NE(next, nullptr);
-    EXPECT_EQ(std::get<DeliveryEvent>(next->body).packet, SpilledPacket(i));
+    EXPECT_EQ(std::get<DeliveryEvent>(next->body).packet, Payload(i));
+    // Each event fills one cache line of its own.
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(next) % 64, 0u);
   }
   EXPECT_EQ(q.Pop(), nullptr);
 }
@@ -335,10 +338,11 @@ TEST(EventQueueBorrowedPopDeathTest, EventsAndTakeNeverReturnThePoppedEvent) {
   EXPECT_DEATH(q.Take(popped), "no pending event");
 }
 
-// Live events in every region, tombstones and a borrowed event all
-// hold heap-spilled packets when the queue goes away; each must be
-// destroyed exactly once (ASan reports a leak or a double free). The
-// allocation-counting binary checks the same balance by count.
+// Live events in every region, tombstones and a borrowed event are all
+// still in the arena when the queue goes away. Events own nothing, so
+// the queue frees its pools and visits no slot (ASan reports a leak or
+// a double free); the allocation-counting binary checks the same
+// balance by count.
 TEST(EventQueueBorrowedPop, DestroyWithPendingEventsFreesEachBodyOnce) {
   {
     // In L0, in the wheel, and beyond it.
@@ -632,9 +636,9 @@ TEST(EventQueueChunks, LargeInstantsDifferentialAgainstReferenceHeap) {
 
 // Parked segments. A large queue's pool segments outlive it and back
 // the next queue, still holding the old queue's bytes. 20,000 pending
-// events at mixed times take the slot arena (128-byte slots) past
-// 16,384 entries and the chunk pool into its 1.6 MB segment, so both
-// pools grow segments of 1 MiB or more.
+// events at mixed times take the slot arena (64-byte slots) past
+// 16,384 entries, into its 1 MiB segment, and the chunk pool into its
+// 1.6 MB segment, so both pools grow segments of 1 MiB or more.
 constexpr int kLargeFill = 20000;
 
 // Grows `q` to `n` pending events at mixed times, cancels one in eight

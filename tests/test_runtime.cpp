@@ -1,14 +1,19 @@
 // Runtime behaviour: delivery, arrival ports, FIFO, passive wakeup
-// barring, failed nodes, metrics, trace.
+// barring, failed nodes, metrics, trace, packed queued packets.
 #include "celect/sim/runtime.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "celect/proto/common.h"
+#include "celect/proto/nosod/protocol_d.h"
 #include "celect/sim/network.h"
 
 namespace celect::sim {
@@ -299,6 +304,189 @@ TEST(Runtime, LatencySaturationIsCounted) {
   // 4100 messages spaced one unit apart: arrivals past ~4096 units clip.
   EXPECT_GT(r.counters.at("sim.latency_saturated"), 0);
   EXPECT_LT(r.counters.at("sim.latency_saturated"), 100);
+}
+
+// Packed queued packets. Node 0 sends a script of packets to node 1 on
+// wakeup (and with `declare` then declares at once); node 1 records
+// what arrives. Every handler must see exactly the packet that was
+// sent, whether it rode inline in its DeliveryEvent or in the spill
+// store.
+class Courier : public Process {
+ public:
+  Courier(const ProcessInit& init, const std::vector<wire::Packet>& script,
+          std::vector<wire::Packet>& received, bool declare)
+      : node_(init.address),
+        script_(script),
+        received_(received),
+        declare_(declare) {}
+
+  void OnWakeup(Context& ctx) override {
+    if (node_ != 0) return;
+    for (const wire::Packet& p : script_) ctx.Send(1, p);
+    if (declare_) ctx.DeclareLeader();
+  }
+  void OnMessage(Context&, Port, const wire::Packet& p) override {
+    received_.push_back(p);
+  }
+
+ private:
+  NodeId node_;
+  const std::vector<wire::Packet>& script_;
+  std::vector<wire::Packet>& received_;
+  bool declare_;
+};
+
+struct CourierRun {
+  RunResult result;
+  std::vector<wire::Packet> received;
+  std::uint64_t spilled = 0;
+  std::size_t pending_spills = 0;
+};
+
+CourierRun RunCourier(const std::vector<wire::Packet>& script,
+                      FaultPlan faults = {}, RuntimeOptions opts = {},
+                      bool declare = false) {
+  NetworkConfig c = BasicConfig(2);
+  c.faults = std::move(faults);
+  CourierRun out;
+  Runtime rt(
+      std::move(c),
+      [&](const ProcessInit& init) {
+        return std::make_unique<Courier>(init, script, out.received, declare);
+      },
+      opts);
+  out.result = rt.Run();
+  out.spilled = rt.spilled_deliveries();
+  out.pending_spills = rt.pending_spills();
+  return out;
+}
+
+constexpr std::int64_t kI32Min = std::numeric_limits<std::int32_t>::min();
+constexpr std::int64_t kI32Max = std::numeric_limits<std::int32_t>::max();
+
+// Packets with 4 to 7 fields; 7 is past FieldVec's inline capacity, so
+// that packet's fields live on the heap.
+std::vector<wire::Packet> WidePackets() {
+  std::vector<wire::Packet> out;
+  for (std::int64_t n = 4; n <= 7; ++n) {
+    wire::Packet p;
+    p.type = static_cast<std::uint16_t>(40 + n);
+    for (std::int64_t i = 0; i < n; ++i) p.fields.push_back(n * 10 + i);
+    out.push_back(p);
+  }
+  return out;
+}
+
+TEST(PackedPackets, UpToThreeFieldsRideInline) {
+  const std::vector<wire::Packet> script = {
+      wire::Packet{0, {}},
+      wire::Packet{1, {0}},
+      wire::Packet{2, {-5, 7}},
+      wire::Packet{0xFFFF, {1, -2, 3}},
+  };
+  const CourierRun run = RunCourier(script);
+  EXPECT_EQ(run.received, script);
+  EXPECT_EQ(run.spilled, 0u);
+  EXPECT_EQ(run.pending_spills, 0u);
+}
+
+TEST(PackedPackets, Int32BoundsStayInlineAndOnePastSpills) {
+  const std::vector<wire::Packet> script = {
+      wire::Packet{3, {kI32Min}},
+      wire::Packet{3, {kI32Max}},
+      wire::Packet{3, {kI32Min, kI32Max, 0}},
+      wire::Packet{4, {kI32Min - 1}},
+      wire::Packet{4, {0, kI32Max + 1}},
+      wire::Packet{4, {std::numeric_limits<std::int64_t>::min(),
+                       std::numeric_limits<std::int64_t>::max()}},
+  };
+  const CourierRun run = RunCourier(script);
+  EXPECT_EQ(run.received, script);
+  EXPECT_EQ(run.spilled, 3u);
+  EXPECT_EQ(run.pending_spills, 0u);
+}
+
+TEST(PackedPackets, FourToSevenFieldsSpillAndRoundTrip) {
+  const std::vector<wire::Packet> script = WidePackets();
+  const CourierRun run = RunCourier(script);
+  EXPECT_EQ(run.received, script);
+  EXPECT_EQ(run.spilled, script.size());
+  EXPECT_EQ(run.pending_spills, 0u);
+  // The same through the reference queue, which copies events.
+  RuntimeOptions ref;
+  ref.use_reference_queue = true;
+  const CourierRun heap = RunCourier(script, {}, ref);
+  EXPECT_EQ(heap.received, script);
+  EXPECT_EQ(heap.pending_spills, 0u);
+}
+
+TEST(PackedPackets, DuplicatedSpillDeliversTwiceWithEqualPackets) {
+  std::vector<wire::Packet> script = WidePackets();
+  script.push_back(wire::Packet{5, {1, 2}});  // inline, duplicated too
+  FaultPlan faults;
+  faults.link.duplicate = 1.0;
+  faults.seed = 7;
+  const CourierRun run = RunCourier(script, faults);
+  EXPECT_EQ(run.result.messages_duplicated, script.size());
+  ASSERT_EQ(run.received.size(), 2 * script.size());
+  for (const wire::Packet& p : script) {
+    EXPECT_EQ(std::count(run.received.begin(), run.received.end(), p), 2)
+        << wire::ToString(p);
+  }
+  // Each copy of a wide packet had an entry of its own.
+  EXPECT_EQ(run.spilled, 2 * (script.size() - 1));
+  EXPECT_EQ(run.pending_spills, 0u);
+}
+
+TEST(PackedPackets, SpillDroppedAtCrashedDestinationIsFreed) {
+  const std::vector<wire::Packet> script = WidePackets();
+  // Node 1 dies before the deliveries land (at t=1)...
+  FaultPlan before;
+  before.crashes.push_back(CrashSpec{1, CrashSpec::Trigger::kAtTime,
+                                     Time::FromTicks(Time::kTicksPerUnit / 2)});
+  const CourierRun early = RunCourier(script, before);
+  EXPECT_TRUE(early.received.empty());
+  EXPECT_EQ(early.spilled, script.size());
+  EXPECT_EQ(early.pending_spills, 0u);
+  // ...or on the first of them, unread (mid-handshake death).
+  FaultPlan on_type;
+  CrashSpec spec;
+  spec.node = 1;
+  spec.trigger = CrashSpec::Trigger::kOnMessageType;
+  spec.message_type = script.front().type;
+  on_type.crashes.push_back(spec);
+  const CourierRun mid = RunCourier(script, on_type);
+  EXPECT_TRUE(mid.received.empty());
+  EXPECT_EQ(mid.result.faults_injected, 1u);
+  EXPECT_EQ(mid.pending_spills, 0u);
+}
+
+// A run stopped at the leader declaration leaves its spilled deliveries
+// queued; the runtime frees them when it goes (the sanitizer build
+// reports a leak otherwise).
+TEST(PackedPackets, RunStoppedEarlyWithSpillsPendingIsClean) {
+  const std::vector<wire::Packet> script = WidePackets();
+  RuntimeOptions opts;
+  opts.stop_on_leader = true;
+  const CourierRun run = RunCourier(script, {}, opts, /*declare=*/true);
+  EXPECT_EQ(run.result.leader_declarations, 1u);
+  EXPECT_TRUE(run.received.empty());
+  EXPECT_EQ(run.pending_spills, script.size());
+}
+
+// Protocol D sends {id} and {}: nothing of a flood spills.
+TEST(PackedPackets, ProtocolDElectionSpillsNothing) {
+  constexpr std::uint32_t kN = 64;
+  NetworkConfig c;
+  c.n = kN;
+  c.mapper = MakeRandomMapper(kN, 5);
+  c.delays = MakeUnitDelay();
+  c.wakeup = WakeAllAtZero(kN);
+  Runtime rt(std::move(c), proto::nosod::MakeProtocolD());
+  const RunResult r = rt.Run();
+  EXPECT_EQ(r.leader_declarations, 1u);
+  EXPECT_GE(r.total_messages, std::uint64_t{kN} * (kN - 1));
+  EXPECT_EQ(rt.spilled_deliveries(), 0u);
 }
 
 }  // namespace
