@@ -14,6 +14,10 @@ using sim::Event;
 using sim::EventTarget;
 using sim::NodeId;
 
+// Event budget per execution: a protocol that does not quiesce on some
+// schedule CHECK-fails loudly rather than spinning.
+constexpr std::uint64_t kMaxEventsPerRun = 1'000'000;
+
 // One node of the exploration tree: the enabled set seen at that depth,
 // which alternative is currently being explored, and the sleep set
 // (event -> target) of alternatives already covered or inherited.
@@ -29,24 +33,22 @@ struct Frame {
 // Drives one execution: replays the persistent prefix, then extends it
 // with first-awake choices, growing the frame stack. Aborts the run
 // when every enabled event is asleep (the branch is redundant) or when
-// a violation has been recorded (the counterexample ends here).
+// a violation has been recorded (the counterexample ends here, and so
+// does the exploration).
 class DfsController : public sim::ScheduleController {
  public:
   enum class Stop { kNone, kSleepPruned, kViolation };
 
   DfsController(std::vector<Frame>& frames, ExploreStats& stats,
-                const InvariantRegistry& registry, bool stop_on_violation)
-      : frames_(frames),
-        stats_(stats),
-        registry_(registry),
-        stop_on_violation_(stop_on_violation) {}
+                const InvariantRegistry& registry)
+      : frames_(frames), stats_(stats), registry_(registry) {}
 
   Stop stop() const { return stop_; }
   std::size_t depth() const { return depth_; }
 
   std::optional<std::size_t> ChooseNext(
       const std::vector<const Event*>& enabled) override {
-    if (stop_on_violation_ && !registry_.ok()) {
+    if (!registry_.ok()) {
       stop_ = Stop::kViolation;
       return std::nullopt;
     }
@@ -107,7 +109,6 @@ class DfsController : public sim::ScheduleController {
   std::vector<Frame>& frames_;
   ExploreStats& stats_;
   const InvariantRegistry& registry_;
-  const bool stop_on_violation_;
   Stop stop_ = Stop::kNone;
   std::size_t depth_ = 0;
 };
@@ -175,10 +176,9 @@ ExploreResult Explore(const sim::ProcessFactory& factory,
     }
     ++executions;
     InvariantRegistry registry(opt.invariants);
-    DfsController controller(frames, out.stats, registry,
-                             opt.stop_at_first_violation);
+    DfsController controller(frames, out.stats, registry);
     sim::RuntimeOptions ro;
-    ro.max_events = opt.max_events_per_run;
+    ro.max_events = kMaxEventsPerRun;
     ro.observer = &registry;
     ro.controller = &controller;
     sim::Runtime runtime(config(), factory, ro);
@@ -187,20 +187,18 @@ ExploreResult Explore(const sim::ProcessFactory& factory,
     if (controller.stop() != DfsController::Stop::kSleepPruned) {
       ++out.stats.schedules;
     }
-    if (!registry.ok() && !out.counterexample) {
+    if (!registry.ok()) {
+      // The first violating schedule ends the exploration, shrunk to the
+      // choices it needs.
       Counterexample cex;
-      cex.choices = ChoicesOf(frames, controller.depth());
-      cex.violations = registry.violations();
-      if (opt.shrink) {
-        cex.choices = Shrink(factory, config, opt.invariants,
-                             std::move(cex.choices));
-        cex.violations =
-            ReplaySchedule(factory, config, cex.choices, opt.invariants)
-                .violations;
-      }
+      cex.choices = Shrink(factory, config, opt.invariants,
+                           ChoicesOf(frames, controller.depth()));
+      cex.violations =
+          ReplaySchedule(factory, config, cex.choices, opt.invariants)
+              .violations;
       cex.schedule = ScheduleToString(cex.choices);
       out.counterexample = std::move(cex);
-      if (opt.stop_at_first_violation) break;
+      break;
     }
     // Backtrack: put the explored choice to sleep at the deepest frame
     // that still has an awake alternative; pop exhausted frames.

@@ -46,16 +46,6 @@ struct ExplorerOptions {
   // Execution budget: maximal schedules to run before giving up (the
   // result is then marked budget_exhausted, not a proof).
   std::uint64_t max_schedules = 1'000'000;
-  // Event budget per execution (a protocol that does not quiesce on
-  // some schedule CHECK-fails loudly rather than spinning).
-  std::uint64_t max_events_per_run = 1'000'000;
-  // Abort the exploration at the first violating schedule (on by
-  // default; turning it off keeps only the first counterexample but
-  // still walks the rest of the space).
-  bool stop_at_first_violation = true;
-  // Greedily minimise the counterexample by zeroing and truncating
-  // choices that are not needed to reproduce the violation.
-  bool shrink = true;
   // Invariants checked on every execution. quiescence_termination and
   // leader_is_max_id are worth enabling for fault-free all-base
   // configs — that is where the paper guarantees them.
@@ -84,8 +74,9 @@ struct ExploreResult {
 };
 
 // Exhaustively explores the protocol under every schedule of the given
-// configuration (up to the budget). Clean result + !budget_exhausted is
-// a proof of the enabled invariants for this configuration.
+// configuration (up to the budget), stopping at the first violating
+// schedule. Clean result + !budget_exhausted is a proof of the enabled
+// invariants for this configuration.
 ExploreResult Explore(const sim::ProcessFactory& factory,
                       const ConfigFactory& config,
                       const ExplorerOptions& opt = {});

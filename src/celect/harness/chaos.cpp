@@ -76,8 +76,9 @@ ChaosCaseResult RunChaosCase(const sim::ProcessFactory& factory,
   ro.max_events = opt.max_events;
   ro.fault_plan = out.plan;
 
-  // Leader-count verdicts stay below (they carry the crash/loss context);
-  // the registry adds per-event monotonicity and conservation checks.
+  // Every case runs per-event invariant checking: the registry adds
+  // monotone observables and message conservation. Leader-count
+  // verdicts stay below (they carry the crash/loss context).
   analysis::InvariantOptions io;
   io.unique_leader = false;
   analysis::InvariantRegistry registry(io);
@@ -85,8 +86,7 @@ ChaosCaseResult RunChaosCase(const sim::ProcessFactory& factory,
   sim::RuntimeOptions rt;
   rt.max_events = opt.max_events;
   rt.enable_telemetry = opt.enable_telemetry;
-  rt.use_reference_queue = opt.reference_queue;
-  if (opt.check_invariants) rt.observer = &registry;
+  rt.observer = &registry;
   sim::Runtime runtime(BuildNetwork(ro), factory, rt);
   out.result = runtime.Run();
   out.failed_after = runtime.failed();

@@ -49,10 +49,6 @@ struct ChaosOptions {
   // quiescence is then acceptable).
   bool require_leader = true;
   bool require_live_leader = true;
-  // Per-event invariant checking (analysis::InvariantRegistry) on every
-  // case: monotone observables + message conservation. Leader-count
-  // checks stay with the harness's own SAFETY/LIVENESS verdicts above.
-  bool check_invariants = true;
   // Worker threads for SweepChaos / SweepRegistryChaos (0 = one per
   // hardware thread). Cases are independent seeded runs; the sweep
   // reduces them in seed order, so totals and the violation list are
@@ -61,9 +57,6 @@ struct ChaosOptions {
   // Collect per-run obs::Telemetry (latency/queue-depth/capture-width
   // histograms); SweepChaos merges them in seed order.
   bool enable_telemetry = false;
-  // Run on the reference binary-heap event queue (equivalence tests and
-  // divergence bisection; see RunOptions::reference_queue).
-  bool reference_queue = false;
 };
 
 // Derives the run's fault plan from the seed: distinct crash victims with

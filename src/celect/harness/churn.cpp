@@ -45,6 +45,13 @@ proto::nosod::LeaseParams EffectiveLeaseParams(const ChurnOptions& opt) {
 
 namespace {
 
+// Mean up and down phase lengths; each phase is drawn uniformly from
+// [mean/2, 3*mean/2) per seed, so victims drift out of phase.
+constexpr Time kMeanUptime = Time::FromUnits(6);
+constexpr Time kMeanDowntime = Time::FromUnits(3);
+// Grace before the first crash, so the first election settles.
+constexpr Time kFirstCrashAfter = Time::FromUnits(2);
+
 // Phase length ~ uniform [mean/2, 3*mean/2), at least one tick.
 std::int64_t DrawPhase(Rng& rng, Time mean) {
   const std::int64_t m = std::max<std::int64_t>(mean.ticks(), 1);
@@ -71,8 +78,7 @@ FaultPlan MakeChurnPlan(std::uint64_t seed, const ChurnOptions& opt) {
   for (std::uint32_t i = 0; i < opt.churn_nodes; ++i) {
     const sim::NodeId node = victims[i];
     // Stagger the first crash per victim so they drift out of phase.
-    std::int64_t t = opt.first_crash_after.ticks() +
-                     DrawPhase(rng, opt.mean_uptime);
+    std::int64_t t = kFirstCrashAfter.ticks() + DrawPhase(rng, kMeanUptime);
     bool down = false;
     while (t < horizon) {
       if (!down) {
@@ -82,11 +88,11 @@ FaultPlan MakeChurnPlan(std::uint64_t seed, const ChurnOptions& opt) {
         spec.at = Time::FromTicks(t);
         plan.crashes.push_back(spec);
         down = true;
-        t += DrawPhase(rng, opt.mean_downtime);
+        t += DrawPhase(rng, kMeanDowntime);
       } else {
         plan.rejoins.push_back({node, Time::FromTicks(t)});
         down = false;
-        t += DrawPhase(rng, opt.mean_uptime);
+        t += DrawPhase(rng, kMeanUptime);
       }
     }
   }
@@ -127,7 +133,7 @@ ChurnCaseResult RunChurnCase(std::uint64_t seed, const ChurnOptions& opt) {
   sim::RuntimeOptions rt;
   rt.max_events = opt.max_events;
   rt.enable_telemetry = opt.enable_telemetry;
-  if (opt.check_invariants) rt.observer = &monitor;
+  rt.observer = &monitor;
   sim::Runtime runtime(BuildNetwork(ro),
                        proto::nosod::MakeLeaseEngine(lease), rt);
   out.result = runtime.Run();

@@ -40,12 +40,6 @@ struct ChurnOptions {
   // Nodes cycling crash/rejoin (distinct victims, drawn per seed; keep
   // below n/2 so an acquisition quorum of live nodes always exists).
   std::uint32_t churn_nodes = 2;
-  // Mean up/down phase lengths; each phase is drawn uniformly from
-  // [mean/2, 3*mean/2) per seed, so victims drift out of phase.
-  sim::Time mean_uptime = sim::Time::FromUnits(6);
-  sim::Time mean_downtime = sim::Time::FromUnits(3);
-  // Grace before the first crash, so the first election settles.
-  sim::Time first_crash_after = sim::Time::FromUnits(2);
   // Link degradation rates handed to the FaultPlan.
   double loss = 0.0;
   double duplicate = 0.0;
@@ -53,8 +47,6 @@ struct ChurnOptions {
   MapperKind mapper = MapperKind::kRandom;
   DelayKind delay = DelayKind::kRandom;
   std::uint64_t max_events = 500'000'000;
-  // Per-event checking (LeaseMonitor + InvariantRegistry).
-  bool check_invariants = true;
   // Bounded re-election window for the overdue check. Zero derives a
   // generous bound from the lease parameters: a crashed holder's lease
   // must run out (lease_duration) before followers may re-elect, then
@@ -76,8 +68,10 @@ sim::Time DefaultReelectionWindow(const proto::nosod::LeaseParams& lease);
 proto::nosod::LeaseParams EffectiveLeaseParams(const ChurnOptions& opt);
 
 // Seeded churn schedule: distinct victims, per-victim alternating
-// crash/rejoin timelines over [first_crash_after, horizon), plus the
-// link rates from `opt`. Deterministic: same (seed, opt) -> same plan.
+// crash/rejoin timelines from two units in (so the first election
+// settles) to the horizon, with up phases of six units and down phases
+// of three on average, plus the link rates from `opt`. Deterministic:
+// same (seed, opt) -> same plan.
 sim::FaultPlan MakeChurnPlan(std::uint64_t seed, const ChurnOptions& opt);
 
 struct ChurnCaseResult {

@@ -155,7 +155,6 @@ sim::RuntimeOptions RuntimeOptionsFor(const RunOptions& options) {
   rt.trace_cap = options.trace_cap;
   rt.enable_telemetry = options.enable_telemetry;
   rt.serialize_packets = options.serialize_packets;
-  rt.use_reference_queue = options.reference_queue;
   return rt;
 }
 

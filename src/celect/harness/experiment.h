@@ -52,11 +52,6 @@ struct RunOptions {
   // Streaming histograms + samplers (RunResult::telemetry).
   bool enable_telemetry = false;
   std::uint64_t max_events = 500'000'000;
-  // Run on the reference binary-heap event queue instead of the ladder
-  // queue. The two are fingerprint-equivalent (tests/test_queue_
-  // equivalence.cpp); the switch exists for those tests and for
-  // bisecting any future divergence.
-  bool reference_queue = false;
   // Mid-run fault schedule (crashes + lossy links); empty = fault-free.
   sim::FaultPlan fault_plan;
 };

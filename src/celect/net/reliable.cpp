@@ -20,6 +20,10 @@ constexpr std::uint64_t kRecvWindow = 256;
 // (each session's own is SessionParams::rtt_sample_cap); overflow is
 // counted, never silent.
 constexpr std::size_t kMaxRttSamples = 4096;
+// Retransmit backoff doubles from SessionParams::rto_initial up to this
+// ceiling, and every timeout is jittered by +/- this percentage.
+constexpr Micros kRtoMax = 1'000'000;
+constexpr Micros kJitterPct = 25;
 
 // First-use sizes of the session's buffers, from the high-water marks
 // of the net_chaos elections' sessions: a few packets queued or
@@ -85,9 +89,8 @@ void ReliableSession::NoteRttSample(Micros rtt) {
 Micros ReliableSession::Backoff(std::uint32_t retries) {
   std::uint32_t shift = std::min(retries, 10u);
   Micros base = params_.rto_initial << shift;
-  base = std::min(base, params_.rto_max);
-  if (params_.jitter_pct == 0) return base;
-  Micros span = base * params_.jitter_pct / 100;
+  base = std::min(base, kRtoMax);
+  Micros span = base * kJitterPct / 100;
   if (span == 0) return base;
   // Uniform in [base - span, base + span].
   return base - span + rng_.NextBelow(2 * span + 1);
@@ -243,7 +246,6 @@ void ReliableSession::NoteProgress(Micros now) {
     endpoint_->stats.suspicion_us.Add(duration);
     Flight(now, obs::FlightKind::kSuspectEnd, duration);
   }
-  exhaustion_streak_ = 0;
   suspect_signalled_ = false;
   suspect_pending_ = false;
   for (std::size_t i = 0; i < in_flight_; ++i) queue_[i].exhausted = false;
@@ -255,14 +257,14 @@ void ReliableSession::NoteExhaustion(Outgoing* u, Micros now) {
     u->exhausted = true;
   }
   ++endpoint_->stats.exhaustions;
-  ++exhaustion_streak_;
-  if (exhaustion_streak_ >= params_.suspicion_exhaustions &&
-      !suspect_signalled_) {
+  // The first exhaustion since the last ack progress opens a suspect
+  // episode; the flight event records that one-exhaustion streak.
+  if (!suspect_signalled_) {
     suspect_pending_ = true;
     suspect_signalled_ = true;
     suspect_since_ = now;
     ++endpoint_->stats.suspicions;
-    Flight(now, obs::FlightKind::kSuspectBegin, exhaustion_streak_);
+    Flight(now, obs::FlightKind::kSuspectBegin, 1);
   }
 }
 

@@ -70,12 +70,7 @@ struct TraceContext {
 struct SessionParams {
   std::uint32_t window = 32;       // max unacked data frames in flight
   Micros rto_initial = 40'000;     // first retransmit timeout
-  Micros rto_max = 1'000'000;      // backoff ceiling
-  std::uint32_t jitter_pct = 25;   // +/- applied to every timeout
   std::uint32_t max_retries = 8;   // budget before a frame is "exhausted"
-  // Consecutive exhaustion events (no ack progress in between) before
-  // the peer is reported suspect.
-  std::uint32_t suspicion_exhaustions = 1;
   std::uint64_t seed = 1;          // jitter stream
   // Karn-filtered RTT samples this session keeps for bench
   // percentiles (in its endpoint's SessionStats); overflow is counted
@@ -257,7 +252,6 @@ class ReliableSession {
   // Out-of-order reassembly, sorted by seq.
   std::vector<std::pair<std::uint64_t, Delivered>> reorder_;
 
-  std::uint32_t exhaustion_streak_ = 0;
   bool suspect_pending_ = false;
   bool suspect_signalled_ = false;
   Micros suspect_since_ = 0;                // episode start (for duration)

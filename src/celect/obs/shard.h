@@ -38,7 +38,7 @@ enum class FlightKind : std::uint8_t {
   kEpochAdopt = 3,     // a: adopted remote epoch (peer restarted)
   kRetransmit = 4,     // a: frame seq, b: scheduled backoff (us)
   kHelloRetry = 5,     // a: retry count so far
-  kSuspectBegin = 6,   // a: exhaustion streak that crossed the budget
+  kSuspectBegin = 6,   // a: exhaustion streak that opened it (1)
   kSuspectEnd = 7,     // a: episode duration (us)
   kWindowStall = 8,    // a: packets parked behind a full window
   kResetSent = 9,      // a: local epoch

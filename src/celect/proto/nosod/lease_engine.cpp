@@ -212,7 +212,6 @@ class LeaseProcess : public sim::Process {
   wire::Packet Wrap(wire::Packet p) {
     wire::Packet w;
     w.type = static_cast<std::uint16_t>(kLeaseWrapBase + p.type);
-    w.fields.reserve(p.fields.size() + 1);
     w.fields.push_back(term_);
     w.fields.insert(w.fields.end(), p.fields.begin(), p.fields.end());
     return w;

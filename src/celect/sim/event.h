@@ -26,11 +26,12 @@ struct WakeupEvent {
 // three fields, each stored in 32 bits. Every packet the simulator's
 // protocols send in bulk fits (D's {id} and {}, EFG's {id, level}, the
 // lease wrap's {term, id, level}, chordal's two fields), so a queued
-// delivery needs no pointer and no destructor. A packet with more
-// fields, or with a field outside int32, is parked whole in the
-// runtime's spill store instead: `spilled` is set and f[0] is the
-// store index (the lease engine's four-field grant and renew, which
-// carry an absolute deadline in ticks, are the in-tree case).
+// delivery holds 16 bytes of packet where a wire::Packet takes 64, and
+// an Event fits one cache line. A packet with more fields, or with a
+// field outside int32, is parked whole in the runtime's spill store
+// instead: `spilled` is set and f[0] is the store index (the lease
+// engine's four-field grant and renew, which carry an absolute
+// deadline in ticks, are the in-tree case).
 // Each spilled entry belongs to exactly one queued delivery: the
 // runtime gives an injected duplicate its own copy, and frees the
 // entry when the delivery is dispatched.
@@ -60,14 +61,11 @@ struct PackedPacket {
     spilled = 0;
     return true;
   }
-  // The packet an inline PackedPacket holds. Unrolled: a fresh Packet's
-  // pushes then compile to plain stores.
+  // The packet an inline PackedPacket holds.
   wire::Packet UnpackInline() const {
     wire::Packet p;
     p.type = type;
-    if (count > 0) p.fields.push_back(f[0]);
-    if (count > 1) p.fields.push_back(f[1]);
-    if (count > 2) p.fields.push_back(f[2]);
+    p.fields.assign(f, f + count);
     return p;
   }
   // A spilled packet's store index.

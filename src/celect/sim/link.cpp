@@ -95,21 +95,6 @@ Time LinkTable::AdmitOrdered(State& s, Time send_time,
   return arrival;
 }
 
-Time LinkTable::Admit(NodeId from, NodeId to, Time send_time,
-                      const DelayDecision& d) {
-  CELECT_DCHECK(from < n_ && to < n_ && from != to);
-  CELECT_CHECK(d.transit > Time::Zero()) << "transit delay must be positive";
-  CELECT_CHECK(d.transit <= kUnit) << "transit delay exceeds one unit";
-  CELECT_CHECK(d.spacing >= Time::Zero() && d.spacing <= kUnit)
-      << "spacing outside [0, 1]";
-  return AdmitOrdered(Obtain(from, to), send_time, d);
-}
-
-Admission LinkTable::AdmitWithFaults(NodeId from, NodeId to, Time send_time,
-                                     const DelayDecision& d) {
-  return AdmitWithFaults(Touch(from, to), from, to, send_time, d);
-}
-
 LinkTable::LinkRef LinkTable::Touch(NodeId from, NodeId to) {
   CELECT_DCHECK(from < n_ && to < n_ && from != to);
   LinkRef r;
@@ -169,16 +154,6 @@ void LinkTable::NotifyDelivered(NodeId from, NodeId to) {
   CELECT_CHECK(s != nullptr && s->inflight > 0)
       << "delivery on a link with nothing in flight";
   --s->inflight;
-}
-
-std::uint64_t LinkTable::SentCount(NodeId from, NodeId to) const {
-  const State* s = Find(from, to);
-  return s == nullptr ? 0 : s->sent;
-}
-
-Time LinkTable::LastArrival(NodeId from, NodeId to) const {
-  const State* s = Find(from, to);
-  return s == nullptr ? Time::Zero() : s->last_arrival;
 }
 
 }  // namespace celect::sim

@@ -17,7 +17,7 @@
 //     used) — a million-node protocol-C run touches O(N log N) pairs, not
 //     N².
 //
-// When a FaultPlan enables link faults, Admit draws from a dedicated
+// When a FaultPlan enables link faults, admission draws from a dedicated
 // seeded RNG to decide, per message, whether it is lost (never arrives;
 // FIFO backlog unaffected), duplicated (a second copy arrives later, in
 // FIFO order), or reordered (arrives at send_time + transit even if that
@@ -67,36 +67,24 @@ class LinkTable {
   // Turns on per-message fault draws with the given rates and RNG seed.
   void EnableFaults(const LinkFaultProfile& profile, std::uint64_t seed);
 
-  // Computes the arrival time for a message sent at `send_time` from
-  // `from` to `to` with the given delay decision, updates FIFO state, and
-  // returns the arrival time. CHECKs that the result never reorders the
-  // link. Bypasses fault injection — the deterministic baseline path.
-  Time Admit(NodeId from, NodeId to, Time send_time,
-             const DelayDecision& d);
-
-  // Admit with fault draws (loss / duplication / reordering). Equivalent
-  // to Admit when faults are disabled.
-  Admission AdmitWithFaults(NodeId from, NodeId to, Time send_time,
-                            const DelayDecision& d);
-
-  // One-probe send path: finds (creating if absent) the from→to state
-  // once; the handle then serves both the delay model's sent-count query
-  // and the admission without re-probing the table. A fresh entry reads
-  // as sent == 0, exactly like the two-probe path.
+  // The send path probes the table once: Touch finds (creating if
+  // absent) the from→to state, and the handle then serves both the delay
+  // model's sent-count query and the admission.
   LinkRef Touch(NodeId from, NodeId to);
+
+  // Messages sent so far on the link (lost ones included — they were
+  // sent and paid for). A fresh link reads 0.
   std::uint64_t SentCount(const LinkRef& l) const {
     return static_cast<const State*>(l.p)->sent;
   }
+
+  // Computes the arrival time for a message sent at `send_time` from
+  // `from` to `to` with the given delay decision and updates FIFO state.
+  // With faults enabled the message may instead be lost, duplicated, or
+  // reordered (see above); with them off, no RNG is drawn and the
+  // arrival never reorders the link.
   Admission AdmitWithFaults(const LinkRef& l, NodeId from, NodeId to,
                             Time send_time, const DelayDecision& d);
-
-  // Messages sent so far on the directed link from→to (lost ones
-  // included — they were sent and paid for).
-  std::uint64_t SentCount(NodeId from, NodeId to) const;
-
-  // Arrival time of the most recent FIFO-ordered message on from→to
-  // (Zero if none).
-  Time LastArrival(NodeId from, NodeId to) const;
 
   // The runtime reports each delivery so in-flight counts stay accurate.
   // Lost messages never arrive and must not be reported.
@@ -136,7 +124,7 @@ class LinkTable {
   const State* Find(NodeId from, NodeId to) const;
   void GrowSparse();
 
-  // The FIFO-respecting admission core shared by both entry points.
+  // The FIFO-respecting admission core.
   Time AdmitOrdered(State& s, Time send_time, const DelayDecision& d);
 
   std::uint32_t n_;

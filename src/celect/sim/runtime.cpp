@@ -49,7 +49,6 @@ Runtime::Runtime(NetworkConfig config, const ProcessFactory& factory,
       factory_(factory),
       stores_(config_.mapper.get(), options.enable_trace,
               options.trace_cap),
-      queue_(options.use_reference_queue),
       links_(config_.n) {
   CELECT_CHECK(config_.n >= 2);
   CELECT_CHECK(config_.mapper && config_.delays);
@@ -162,7 +161,6 @@ bool Runtime::DisarmTimer(TimerId timer) {
 void Runtime::DeclareLeader(NodeId node) {
   stores_.metrics.RecordLeader(node, ids_[node], now_);
   cores_[node].Record(TraceRecord::Kind::kLeader, node, kInvalidPort, 0, 0);
-  if (options_.stop_on_leader) stop_requested_ = true;
 }
 
 void Runtime::MarkCrashed(NodeId node) {
@@ -423,7 +421,7 @@ void Runtime::RunControlled(std::uint64_t& events) {
   const auto link_key = [this](const DeliveryEvent& d) {
     return static_cast<std::uint64_t>(d.from) * config_.n + d.to;
   };
-  while (!stop_requested_) {
+  for (;;) {
     DrainInert(events);
     const std::vector<Event>& pending = queue_.events();
     if (pending.empty()) return;
@@ -469,9 +467,7 @@ RunResult Runtime::Run() {
   if (options_.controller) {
     RunControlled(events);
   } else {
-    while (!stop_requested_) {
-      const Event* e = queue_.Pop();
-      if (e == nullptr) break;
+    while (const Event* e = queue_.Pop()) {
       CELECT_CHECK(++events <= options_.max_events)
           << "event budget exceeded — protocol is not quiescing "
           << "(messages so far: " << metrics.messages_sent() << ")";

@@ -31,7 +31,6 @@
 #include "celect/obs/telemetry.h"
 #include "celect/sim/event_queue.h"
 #include "celect/sim/fault.h"
-#include "celect/sim/heap_event_queue.h"
 #include "celect/sim/hooks.h"
 #include "celect/sim/link.h"
 #include "celect/sim/metrics.h"
@@ -57,9 +56,6 @@ struct RuntimeOptions {
   // codec (full serialisation validation). Off by default: byte sizes
   // are still accounted via EncodedSize.
   bool serialize_packets = false;
-  // Stop as soon as a leader declares (termination time is then the
-  // declaration time; message totals exclude in-flight cleanup).
-  bool stop_on_leader = false;
   // Invariant observer, called after every dispatched event and at
   // quiescence. Not owned; may be null.
   RunObserver* observer = nullptr;
@@ -68,11 +64,6 @@ struct RuntimeOptions {
   // FIFO still holds; inert events — stale timers, traffic to dead
   // nodes — are drained eagerly and are not choice points). Not owned.
   ScheduleController* controller = nullptr;
-  // Drive the run from the original binary-heap queue instead of the
-  // ladder. Pop order is identical, so results must match bit for bit —
-  // the equivalence tests diff the two, and a mismatch bisects queue
-  // bugs. Slower; off outside tests.
-  bool use_reference_queue = false;
 };
 
 struct RunResult {
@@ -190,11 +181,10 @@ class Runtime : private NodeHost {
   HostStores stores_;
   // A node's core, and so its Lamport clock, outlives crash and rejoin.
   std::vector<NodeCore> cores_;
-  DualQueue queue_;
+  EventQueue queue_;
   LinkTable links_;
   Time now_ = Time::Zero();
   bool ran_ = false;
-  bool stop_requested_ = false;
   bool aborted_by_controller_ = false;
   // DeliveryEvents currently in the queue — the in-flight leg of the
   // message-conservation ledger (sent + duplicated = delivered + dropped
@@ -260,7 +250,8 @@ class Runtime : private NodeHost {
   // Packets of queued deliveries too wide for a PackedPacket, indexed by
   // its f[0]. Each entry belongs to one queued delivery and is freed
   // when that delivery is dispatched, delivered or dropped; entries
-  // still queued when a run stops early die with the runtime.
+  // still queued when a controller stops a run early die with the
+  // runtime.
   std::vector<wire::Packet> spill_;
   std::vector<std::uint32_t> spill_free_;
   std::uint64_t spilled_deliveries_ = 0;

@@ -6,11 +6,10 @@
 // packet_codec.h serialises packets so the metrics layer can account for
 // actual bits on the wire.
 //
-// Fields live in a small-buffer vector (FieldVec): every protocol here
-// sends at most 5 literal fields (the lease wrap adds one more), so the
-// common case stays inline and a packet copy is a few memcpy'd words —
-// no allocator traffic on the hot paths, where every send used to cost
-// a heap vector and every queued event a free.
+// Fields live in a fixed array of kMaxPacketFields (FieldVec): every
+// protocol here sends at most 5 fields and the lease wrap adds one, so
+// a Packet is a plain 64-byte value. Copying one is a memcpy, and no
+// path allocates for it.
 //
 // The simulator's event queue does not hold Packets. A queued delivery
 // carries a sim::PackedPacket (sim/event.h): the type and up to three
@@ -20,65 +19,52 @@
 // to the one sent.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <initializer_list>
+#include <iterator>
 #include <string>
+
+#include "celect/util/check.h"
 
 namespace celect::wire {
 
-// Minimal inline-storage vector of int64 fields. Grows to the heap past
-// kInline elements; supports the slice of the std::vector API the
-// protocols and codec actually use.
+// The most fields a Packet holds, and so the most the decoder accepts
+// (packet_codec.h rejects a wider frame with kTooManyFields).
+inline constexpr std::size_t kMaxPacketFields = 6;
+
+// Fixed-capacity vector of int64 fields: trivially copyable, with the
+// slice of the std::vector API the protocols and codec use. A field past
+// kMaxPacketFields fails a CELECT_CHECK, in every build.
 class FieldVec {
  public:
   using value_type = std::int64_t;
   using iterator = std::int64_t*;
   using const_iterator = const std::int64_t*;
 
-  // Inline capacity: one more than the widest packet any protocol sends
-  // (5 fields) so even lease-wrapped packets stay allocation-free.
-  static constexpr std::uint32_t kInline = 6;
-
   FieldVec() = default;
   FieldVec(std::initializer_list<std::int64_t> fs) {
     assign(fs.begin(), fs.end());
   }
-  FieldVec(const FieldVec& o) { assign(o.begin(), o.end()); }
-  FieldVec(FieldVec&& o) noexcept { MoveFrom(o); }
-  FieldVec& operator=(const FieldVec& o) {
-    if (this != &o) assign(o.begin(), o.end());
-    return *this;
-  }
-  FieldVec& operator=(FieldVec&& o) noexcept {
-    if (this != &o) {
-      Release();
-      MoveFrom(o);
-    }
-    return *this;
-  }
-  ~FieldVec() { Release(); }
 
-  std::int64_t* begin() { return data(); }
-  std::int64_t* end() { return data() + size_; }
-  const std::int64_t* begin() const { return data(); }
-  const std::int64_t* end() const { return data() + size_; }
+  std::int64_t* begin() { return fields_; }
+  std::int64_t* end() { return fields_ + size_; }
+  const std::int64_t* begin() const { return fields_; }
+  const std::int64_t* end() const { return fields_ + size_; }
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  std::int64_t& operator[](std::size_t i) { return data()[i]; }
-  const std::int64_t& operator[](std::size_t i) const { return data()[i]; }
+  std::int64_t& operator[](std::size_t i) { return fields_[i]; }
+  const std::int64_t& operator[](std::size_t i) const { return fields_[i]; }
 
   void clear() { size_ = 0; }
 
-  void reserve(std::size_t n) {
-    if (n > cap_) Grow(static_cast<std::uint32_t>(n));
-  }
-
   void push_back(std::int64_t v) {
-    if (size_ == cap_) Grow(cap_ * 2);
-    data()[size_++] = v;
+    CELECT_CHECK(size_ < kMaxPacketFields)
+        << "a packet holds at most " << kMaxPacketFields << " fields";
+    fields_[size_++] = v;
   }
 
   template <typename It>
@@ -96,42 +82,21 @@ class FieldVec {
 
   friend bool operator==(const FieldVec& a, const FieldVec& b) {
     return a.size_ == b.size_ &&
-           (a.size_ == 0 ||
-            std::memcmp(a.data(), b.data(),
-                        a.size_ * sizeof(std::int64_t)) == 0);
+           std::equal(a.begin(), a.end(), b.begin());
   }
 
  private:
-  std::int64_t* data() { return heap_ ? heap_ : inline_; }
-  const std::int64_t* data() const { return heap_ ? heap_ : inline_; }
-
   template <typename It>
   void Append(It first, It last) {
-    for (; first != last; ++first) push_back(*first);
-  }
-
-  void Grow(std::uint32_t want);
-  void Release() {
-    delete[] heap_;
-    heap_ = nullptr;
-    cap_ = kInline;
-  }
-  void MoveFrom(FieldVec& o) noexcept {
-    size_ = o.size_;
-    cap_ = o.cap_;
-    heap_ = o.heap_;
-    if (!heap_ && size_ > 0) {
-      std::memcpy(inline_, o.inline_, size_ * sizeof(std::int64_t));
-    }
-    o.heap_ = nullptr;
-    o.size_ = 0;
-    o.cap_ = kInline;
+    const auto n = static_cast<std::size_t>(std::distance(first, last));
+    CELECT_CHECK(n <= kMaxPacketFields - size_)
+        << "a packet holds at most " << kMaxPacketFields << " fields";
+    std::copy(first, last, fields_ + size_);
+    size_ += static_cast<std::uint32_t>(n);
   }
 
   std::uint32_t size_ = 0;
-  std::uint32_t cap_ = kInline;
-  std::int64_t* heap_ = nullptr;  // null while the fields fit inline
-  std::int64_t inline_[kInline];
+  std::int64_t fields_[kMaxPacketFields] = {};
 };
 
 struct Packet {

@@ -8,18 +8,6 @@
 
 namespace celect::wire {
 
-void FieldVec::Grow(std::uint32_t want) {
-  std::uint32_t ncap = cap_;
-  while (ncap < want) ncap *= 2;
-  auto* nheap = new std::int64_t[ncap];
-  if (size_ > 0) {
-    std::memcpy(nheap, data(), size_ * sizeof(std::int64_t));
-  }
-  delete[] heap_;
-  heap_ = nheap;
-  cap_ = ncap;
-}
-
 std::int64_t Packet::field(std::size_t i) const {
   CELECT_DCHECK(i < fields.size())
       << "packet type " << type << " has " << fields.size() << " fields";
@@ -38,8 +26,6 @@ std::string ToString(const Packet& p) {
 }
 
 void EncodeTo(const Packet& p, std::vector<std::uint8_t>& out) {
-  CELECT_DCHECK(p.fields.size() <= kMaxPacketFields)
-      << "packet type " << p.type << " exceeds the decoder's field bound";
   std::size_t start = out.size();
   PutVarint(out, p.type);
   PutVarint(out, p.fields.size());
@@ -131,7 +117,6 @@ std::optional<Packet> Decode(const std::uint8_t* data, std::size_t size,
   }
   Packet p;
   p.type = static_cast<std::uint16_t>(*type);
-  p.fields.reserve(*count);
   for (std::uint64_t i = 0; i < *count; ++i) {
     auto f = reader.ReadSignedVarint();
     if (!f) {

@@ -18,12 +18,12 @@
 
 namespace celect::wire {
 
-// Hard bounds on what the decoder accepts. The model's packets are
-// O(log N) bits — a handful of varint fields — so anything near these
-// limits is corruption or an attack, not a protocol message. Rejecting
-// early keeps a hostile length prefix from driving an allocation.
+// Hard bounds on what the decoder accepts: at most kMaxEncodedPacketBytes
+// of input and kMaxPacketFields fields (packet.h), the most a Packet
+// holds. The model's packets are O(log N) bits — a handful of varint
+// fields — so anything past these limits is corruption or an attack,
+// not a protocol message.
 inline constexpr std::size_t kMaxEncodedPacketBytes = 1024;
-inline constexpr std::size_t kMaxPacketFields = 64;
 
 // Why a Decode failed (kOk iff a packet was returned).
 enum class DecodeStatus {

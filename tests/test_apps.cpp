@@ -1,8 +1,7 @@
-// Applications layered on election: spanning tree, broadcast, global
-// function (paper §1/§6 equivalences).
+// Applications layered on election: spanning tree and global function
+// (paper §1/§6 equivalences).
 #include <gtest/gtest.h>
 
-#include "celect/apps/broadcast.h"
 #include "celect/apps/global_function.h"
 #include "celect/apps/spanning_tree.h"
 #include "celect/proto/nosod/protocol_g.h"
@@ -73,30 +72,6 @@ TEST(SpanningTree, OverheadIsLinearInN) {
   // Invites + joins: exactly 2(N-1) extra messages.
   EXPECT_EQ(with_tree.total_messages - plain.total_messages,
             2u * (n - 1));
-}
-
-TEST(Broadcast, DeliversLeaderValueEverywhere) {
-  const std::uint32_t n = 32;
-  RunOptions o;
-  o.n = n;
-  o.mapper = MapperKind::kRandom;
-  auto value_of = [](sim::NodeId addr) {
-    return static_cast<std::int64_t>(addr) * 100;
-  };
-  sim::Runtime rt(harness::BuildNetwork(o),
-                  MakeBroadcast(ElectionG(n), value_of));
-  auto r = rt.Run();
-  ASSERT_EQ(r.leader_declarations, 1u);
-  ASSERT_TRUE(r.leader_node.has_value());
-  std::int64_t expect = value_of(*r.leader_node);
-  for (sim::NodeId i = 0; i < n; ++i) {
-    auto& p = dynamic_cast<BroadcastProcess&>(rt.process(i));
-    ASSERT_TRUE(p.delivered().has_value()) << "node " << i;
-    EXPECT_EQ(*p.delivered(), expect);
-    if (i == *r.leader_node) {
-      EXPECT_TRUE(p.feedback_complete());
-    }
-  }
 }
 
 TEST(GlobalFunction, ComputesMaxOverProtocolC) {

@@ -2,7 +2,6 @@
 // dispatch between app and inner election, and the exact app rounds.
 #include <gtest/gtest.h>
 
-#include "celect/apps/broadcast.h"
 #include "celect/apps/global_function.h"
 #include "celect/apps/spanning_tree.h"
 #include "mock_context.h"
@@ -81,33 +80,6 @@ TEST(SpanningTreeUnit, RootCountsJoins) {
     app.OnMessage(ctx, p, Packet{kTreeJoin, {}});
   }
   EXPECT_EQ(app.children(), 3u);
-}
-
-TEST(BroadcastUnit, LeaderDisseminatesAndCollectsAcks) {
-  BroadcastProcess app(std::make_unique<InstantWinner>(), 777);
-  MockContext ctx(0, 5, 4);
-  app.OnWakeup(ctx);
-  auto values = ctx.OfType(kBcastValue);
-  ASSERT_EQ(values.size(), 3u);
-  EXPECT_EQ(values[0].packet.field(0), 777);
-  EXPECT_EQ(app.delivered(), 777);
-  EXPECT_FALSE(app.feedback_complete());
-  for (Port p = 1; p <= 3; ++p) {
-    app.OnMessage(ctx, p, Packet{kBcastAck, {}});
-  }
-  EXPECT_TRUE(app.feedback_complete());
-}
-
-TEST(BroadcastUnit, ReceiverTakesFirstValueOnly) {
-  BroadcastProcess app(std::make_unique<InstantWinner>(), 1);
-  MockContext ctx(2, 3, 4);
-  app.OnMessage(ctx, 1, Packet{kBcastValue, {10}});
-  EXPECT_EQ(app.delivered(), 10);
-  EXPECT_EQ(ctx.single().packet.type, kBcastAck);
-  ctx.ClearSent();
-  app.OnMessage(ctx, 2, Packet{kBcastValue, {20}});
-  EXPECT_EQ(app.delivered(), 10);  // first delivery sticks
-  EXPECT_EQ(ctx.sent_count(), 0u);
 }
 
 TEST(GlobalFunctionUnit, LeaderQueriesReducesAndDisseminates) {

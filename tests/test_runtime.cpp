@@ -9,7 +9,9 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "celect/proto/common.h"
@@ -364,11 +366,12 @@ CourierRun RunCourier(const std::vector<wire::Packet>& script,
 constexpr std::int64_t kI32Min = std::numeric_limits<std::int32_t>::min();
 constexpr std::int64_t kI32Max = std::numeric_limits<std::int32_t>::max();
 
-// Packets with 4 to 7 fields; 7 is past FieldVec's inline capacity, so
-// that packet's fields live on the heap.
+// Packets with 4 to 6 fields, up to a Packet's capacity
+// (wire::kMaxPacketFields).
 std::vector<wire::Packet> WidePackets() {
   std::vector<wire::Packet> out;
-  for (std::int64_t n = 4; n <= 7; ++n) {
+  for (std::int64_t n = 4;
+       n <= static_cast<std::int64_t>(wire::kMaxPacketFields); ++n) {
     wire::Packet p;
     p.type = static_cast<std::uint16_t>(40 + n);
     for (std::int64_t i = 0; i < n; ++i) p.fields.push_back(n * 10 + i);
@@ -412,12 +415,6 @@ TEST(PackedPackets, FourToSevenFieldsSpillAndRoundTrip) {
   EXPECT_EQ(run.received, script);
   EXPECT_EQ(run.spilled, script.size());
   EXPECT_EQ(run.pending_spills, 0u);
-  // The same through the reference queue, which copies events.
-  RuntimeOptions ref;
-  ref.use_reference_queue = true;
-  const CourierRun heap = RunCourier(script, {}, ref);
-  EXPECT_EQ(heap.received, script);
-  EXPECT_EQ(heap.pending_spills, 0u);
 }
 
 TEST(PackedPackets, DuplicatedSpillDeliversTwiceWithEqualPackets) {
@@ -461,14 +458,29 @@ TEST(PackedPackets, SpillDroppedAtCrashedDestinationIsFreed) {
   EXPECT_EQ(mid.pending_spills, 0u);
 }
 
-// A run stopped at the leader declaration leaves its spilled deliveries
-// queued; the runtime frees them when it goes (the sanitizer build
-// reports a leak otherwise).
+// Lets node 0's wakeup run, then stops the run.
+class StopAfterWakeup : public ScheduleController {
+ public:
+  std::optional<std::size_t> ChooseNext(
+      const std::vector<const Event*>& enabled) override {
+    for (std::size_t i = 0; i < enabled.size(); ++i) {
+      const auto* w = std::get_if<WakeupEvent>(&enabled[i]->body);
+      if (w != nullptr && w->node == 0) return i;
+    }
+    return std::nullopt;
+  }
+};
+
+// A run stopped right after node 0 sends and declares leaves its
+// spilled deliveries queued; the runtime frees them when it goes (the
+// sanitizer build reports a leak otherwise).
 TEST(PackedPackets, RunStoppedEarlyWithSpillsPendingIsClean) {
   const std::vector<wire::Packet> script = WidePackets();
+  StopAfterWakeup controller;
   RuntimeOptions opts;
-  opts.stop_on_leader = true;
+  opts.controller = &controller;
   const CourierRun run = RunCourier(script, {}, opts, /*declare=*/true);
+  EXPECT_TRUE(run.result.aborted_by_controller);
   EXPECT_EQ(run.result.leader_declarations, 1u);
   EXPECT_TRUE(run.received.empty());
   EXPECT_EQ(run.pending_spills, script.size());

@@ -67,20 +67,31 @@ TEST(EventQueueDeathTest, PeekTimeOnEmptyQueueChecks) {
   EXPECT_DEATH(q.PeekTime(), "");
 }
 
+// The runtime's send path: one Touch, then the admission (or the sent
+// count) through the handle.
+Admission Send(LinkTable& links, NodeId from, NodeId to, Time at,
+               const DelayDecision& d) {
+  return links.AdmitWithFaults(links.Touch(from, to), from, to, at, d);
+}
+std::uint64_t SentCount(LinkTable& links, NodeId from, NodeId to) {
+  return links.SentCount(links.Touch(from, to));
+}
+
 TEST(LinkTable, SimpleTransit) {
   LinkTable links(4);
-  Time a = links.Admit(0, 1, Time::Zero(), {kUnit, kUnit});
+  Time a = Send(links, 0, 1, Time::Zero(), {kUnit, kUnit}).arrival;
   EXPECT_EQ(a, Time::FromUnits(1));
-  EXPECT_EQ(links.SentCount(0, 1), 1u);
-  EXPECT_EQ(links.SentCount(1, 0), 0u);  // directions are independent
+  EXPECT_EQ(SentCount(links, 0, 1), 1u);
+  EXPECT_EQ(SentCount(links, 1, 0), 0u);  // directions are independent
 }
 
 TEST(LinkTable, FifoNeverReorders) {
   LinkTable links(4);
-  Time a1 = links.Admit(0, 1, Time::Zero(), {kUnit, Time::Zero()});
+  Time a1 = Send(links, 0, 1, Time::Zero(), {kUnit, Time::Zero()}).arrival;
   // Second message sent later but with a tiny transit: must not overtake.
-  Time a2 = links.Admit(0, 1, Time::FromDouble(0.1),
-                        {Time::FromDouble(0.05), Time::Zero()});
+  Time a2 = Send(links, 0, 1, Time::FromDouble(0.1),
+                 {Time::FromDouble(0.05), Time::Zero()})
+                .arrival;
   EXPECT_GE(a2, a1);
 }
 
@@ -91,7 +102,7 @@ TEST(LinkTable, SpacingSerialisesABurst) {
   // forwarding pathology.
   Time last = Time::Zero();
   for (int i = 0; i < 10; ++i) {
-    last = links.Admit(0, 1, Time::Zero(), {kUnit, kUnit});
+    last = Send(links, 0, 1, Time::Zero(), {kUnit, kUnit}).arrival;
     EXPECT_EQ(last, Time::FromUnits(i + 1));
   }
   EXPECT_EQ(links.MaxLinkLoad(), 10u);
@@ -100,9 +111,9 @@ TEST(LinkTable, SpacingSerialisesABurst) {
 TEST(LinkTable, ReverseDirectionUnaffectedByForwardLoad) {
   LinkTable links(4);
   for (int i = 0; i < 5; ++i) {
-    links.Admit(0, 1, Time::Zero(), {kUnit, kUnit});
+    Send(links, 0, 1, Time::Zero(), {kUnit, kUnit});
   }
-  Time back = links.Admit(1, 0, Time::Zero(), {kUnit, kUnit});
+  Time back = Send(links, 1, 0, Time::Zero(), {kUnit, kUnit}).arrival;
   EXPECT_EQ(back, Time::FromUnits(1));
 }
 
@@ -110,16 +121,20 @@ TEST(LinkTable, InjectedLossCountsAsSentButNeverArrives) {
   LinkTable links(4);
   links.EnableFaults({/*loss=*/1.0, 0.0, 0.0}, /*seed=*/7);
   for (int i = 0; i < 20; ++i) {
-    Admission a = links.AdmitWithFaults(0, 1, Time::Zero(), {kUnit, kUnit});
+    Admission a = Send(links, 0, 1, Time::Zero(), {kUnit, kUnit});
     EXPECT_TRUE(a.lost);
     EXPECT_FALSE(a.duplicate_arrival.has_value());
   }
   // Lost messages were sent (and paid for) but are never in flight, and
-  // they leave the FIFO backlog untouched.
-  EXPECT_EQ(links.SentCount(0, 1), 20u);
+  // they leave the FIFO backlog untouched: with faults off, the next
+  // message sent at time zero arrives at t=1, not behind twenty phantom
+  // arrivals.
+  EXPECT_EQ(SentCount(links, 0, 1), 20u);
   EXPECT_EQ(links.MaxLinkLoad(), 20u);
   EXPECT_EQ(links.MaxLinkInflight(), 0u);
-  EXPECT_EQ(links.LastArrival(0, 1), Time::Zero());
+  links.EnableFaults({0.0, 0.0, 0.0}, /*seed=*/7);
+  EXPECT_EQ(Send(links, 0, 1, Time::Zero(), {kUnit, kUnit}).arrival,
+            Time::FromUnits(1));
 }
 
 TEST(LinkTable, DuplicationPreservesFifoAndInflightAccounting) {
@@ -127,7 +142,7 @@ TEST(LinkTable, DuplicationPreservesFifoAndInflightAccounting) {
   links.EnableFaults({0.0, /*duplicate=*/1.0, 0.0}, /*seed=*/7);
   Time prev = Time::Zero();
   for (int i = 0; i < 10; ++i) {
-    Admission a = links.AdmitWithFaults(0, 1, Time::Zero(), {kUnit, kUnit});
+    Admission a = Send(links, 0, 1, Time::Zero(), {kUnit, kUnit});
     ASSERT_FALSE(a.lost);
     ASSERT_TRUE(a.duplicate_arrival.has_value());
     // The duplicate is one more FIFO-ordered message: it never overtakes
@@ -137,7 +152,7 @@ TEST(LinkTable, DuplicationPreservesFifoAndInflightAccounting) {
     prev = *a.duplicate_arrival;
   }
   // Both copies of every message count against load and in-flight.
-  EXPECT_EQ(links.SentCount(0, 1), 20u);
+  EXPECT_EQ(SentCount(links, 0, 1), 20u);
   EXPECT_EQ(links.MaxLinkInflight(), 20u);
   // Delivering every copy drains the link exactly.
   for (int i = 0; i < 20; ++i) links.NotifyDelivered(0, 1);
@@ -155,7 +170,7 @@ TEST(LinkTable, FifoHoldsForDeliveredMessagesUnderMixedFaults) {
     Time send = Time::FromTicks(i * 100);
     Time transit = Time::FromTicks(
         1 + static_cast<std::int64_t>(delays.NextBelow(Time::kTicksPerUnit)));
-    Admission a = links.AdmitWithFaults(0, 1, send, {transit, Time::Zero()});
+    Admission a = Send(links, 0, 1, send, {transit, Time::Zero()});
     if (a.lost) {
       ++lost;
       continue;
@@ -183,23 +198,29 @@ TEST(LinkTable, ReorderedMessageOvertakesBacklogWithinDelayBound) {
     // message is delivered in order.
     LinkTable empty(4);
     empty.EnableFaults({0.0, 0.0, /*reorder=*/1.0}, /*seed=*/3);
-    EXPECT_FALSE(
-        empty.AdmitWithFaults(0, 1, Time::Zero(), {kUnit, kUnit}).reordered);
+    EXPECT_FALSE(Send(empty, 0, 1, Time::Zero(), {kUnit, kUnit}).reordered);
   }
   LinkTable links(4);
   // Build a backlog fault-free: five unit-spaced messages, last at t=5.
+  Time last = Time::Zero();
   for (int i = 0; i < 5; ++i) {
-    links.Admit(0, 1, Time::Zero(), {kUnit, kUnit});
+    last = Send(links, 0, 1, Time::Zero(), {kUnit, kUnit}).arrival;
   }
-  EXPECT_EQ(links.LastArrival(0, 1), Time::FromUnits(5));
+  EXPECT_EQ(last, Time::FromUnits(5));
   links.EnableFaults({0.0, 0.0, /*reorder=*/1.0}, /*seed=*/3);
   // The next message overtakes the backlog but still respects the
-  // one-unit transit bound, and the FIFO baseline never moves backwards.
-  Admission a = links.AdmitWithFaults(0, 1, Time::FromUnits(1),
-                                      {Time::FromDouble(0.25), kUnit});
+  // one-unit transit bound...
+  Admission a =
+      Send(links, 0, 1, Time::FromUnits(1), {Time::FromDouble(0.25), kUnit});
   EXPECT_TRUE(a.reordered);
   EXPECT_EQ(a.arrival, Time::FromUnits(1) + Time::FromDouble(0.25));
-  EXPECT_EQ(links.LastArrival(0, 1), Time::FromUnits(5));
+  // ...and the FIFO baseline never moves backwards: with faults off, an
+  // unspaced message sent at the same time queues behind t=5.
+  links.EnableFaults({0.0, 0.0, 0.0}, /*seed=*/3);
+  EXPECT_EQ(Send(links, 0, 1, Time::FromUnits(1),
+                 {Time::FromDouble(0.25), Time::Zero()})
+                .arrival,
+            Time::FromUnits(5));
 }
 
 TEST(LinkTable, ZeroRatesAreBitIdenticalToBaseline) {
@@ -211,8 +232,8 @@ TEST(LinkTable, ZeroRatesAreBitIdenticalToBaseline) {
     Time transit = Time::FromTicks(
         1 + static_cast<std::int64_t>(delays.NextBelow(Time::kTicksPerUnit)));
     DelayDecision d{transit, Time::Zero()};
-    Admission a = faulty.AdmitWithFaults(0, 1, send, d);
-    EXPECT_EQ(a.arrival, plain.Admit(0, 1, send, d));
+    Admission a = Send(faulty, 0, 1, send, d);
+    EXPECT_EQ(a.arrival, Send(plain, 0, 1, send, d).arrival);
     EXPECT_FALSE(a.lost);
     EXPECT_FALSE(a.reordered);
   }

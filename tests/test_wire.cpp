@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <type_traits>
 
 #include "celect/wire/checksum.h"
 #include "celect/wire/packet_codec.h"
@@ -141,6 +142,21 @@ TEST(PacketCodec, TrailingGarbageRejected) {
 TEST(PacketCodec, ToStringIsReadable) {
   EXPECT_EQ(ToString(Packet{3, {7, 42}}), "type=3 [7, 42]");
   EXPECT_EQ(ToString(Packet{9, {}}), "type=9 []");
+}
+
+// A Packet is a plain value: copies are a memcpy and nothing allocates.
+static_assert(std::is_trivially_copyable_v<Packet>);
+static_assert(sizeof(Packet) <= 64);
+
+TEST(PacketDeathTest, FieldPastCapacityAborts) {
+  Packet p;
+  for (std::size_t i = 0; i < kMaxPacketFields; ++i) {
+    p.fields.push_back(static_cast<std::int64_t>(i));
+  }
+  EXPECT_EQ(p.fields.size(), kMaxPacketFields);
+  // The check holds in every build, NDEBUG included.
+  EXPECT_DEATH(p.fields.push_back(6), "at most 6 fields");
+  EXPECT_DEATH((Packet{1, {0, 1, 2, 3, 4, 5, 6}}), "at most 6 fields");
 }
 
 }  // namespace

@@ -17,7 +17,7 @@ namespace {
 Packet RandomPacket(Rng& rng) {
   Packet p;
   p.type = static_cast<std::uint16_t>(rng.NextBelow(0x10000));
-  std::size_t fields = rng.NextBelow(9);
+  std::size_t fields = rng.NextBelow(kMaxPacketFields + 1);
   for (std::size_t i = 0; i < fields; ++i) {
     // Mix small values (the common case) with full-range extremes.
     switch (rng.NextBelow(4)) {
@@ -147,6 +147,17 @@ TEST(WireFuzz, TooManyFieldsRejected) {
   PutVarint(buf, 7);                        // type
   PutVarint(buf, kMaxPacketFields + 1);     // hostile field count
   DecodeStatus status;
+  EXPECT_FALSE(Decode(buf.data(), buf.size(), status).has_value());
+  EXPECT_EQ(status, DecodeStatus::kTooManyFields);
+  // A complete, correctly checksummed frame one field too wide for a
+  // Packet is rejected the same way.
+  for (std::size_t i = 0; i <= kMaxPacketFields; ++i) {
+    PutSignedVarint(buf, static_cast<std::int64_t>(i));
+  }
+  const std::uint32_t sum = Checksum32(buf);
+  for (int i = 0; i < 4; ++i) {
+    buf.push_back(static_cast<std::uint8_t>(sum >> (8 * i)));
+  }
   EXPECT_FALSE(Decode(buf.data(), buf.size(), status).has_value());
   EXPECT_EQ(status, DecodeStatus::kTooManyFields);
 }
