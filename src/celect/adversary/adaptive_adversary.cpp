@@ -120,16 +120,6 @@ std::optional<Port> AdaptiveAdversaryMapper::FreshPort(NodeId node) {
   return std::nullopt;
 }
 
-void AdaptiveAdversaryMapper::MarkTraversed(NodeId node, Port port) {
-  CELECT_DCHECK(node < n_);
-  state_[node].traversed.insert(port);
-}
-
-bool AdaptiveAdversaryMapper::IsTraversed(NodeId node, Port port) const {
-  CELECT_DCHECK(node < n_);
-  return state_[node].traversed.count(port) != 0;
-}
-
 std::uint32_t AdaptiveAdversaryMapper::BoundDegree(NodeId node) const {
   CELECT_CHECK(node < n_);
   return static_cast<std::uint32_t>(

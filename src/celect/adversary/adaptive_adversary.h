@@ -18,7 +18,6 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "celect/sim/port_mapper.h"
@@ -57,8 +56,9 @@ class AdaptiveAdversaryMapper : public sim::PortMapper {
   sim::NodeId Resolve(sim::NodeId node, sim::Port port) override;
   sim::Port PortToward(sim::NodeId node, sim::NodeId neighbor) override;
   std::optional<sim::Port> FreshPort(sim::NodeId node) override;
-  void MarkTraversed(sim::NodeId node, sim::Port port) override;
-  bool IsTraversed(sim::NodeId node, sim::Port port) const override;
+  // Binding is the adversary's only record of use: FreshPort serves the
+  // never-bound ports, so a traversal adds nothing to track.
+  void MarkTraversed(sim::NodeId, sim::Port) override {}
 
   // Diagnostics for the lower-bound experiment: how many distinct
   // neighbours each node actually communicated with, and the maximum
@@ -71,7 +71,6 @@ class AdaptiveAdversaryMapper : public sim::PortMapper {
     std::unordered_map<sim::Port, sim::NodeId> port_to_neighbor;
     std::unordered_map<sim::NodeId, sim::Port> neighbor_to_port;
     sim::Port next_port = 1;  // smallest never-bound port number
-    std::unordered_set<sim::Port> traversed;
   };
 
   sim::Port Bind(sim::NodeId node, sim::NodeId neighbor);

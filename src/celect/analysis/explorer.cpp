@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 
 #include "celect/util/check.h"
+#include "celect/util/text.h"
 
 namespace celect::analysis {
 
@@ -268,15 +268,18 @@ std::string ScheduleToString(const std::vector<std::uint32_t>& choices) {
   return s;
 }
 
-std::vector<std::uint32_t> ScheduleFromString(const std::string& s) {
+std::optional<std::vector<std::uint32_t>> ScheduleFromString(
+    std::string_view s) {
   std::vector<std::uint32_t> choices;
-  std::istringstream is(s);
-  std::string tok;
-  while (std::getline(is, tok, '.')) {
-    if (tok.empty()) continue;
-    choices.push_back(static_cast<std::uint32_t>(std::stoul(tok)));
+  if (s.empty()) return choices;
+  for (;;) {
+    const std::size_t dot = s.find('.');
+    const auto choice = ParseNumber<std::uint32_t>(s.substr(0, dot));
+    if (!choice) return std::nullopt;
+    choices.push_back(*choice);
+    if (dot == std::string_view::npos) return choices;
+    s.remove_prefix(dot + 1);
   }
-  return choices;
 }
 
 }  // namespace celect::analysis

@@ -28,6 +28,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "celect/analysis/invariants.h"
@@ -110,7 +111,10 @@ TracedReplayOutcome ReplayScheduleTraced(
     const InvariantOptions& invariants = {});
 
 // "2.0.1" <-> {2, 0, 1}; the empty vector renders "" and parses back.
+// Parsing is strict: every dot-separated token must be a plain decimal
+// uint32 (no sign, space or empty token), else nullopt.
 std::string ScheduleToString(const std::vector<std::uint32_t>& choices);
-std::vector<std::uint32_t> ScheduleFromString(const std::string& s);
+std::optional<std::vector<std::uint32_t>> ScheduleFromString(
+    std::string_view s);
 
 }  // namespace celect::analysis

@@ -43,11 +43,21 @@ class ElectionAppProcess : public sim::Process {
     inner_->OnMessage(ictx, from_port, p);
   }
 
-  // Apps themselves arm no timers; any timer belongs to the inner
-  // election protocol.
+  // Apps themselves arm no timers and keep no per-peer state; timers,
+  // crash hints and revivals all belong to the inner election protocol.
   void OnTimer(sim::Context& ctx, sim::TimerId timer) final {
     InterceptingContext ictx(*this, ctx);
     inner_->OnTimer(ictx, timer);
+  }
+
+  void OnPeerSuspected(sim::Context& ctx, sim::Port port) final {
+    InterceptingContext ictx(*this, ctx);
+    inner_->OnPeerSuspected(ictx, port);
+  }
+
+  void OnRejoin(sim::Context& ctx) final {
+    InterceptingContext ictx(*this, ctx);
+    inner_->OnRejoin(ictx);
   }
 
   bool leader_here() const { return leader_here_; }
@@ -69,59 +79,23 @@ class ElectionAppProcess : public sim::Process {
                             const wire::Packet& p) = 0;
 
  private:
-  // Delegates everything to the real context but lets the wrapper see
+  // Forwards everything to the real context but lets the wrapper see
   // DeclareLeader.
-  class InterceptingContext : public sim::Context {
+  class InterceptingContext : public sim::ForwardingContext {
    public:
     InterceptingContext(ElectionAppProcess& app, sim::Context& real)
-        : app_(app), real_(real) {}
+        : ForwardingContext(real), app_(app) {}
 
-    sim::NodeId address() const override { return real_.address(); }
-    sim::Id id() const override { return real_.id(); }
-    std::uint32_t n() const override { return real_.n(); }
-    sim::Time now() const override { return real_.now(); }
-    bool has_sense_of_direction() const override {
-      return real_.has_sense_of_direction();
-    }
-    void Send(sim::Port port, wire::Packet p) override {
-      real_.Send(port, std::move(p));
-    }
-    std::optional<sim::Port> SendFresh(wire::Packet p) override {
-      return real_.SendFresh(std::move(p));
-    }
-    void SendAll(wire::Packet p) override { real_.SendAll(std::move(p)); }
-    sim::TimerId SetTimer(sim::Time delay) override {
-      return real_.SetTimer(delay);
-    }
-    void CancelTimer(sim::TimerId timer) override {
-      real_.CancelTimer(timer);
-    }
     void DeclareLeader() override {
-      real_.DeclareLeader();
+      real().DeclareLeader();
       if (!app_.leader_here_) {
         app_.leader_here_ = true;
-        app_.OnElected(real_);
+        app_.OnElected(real());
       }
-    }
-    void AddCounter(std::string_view name, std::int64_t delta) override {
-      real_.AddCounter(name, delta);
-    }
-    void MaxCounter(std::string_view name, std::int64_t value) override {
-      real_.MaxCounter(name, value);
-    }
-    sim::CounterRef ResolveCounter(std::string_view name) override {
-      return real_.ResolveCounter(name);
-    }
-    void AddCounter(const sim::CounterRef& c, std::int64_t delta) override {
-      real_.AddCounter(c, delta);
-    }
-    void MaxCounter(const sim::CounterRef& c, std::int64_t value) override {
-      real_.MaxCounter(c, value);
     }
 
    private:
     ElectionAppProcess& app_;
-    sim::Context& real_;
   };
 
   std::unique_ptr<sim::Process> inner_;

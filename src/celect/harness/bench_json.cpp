@@ -9,6 +9,7 @@
 
 #include "celect/util/flags.h"
 #include "celect/util/logging.h"
+#include "celect/util/text.h"
 
 #ifndef CELECT_GIT_REV
 #define CELECT_GIT_REV "unknown"
@@ -30,39 +31,6 @@ std::string JsonNumber(double v) {
   auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
   if (ec != std::errc()) return "0";
   return std::string(buf, ptr);
-}
-
-std::string JsonString(const std::string& s) {
-  std::string out = "\"";
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  out += '"';
-  return out;
 }
 
 namespace {

@@ -54,8 +54,6 @@ namespace celect::harness {
 // Shortest-round-trip decimal rendering (JSON-compatible: infinities and
 // NaN degrade to 0, which JSON cannot represent).
 std::string JsonNumber(double v);
-// Escapes a string for embedding in a JSON document (adds the quotes).
-std::string JsonString(const std::string& s);
 
 // One aggregated sweep point: `seed_count` runs reduced into Summary
 // statistics, in grid-index order.

@@ -73,7 +73,6 @@ ChaosCaseResult RunChaosCase(const sim::ProcessFactory& factory,
   ro.mapper = opt.mapper;
   ro.delay = opt.delay;
   ro.wakeup = opt.wakeup;
-  ro.max_events = opt.max_events;
   ro.fault_plan = out.plan;
 
   // Every case runs per-event invariant checking: the registry adds
@@ -84,7 +83,6 @@ ChaosCaseResult RunChaosCase(const sim::ProcessFactory& factory,
   analysis::InvariantRegistry registry(io);
 
   sim::RuntimeOptions rt;
-  rt.max_events = opt.max_events;
   rt.enable_telemetry = opt.enable_telemetry;
   rt.observer = &registry;
   sim::Runtime runtime(BuildNetwork(ro), factory, rt);

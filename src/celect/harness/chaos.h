@@ -43,7 +43,6 @@ struct ChaosOptions {
   MapperKind mapper = MapperKind::kRandom;
   DelayKind delay = DelayKind::kRandom;
   WakeupKind wakeup = WakeupKind::kAllAtZero;
-  std::uint64_t max_events = 500'000'000;
   // Liveness checks. Disable require_leader for protocols pushed past
   // their fault tolerance (safety must still hold; a stalled, leaderless
   // quiescence is then acceptable).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
 
 #include "celect/adversary/adaptive_adversary.h"
 #include "celect/sim/network.h"
@@ -13,7 +12,6 @@
 namespace celect::harness {
 
 using sim::NetworkConfig;
-using sim::Time;
 
 std::uint32_t RequestedWakeupCount(const RunOptions& options) {
   std::uint32_t requested =
@@ -78,8 +76,7 @@ sim::NetworkConfig BuildNetwork(const RunOptions& options) {
   }
 
   // Initial failures: a random subset, never including address 0 when it
-  // must be a base node (plans below always keep at least one live base).
-  std::unordered_set<sim::NodeId> failed;
+  // must be a base node (the plans below only wake live nodes).
   if (options.failures > 0) {
     CELECT_CHECK(options.failures < options.n);
     Rng fail_rng = rng.Split(5);
@@ -87,23 +84,16 @@ sim::NetworkConfig BuildNetwork(const RunOptions& options) {
     config.failed.assign(options.n, false);
     for (std::uint32_t i = 0; i < options.failures; ++i) {
       // Skip address 0 so single-base plans stay valid.
-      sim::NodeId victim = perm[i] == 0 ? perm[options.failures] : perm[i];
-      config.failed[victim] = true;
-      failed.insert(victim);
+      config.failed[perm[i] == 0 ? perm[options.failures] : perm[i]] = true;
     }
   }
 
-  auto alive = [&failed](sim::NodeId node) { return !failed.count(node); };
-
   switch (options.wakeup) {
     case WakeupKind::kAllAtZero:
-      for (sim::NodeId i = 0; i < options.n; ++i) {
-        if (alive(i)) config.wakeup.wakeups.emplace_back(i, Time::Zero());
-      }
+      config.wakeup = sim::WakeAllAtZero(options.n, config.failed);
       break;
     case WakeupKind::kSingle:
-      CELECT_CHECK(alive(0));
-      config.wakeup.wakeups.emplace_back(0, Time::Zero());
+      config.wakeup = sim::WakeSingle(options.n, 0, config.failed);
       break;
     case WakeupKind::kRandomSubset: {
       CELECT_CHECK(options.wakeup_count <= options.n)
@@ -117,26 +107,13 @@ sim::NetworkConfig BuildNetwork(const RunOptions& options) {
                          << requested;
       }
       Rng wake_rng = rng.Split(6);
-      auto perm = wake_rng.Permutation(options.n);
-      std::uint32_t added = 0;
-      for (sim::NodeId node : perm) {
-        if (!alive(node)) continue;
-        Time at = options.wakeup_window <= 0.0
-                      ? Time::Zero()
-                      : Time::FromDouble(options.wakeup_window *
-                                         wake_rng.NextDouble());
-        config.wakeup.wakeups.emplace_back(node, at);
-        if (++added == count) break;
-      }
-      CELECT_CHECK(added == count) << "no live base node available";
+      config.wakeup = sim::WakeRandomSubset(
+          options.n, count, options.wakeup_window, wake_rng, config.failed);
       break;
     }
     case WakeupKind::kStaggeredChain:
-      for (sim::NodeId i = 0; i < options.n; ++i) {
-        if (!alive(i)) continue;
-        config.wakeup.wakeups.emplace_back(
-            i, Time::FromDouble(options.stagger_spacing * i));
-      }
+      config.wakeup = sim::WakeStaggeredChain(
+          options.n, options.stagger_spacing, config.failed);
       break;
   }
 

@@ -90,7 +90,6 @@ ClusterResult RunSimElection(const ClusterConfig& config,
     pc.announce_interval_us = config.announce_interval_us;
     pc.rejoin = rejoin;
     pc.trace = config.trace;
-    pc.trace_cap = config.trace_cap;
     return std::make_unique<PeerNode>(pc, net.at(i), factory);
   };
   std::vector<std::uint8_t> alive(config.n, 1);
@@ -245,7 +244,6 @@ std::optional<ClusterResult> RunUdpElection(
     pc.unit_us = config.unit_us;
     pc.announce_interval_us = config.announce_interval_us;
     pc.trace = config.trace;
-    pc.trace_cap = config.trace_cap;
     nodes[i] = std::make_unique<PeerNode>(pc, *transports[i], factory);
   }
 

@@ -55,7 +55,6 @@ struct ClusterConfig {
   // incarnation in ClusterResult::shards (killed incarnations flush a
   // complete=false shard at the moment of death).
   bool trace = false;
-  std::size_t trace_cap = 200'000;
 };
 
 struct ClusterResult {

@@ -3,8 +3,8 @@
 // DatagramQueue is a session's outbox: datagrams packed end to end in
 // one byte buffer. DatagramPool is SimNet's in-flight storage: one
 // recycled fixed-size slot per datagram on the wire or in a node's
-// inbox, carved from a few chunk allocations (a slab), with a length
-// per slot and an out-of-line buffer for the rare longer datagram.
+// inbox, carved from a few chunk allocations (a slab), each slot long
+// enough for the longest session frame.
 // Both keep their capacity when emptied and grow only when their
 // high-water mark doubles, so once a run has warmed them up, encoding,
 // queueing and carrying a datagram touch no heap.
@@ -20,8 +20,27 @@
 #include <vector>
 
 #include "celect/util/check.h"
+#include "celect/wire/packet.h"
 
 namespace celect::net {
+
+// Every datagram SimNet carries is one session frame (frame.h), and the
+// longest is a Data frame around the largest packet. Counting each
+// varint at its 10-byte maximum:
+//   packet: type (a uint16, 3) + field count (1) + kMaxPacketFields
+//           fields + checksum (4)
+//   frame:  magic (2) + kind (1) + payload length (2) + session header
+//           (six varints) + packet + checksum (4)
+inline constexpr std::size_t kMaxVarintBytes = 10;
+inline constexpr std::size_t kMaxPacketBytes =
+    3 + 1 + wire::kMaxPacketFields * kMaxVarintBytes + 4;
+inline constexpr std::size_t kMaxDataPayloadBytes =
+    6 * kMaxVarintBytes + kMaxPacketBytes;
+static_assert(kMaxDataPayloadBytes < 128 * 128,
+              "the payload length must fit a two-byte varint");
+inline constexpr std::size_t kMaxDatagramBytes =
+    2 + 1 + 2 + kMaxDataPayloadBytes + 4;
+static_assert(kMaxDatagramBytes == 137);
 
 class DatagramQueue {
  public:
@@ -79,31 +98,24 @@ class DatagramPool {
   // stored bytes, stay valid until Release, however many datagrams
   // are stored meanwhile.
   Handle Store(std::span<const std::uint8_t> bytes) {
+    CELECT_CHECK(bytes.size() <= kMaxDatagramBytes)
+        << "a " << bytes.size() << "-byte datagram is longer than any "
+        << "session frame (" << kMaxDatagramBytes << " bytes)";
     if (free_ == kNone) Grow();
     const Handle h = free_;
     Slot& s = slot(h);
     free_ = s.next_free;
     s.size = static_cast<std::uint32_t>(bytes.size());
-    if (bytes.size() <= kSlotBytes) {
-      std::copy(bytes.begin(), bytes.end(), s.bytes);
-      return h;
-    }
-    if (s.spill == kNone) {
-      s.spill = static_cast<std::uint32_t>(spills_.size());
-      spills_.emplace_back();
-    }
-    spills_[s.spill].assign(bytes.begin(), bytes.end());
+    std::copy(bytes.begin(), bytes.end(), s.bytes);
     return h;
   }
   std::span<std::uint8_t> bytes(Handle h) {
     Slot& s = slot(h);
-    return {s.size <= kSlotBytes ? s.bytes : spills_[s.spill].data(),
-            s.size};
+    return {s.bytes, s.size};
   }
   std::span<const std::uint8_t> bytes(Handle h) const {
     const Slot& s = slot(h);
-    return {s.size <= kSlotBytes ? s.bytes : spills_[s.spill].data(),
-            s.size};
+    return {s.bytes, s.size};
   }
   void Release(Handle h) {
     slot(h).next_free = free_;
@@ -114,10 +126,6 @@ class DatagramPool {
   std::size_t slots() const { return made_; }
 
  private:
-  // A slot keeps this many bytes inline: more than any frame the
-  // sessions send short of a near-maximal packet. A longer datagram
-  // goes to the slot's spill buffer, which the slot keeps for reuse.
-  static constexpr std::size_t kSlotBytes = 128;
   static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
   // Chunk 0 holds kFirstChunk slots and chunk k > 0 holds
   // kFirstChunk << (k - 1), so each chunk doubles the slot count.
@@ -127,8 +135,7 @@ class DatagramPool {
   struct Slot {
     std::uint32_t size;
     std::uint32_t next_free;  // the free list's link while unused
-    std::uint32_t spill;      // index into spills_, or kNone
-    std::uint8_t bytes[kSlotBytes];
+    std::uint8_t bytes[kMaxDatagramBytes];
   };
 
   Slot& slot(Handle h) const {
@@ -150,14 +157,12 @@ class DatagramPool {
       s.size = 0;
       s.next_free = i + 1 < count ? static_cast<Handle>(made_ + i + 1)
                                   : kNone;
-      s.spill = kNone;
     }
     free_ = static_cast<Handle>(made_);
     made_ += count;
   }
 
   std::array<std::unique_ptr<Slot[]>, kMaxChunks> chunks_;
-  std::vector<std::vector<std::uint8_t>> spills_;
   std::size_t made_ = 0;
   Handle free_ = kNone;  // head of the free list
 };

@@ -15,7 +15,7 @@ PeerNode::PeerNode(const PeerNodeConfig& config, Transport& transport,
     : config_(config),
       transport_(transport),
       mapper_(transport.n()),
-      stores_(&mapper_, config.trace, config.trace_cap),
+      stores_(&mapper_, config.trace, kPeerTraceCap),
       core_(static_cast<sim::NodeHost&>(*this), stores_, transport.self(),
             config.id) {
   CELECT_CHECK(config_.unit_us > 0);

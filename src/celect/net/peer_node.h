@@ -50,10 +50,12 @@ struct PeerNodeConfig {
   // Record causal trace records (sends, deliveries, timers, phases,
   // leader changes) for MakeShard. Lamport clocks and wire mids are
   // minted regardless — the trace context always travels — this only
-  // controls record retention.
+  // controls record retention, up to kPeerTraceCap records per
+  // incarnation (truncation is counted, as in sim::Trace).
   bool trace = false;
-  std::size_t trace_cap = 200'000;
 };
+
+inline constexpr std::size_t kPeerTraceCap = 200'000;
 
 class PeerNode : private sim::NodeHost {
  public:

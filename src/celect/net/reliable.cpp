@@ -63,8 +63,6 @@ void ReliableSession::Flight(Micros now, obs::FlightKind kind,
 
 void ReliableSession::NoteRttSample(Micros rtt) {
   SessionStats& st = endpoint_->stats;
-  ++st.rtt_count;
-  st.rtt_sum_us += rtt;
   st.rtt_us.Add(rtt);
   if (rtt_kept_ < params_.rtt_sample_cap) {
     ++rtt_kept_;

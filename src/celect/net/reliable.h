@@ -102,8 +102,6 @@ struct SessionStats {
   std::uint64_t exhaustions = 0;        // retransmit budgets spent
   std::uint64_t suspicions = 0;         // suspect episodes signalled
   std::uint64_t version_mismatch = 0;   // handshakes rejected on version
-  std::uint64_t rtt_count = 0;
-  std::uint64_t rtt_sum_us = 0;
   // Capped, for bench percentiles: each session keeps its first
   // rtt_sample_cap samples, in arrival order, and an endpoint keeps at
   // most 4,096.

@@ -1,26 +1,10 @@
 #include "celect/net/report.h"
 
-#include <charconv>
-#include <system_error>
 #include <utility>
 
+#include "celect/util/text.h"
+
 namespace celect::net {
-
-namespace {
-
-// The whole of `text` as one decimal number of type T: no sign for
-// unsigned T, no '+', no spaces, no overflow.
-template <typename T>
-std::optional<T> ParseWhole(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  return value;
-}
-
-}  // namespace
 
 std::string FormatReport(const Report& r) {
   std::string out{static_cast<char>(r.kind)};
@@ -63,7 +47,7 @@ std::optional<Report> ParseReport(std::string_view line, std::uint32_t n) {
   }
   const std::string_view rest = line.substr(2);
   const std::size_t space = rest.find(' ');
-  const auto node = ParseWhole<std::uint32_t>(rest.substr(0, space));
+  const auto node = ParseNumber<std::uint32_t>(rest.substr(0, space));
   if (!node || *node >= n) return std::nullopt;
   r.node = *node;
   const std::string_view field =
@@ -72,7 +56,7 @@ std::optional<Report> ParseReport(std::string_view line, std::uint32_t n) {
   switch (r.kind) {
     case Report::Kind::kBelief:
     case Report::Kind::kDeclared: {
-      const auto leader = ParseWhole<sim::Id>(field);
+      const auto leader = ParseNumber<sim::Id>(field);
       if (!leader) return std::nullopt;
       r.leader = *leader;
       break;

@@ -33,7 +33,7 @@ std::string PhaseKey(PhaseId id, std::int64_t level) {
   return key;
 }
 
-std::optional<PhaseId> PhaseFromName(const std::string& name) {
+std::optional<PhaseId> PhaseFromName(std::string_view name) {
   for (PhaseId id : {PhaseId::kNone, PhaseId::kWakeup, PhaseId::kCapture1,
                      PhaseId::kCapture2, PhaseId::kDoubling,
                      PhaseId::kBroadcast, PhaseId::kRecovery,

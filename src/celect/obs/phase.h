@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace celect::obs {
 
@@ -39,7 +40,7 @@ const char* PhaseName(PhaseId id);
 std::string PhaseKey(PhaseId id, std::int64_t level);
 
 // Inverse of PhaseName; nullopt for unknown names (filters reject them).
-std::optional<PhaseId> PhaseFromName(const std::string& name);
+std::optional<PhaseId> PhaseFromName(std::string_view name);
 
 // Per-phase aggregate folded into RunResult::phases. Everything is a
 // deterministic function of the schedule — no wall clock.

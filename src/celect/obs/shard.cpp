@@ -1,13 +1,13 @@
 #include "celect/obs/shard.h"
 
 #include <algorithm>
-#include <limits>
 #include <set>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
 
 #include "celect/obs/trace_inspect.h"
+#include "celect/util/text.h"
 
 namespace celect::obs {
 
@@ -30,14 +30,6 @@ bool IsClocked(sim::TraceRecord::Kind k) {
          k == Kind::kTimerFire;
 }
 
-// "key=value" → value, checking the key; nullopt on mismatch.
-std::optional<std::string> TakeField(const std::string& token,
-                                     const char* key) {
-  const std::string prefix = std::string(key) + "=";
-  if (token.rfind(prefix, 0) != 0) return std::nullopt;
-  return token.substr(prefix.size());
-}
-
 }  // namespace
 
 const char* ToString(FlightKind k) {
@@ -57,7 +49,7 @@ const char* ToString(FlightKind k) {
   return "unknown";
 }
 
-std::optional<FlightKind> FlightKindFromName(const std::string& name) {
+std::optional<FlightKind> FlightKindFromName(std::string_view name) {
   for (FlightKind k : kAllFlightKinds) {
     if (name == ToString(k)) return k;
   }
@@ -143,11 +135,10 @@ std::optional<std::vector<TraceShard>> ParseShards(const std::string& text,
       if (!node || !epoch || !complete || !dropped) {
         return fail("malformed shard header field");
       }
-      const auto node_v =
-          ParseUint(*node, std::numeric_limits<sim::NodeId>::max());
-      const auto epoch_v = ParseUint(*epoch);
-      const auto complete_v = ParseUint(*complete);
-      const auto dropped_v = ParseUint(*dropped);
+      const auto node_v = ParseNumber<sim::NodeId>(*node);
+      const auto epoch_v = ParseNumber<std::uint64_t>(*epoch);
+      const auto complete_v = ParseNumber<std::uint64_t>(*complete);
+      const auto dropped_v = ParseNumber<std::uint64_t>(*dropped);
       if (!node_v || !epoch_v || !complete_v || *complete_v > 1 ||
           !dropped_v) {
         return fail("non-numeric shard header field");
@@ -157,7 +148,7 @@ std::optional<std::vector<TraceShard>> ParseShards(const std::string& text,
         return fail("shard header missing label");
       }
       TraceShard s;
-      s.node = static_cast<sim::NodeId>(*node_v);
+      s.node = *node_v;
       s.epoch = *epoch_v;
       s.complete = *complete_v == 1;
       s.dropped = *dropped_v;
@@ -187,17 +178,15 @@ std::optional<std::vector<TraceShard>> ParseShards(const std::string& text,
       if (!at || !peer || !kind || !a || !b) {
         return fail("malformed flight field");
       }
-      const auto at_v = ParseUint(*at);
-      const auto peer_v =
-          ParseUint(*peer, std::numeric_limits<std::uint32_t>::max());
+      const auto at_v = ParseNumber<std::uint64_t>(*at);
+      const auto peer_v = ParseNumber<std::uint32_t>(*peer);
       const auto kind_v = FlightKindFromName(*kind);
-      const auto a_v = ParseUint(*a);
-      const auto b_v = ParseUint(*b);
+      const auto a_v = ParseNumber<std::uint64_t>(*a);
+      const auto b_v = ParseNumber<std::uint64_t>(*b);
       if (!at_v || !peer_v || !kind_v || !a_v || !b_v) {
         return fail("bad flight field value");
       }
-      cur->flight.push_back(FlightEvent{
-          *at_v, static_cast<std::uint32_t>(*peer_v), *kind_v, *a_v, *b_v});
+      cur->flight.push_back(FlightEvent{*at_v, *peer_v, *kind_v, *a_v, *b_v});
       continue;
     }
     if (line == "#end shard") {

@@ -22,6 +22,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "celect/obs/telemetry.h"
@@ -48,7 +49,7 @@ enum class FlightKind : std::uint8_t {
 
 // Stable lowercase name ("retransmit"); used in the shard text format.
 const char* ToString(FlightKind k);
-std::optional<FlightKind> FlightKindFromName(const std::string& name);
+std::optional<FlightKind> FlightKindFromName(std::string_view name);
 
 struct FlightEvent {
   // Recorder's clock domain (transport Micros); PeerNode::MakeShard

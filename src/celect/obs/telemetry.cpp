@@ -1,9 +1,9 @@
 #include "celect/obs/telemetry.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <sstream>
+
+#include "celect/util/text.h"
 
 namespace celect::obs {
 
@@ -198,22 +198,22 @@ std::optional<MetricsRegistry> MetricsRegistry::ParseCompact(
       if (eq == std::string::npos || eq == 0) return std::nullopt;
       const std::string name = item.substr(0, eq);
       if (counters) {
-        const auto v = ParseInt(item.substr(eq + 1));
+        const auto v = ParseNumber<std::int64_t>(item.substr(eq + 1));
         if (!v || reg.slots_.count(name) > 0) return std::nullopt;
         reg.AddCounter(name, *v);
         continue;
       }
       const auto parts = SplitOn(item.substr(eq + 1), ';');
       if (parts.size() != 5) return std::nullopt;
-      const auto count = ParseUint(parts[0]);
-      const auto sum = ParseUint(parts[1]);
-      const auto min = ParseUint(parts[2]);
-      const auto max = ParseUint(parts[3]);
+      const auto count = ParseNumber<std::uint64_t>(parts[0]);
+      const auto sum = ParseNumber<std::uint64_t>(parts[1]);
+      const auto min = ParseNumber<std::uint64_t>(parts[2]);
+      const auto max = ParseNumber<std::uint64_t>(parts[3]);
       if (!count || !sum || !min || !max) return std::nullopt;
       std::vector<std::uint64_t> buckets;
       if (!parts[4].empty()) {
         for (const std::string& b : SplitOn(parts[4], ':')) {
-          const auto bv = ParseUint(b);
+          const auto bv = ParseNumber<std::uint64_t>(b);
           if (!bv) return std::nullopt;
           buckets.push_back(*bv);
         }
@@ -224,27 +224,6 @@ std::optional<MetricsRegistry> MetricsRegistry::ParseCompact(
     }
   }
   return reg;
-}
-
-std::optional<std::int64_t> ParseInt(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return std::nullopt;
-  return v;
-}
-
-std::optional<std::uint64_t> ParseUint(const std::string& s,
-                                       std::uint64_t max) {
-  if (s.empty() || s[0] == '-' || s[0] == '+') return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size() || v > max) {
-    return std::nullopt;
-  }
-  return v;
 }
 
 }  // namespace celect::obs

@@ -12,7 +12,6 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -169,14 +168,6 @@ class MetricsRegistry {
   std::map<std::string, std::uint32_t, std::less<>> slots_;
   std::map<std::string, Histogram, std::less<>> histograms_;
 };
-
-// Full-token decimal parses for the obs text formats: nullopt unless all
-// of `s` is one in-range number. ParseUint accepts no sign at all, and
-// nothing above `max` (the narrow field it is read into).
-std::optional<std::int64_t> ParseInt(const std::string& s);
-std::optional<std::uint64_t> ParseUint(
-    const std::string& s,
-    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 // The runtime's telemetry bundle (RuntimeOptions::enable_telemetry).
 // Empty (all counts zero) when telemetry was off.

@@ -7,6 +7,7 @@
 #include "celect/obs/phase.h"
 #include "celect/obs/trace_inspect.h"
 #include "celect/util/logging.h"
+#include "celect/util/text.h"
 
 namespace celect::obs {
 
@@ -14,30 +15,10 @@ namespace {
 
 using sim::TraceRecord;
 
-// Minimal JSON string escaping — names here are generated from enums and
-// integers, but the process label is caller-supplied.
-std::string Quoted(const std::string& s) {
-  std::string out = "\"";
-  for (unsigned char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += static_cast<char>(c);
-    } else if (c < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += static_cast<char>(c);
-    }
-  }
-  out += '"';
-  return out;
-}
-
 // The shared prefix of every event: name, phase letter, pid/tid/ts.
 void Open(std::ostringstream& os, const std::string& name, char ph,
           int pid, sim::NodeId node, std::int64_t ts) {
-  os << "{\"name\": " << Quoted(name) << ", \"ph\": \"" << ph
+  os << "{\"name\": " << JsonString(name) << ", \"ph\": \"" << ph
      << "\", \"pid\": " << pid << ", \"tid\": " << node
      << ", \"ts\": " << ts;
 }
@@ -50,7 +31,7 @@ void Args(std::ostringstream& os, const TraceRecord& r) {
     os << ", \"type\": " << r.type << ", \"peer\": " << r.peer;
   }
   if (r.phase != PhaseId::kNone) {
-    os << ", \"phase\": " << Quoted(PhaseKey(r.phase, r.phase_level));
+    os << ", \"phase\": " << JsonString(PhaseKey(r.phase, r.phase_level));
   }
   os << "}";
 }
@@ -156,7 +137,7 @@ std::string ExportChromeTrace(const std::vector<sim::TraceRecord>& records,
   // ordered track per node that appears in the trace.
   os << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, "
         "\"args\": {\"name\": "
-     << Quoted(opts.process_name) << "}},\n";
+     << JsonString(opts.process_name) << "}},\n";
   std::set<sim::NodeId> nodes;
   for (const auto& r : records) nodes.insert(r.node);
   for (sim::NodeId node : nodes) {
@@ -203,7 +184,7 @@ std::string ExportMergedChromeTrace(const std::vector<TraceShard>& shards,
   // pid 0 carries the merge-level label; each shard is its own process.
   os << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, "
         "\"args\": {\"name\": "
-     << Quoted(opts.process_name) << "}},\n";
+     << JsonString(opts.process_name) << "}},\n";
   std::size_t total = 0;
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const TraceShard& s = shards[i];
@@ -214,7 +195,7 @@ std::string ExportMergedChromeTrace(const std::vector<TraceShard>& shards,
     label << " epoch=" << s.epoch;
     if (!s.complete) label << " (incomplete)";
     os << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " << pid
-       << ", \"args\": {\"name\": " << Quoted(label.str()) << "}},\n";
+       << ", \"args\": {\"name\": " << JsonString(label.str()) << "}},\n";
     os << "{\"name\": \"process_sort_index\", \"ph\": \"M\", \"pid\": "
        << pid << ", \"args\": {\"sort_index\": " << pid << "}},\n";
     os << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": " << pid
@@ -227,7 +208,7 @@ std::string ExportMergedChromeTrace(const std::vector<TraceShard>& shards,
     // events it explains.
     for (const auto& f : s.flight) {
       os << "{\"name\": "
-         << Quoted(std::string("flight ") + ToString(f.kind))
+         << JsonString(std::string("flight ") + ToString(f.kind))
          << ", \"ph\": \"i\", \"pid\": " << pid << ", \"tid\": " << s.node
          << ", \"ts\": " << f.at
          << ", \"s\": \"t\", \"args\": {\"peer\": " << f.peer

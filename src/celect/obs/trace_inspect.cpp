@@ -4,10 +4,10 @@
 #include <cctype>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <sstream>
 
 #include "celect/obs/telemetry.h"
+#include "celect/util/text.h"
 
 namespace celect::obs {
 
@@ -26,27 +26,19 @@ constexpr TraceRecord::Kind kAllKinds[] = {
     TraceRecord::Kind::kPhaseEnd,
 };
 
-std::optional<TraceRecord::Kind> KindFromName(const std::string& name) {
+std::optional<TraceRecord::Kind> KindFromName(std::string_view name) {
   for (TraceRecord::Kind k : kAllKinds) {
     if (name == sim::ToString(k)) return k;
   }
   return std::nullopt;
 }
 
-// "key=value" → value, checking the key; nullopt on mismatch.
-std::optional<std::string> TakeField(const std::string& token,
-                                     const char* key) {
-  const std::string prefix = std::string(key) + "=";
-  if (token.rfind(prefix, 0) != 0) return std::nullopt;
-  return token.substr(prefix.size());
-}
-
 // "doubling.3" → (kDoubling, 3); "capture1" → (kCapture1, 0).
 std::optional<std::pair<PhaseId, std::int64_t>> ParsePhaseKey(
-    const std::string& key) {
+    std::string_view key) {
   const std::size_t dot = key.rfind('.');
   if (dot != std::string::npos) {
-    if (auto level = ParseInt(key.substr(dot + 1))) {
+    if (auto level = ParseNumber<std::int64_t>(key.substr(dot + 1))) {
       if (auto id = PhaseFromName(key.substr(0, dot))) {
         return std::make_pair(*id, *level);
       }
@@ -90,7 +82,7 @@ std::optional<sim::TraceRecord> ParseRecordLine(const std::string& line,
   std::string rest;
   if (ls >> rest) return fail("trailing tokens");
   TraceRecord r{};
-  const auto seq = ParseUint(seq_tok);
+  const auto seq = ParseNumber<std::uint64_t>(seq_tok);
   if (!seq) return fail("bad seq");
   r.seq = *seq;
   const auto kind = KindFromName(kind_tok);
@@ -108,28 +100,26 @@ std::optional<sim::TraceRecord> ParseRecordLine(const std::string& line,
       !phase) {
     return fail("malformed field");
   }
-  constexpr std::uint64_t kMax32 = std::numeric_limits<std::uint32_t>::max();
-  const auto at_v = ParseInt(*at);
-  const auto node_v = ParseUint(*node, kMax32);
-  const auto peer_v = ParseUint(*peer, kMax32);
-  const auto port_v = ParseUint(*port, kMax32);
-  const auto type_v =
-      ParseUint(*type, std::numeric_limits<std::uint16_t>::max());
-  const auto clock_v = ParseUint(*clock);
-  const auto mid_v = ParseUint(*mid);
+  const auto at_v = ParseNumber<std::int64_t>(*at);
+  const auto node_v = ParseNumber<sim::NodeId>(*node);
+  const auto peer_v = ParseNumber<sim::NodeId>(*peer);
+  const auto port_v = ParseNumber<sim::Port>(*port);
+  const auto type_v = ParseNumber<std::uint16_t>(*type);
+  const auto clock_v = ParseNumber<std::uint64_t>(*clock);
+  const auto mid_v = ParseNumber<std::uint64_t>(*mid);
   if (!at_v || !node_v || !peer_v || !port_v || !type_v || !clock_v ||
       !mid_v) {
     return fail("non-numeric or out-of-range field");
   }
   r.at = sim::Time::FromTicks(*at_v);
-  r.node = static_cast<sim::NodeId>(*node_v);
-  r.peer = static_cast<sim::NodeId>(*peer_v);
-  r.port = static_cast<sim::Port>(*port_v);
-  r.type = static_cast<std::uint16_t>(*type_v);
+  r.node = *node_v;
+  r.peer = *peer_v;
+  r.port = *port_v;
+  r.type = *type_v;
   r.clock = *clock_v;
   r.mid = *mid_v;
   const auto ph = ParsePhaseKey(*phase);
-  if (!ph) return fail("unknown phase '" + *phase + "'");
+  if (!ph) return fail("unknown phase '" + std::string(*phase) + "'");
   r.phase = ph->first;
   r.phase_level = ph->second;
   return r;

@@ -32,6 +32,7 @@ constexpr std::size_t kMaxOutstandingRounds = 8;
 // negative, so fold into the non-negative range first.
 int Stagger(sim::Id id) { return static_cast<int>(((id % 4) + 4) % 4); }
 
+// celect-lint: allow(proto-phase-spans) the inner engine's spans reach the runtime through TermContext
 class LeaseProcess : public sim::Process {
  public:
   LeaseProcess(LeaseParams params, sim::ProcessFactory inner_factory,
@@ -152,61 +153,34 @@ class LeaseProcess : public sim::Process {
   // inner's timers are tracked so a term change can cancel them, and
   // DeclareLeader becomes "start acquiring the lease" instead of a
   // leadership announcement.
-  class TermContext : public Context {
+  class TermContext : public sim::ForwardingContext {
    public:
     TermContext(LeaseProcess& owner, Context& real)
-        : owner_(owner), real_(real) {}
+        : ForwardingContext(real), owner_(owner) {}
 
-    sim::NodeId address() const override { return real_.address(); }
-    sim::Id id() const override { return real_.id(); }
-    std::uint32_t n() const override { return real_.n(); }
-    Time now() const override { return real_.now(); }
-    bool has_sense_of_direction() const override {
-      return real_.has_sense_of_direction();
-    }
     void Send(Port port, wire::Packet p) override {
-      real_.Send(port, owner_.Wrap(std::move(p)));
+      real().Send(port, owner_.Wrap(std::move(p)));
     }
     std::optional<Port> SendFresh(wire::Packet p) override {
-      return real_.SendFresh(owner_.Wrap(std::move(p)));
+      return real().SendFresh(owner_.Wrap(std::move(p)));
     }
     void SendAll(wire::Packet p) override {
-      real_.SendAll(owner_.Wrap(std::move(p)));
+      real().SendAll(owner_.Wrap(std::move(p)));
     }
     TimerId SetTimer(Time delay) override {
-      TimerId t = real_.SetTimer(delay);
+      TimerId t = real().SetTimer(delay);
       auto& timers = owner_.inner_timers_;
       timers.insert(std::upper_bound(timers.begin(), timers.end(), t), t);
       return t;
     }
     void CancelTimer(TimerId timer) override {
       owner_.ForgetInnerTimer(timer);
-      real_.CancelTimer(timer);
+      real().CancelTimer(timer);
     }
-    void DeclareLeader() override { owner_.OnInnerElected(real_); }
-    void AddCounter(std::string_view name, std::int64_t delta) override {
-      real_.AddCounter(name, delta);
-    }
-    void MaxCounter(std::string_view name, std::int64_t value) override {
-      real_.MaxCounter(name, value);
-    }
-    sim::CounterRef ResolveCounter(std::string_view name) override {
-      return real_.ResolveCounter(name);
-    }
-    void AddCounter(const sim::CounterRef& c, std::int64_t delta) override {
-      real_.AddCounter(c, delta);
-    }
-    void MaxCounter(const sim::CounterRef& c, std::int64_t value) override {
-      real_.MaxCounter(c, value);
-    }
-    void BeginPhase(obs::PhaseId phase, std::int64_t level) override {
-      real_.BeginPhase(phase, level);
-    }
-    void EndPhase(obs::PhaseId phase) override { real_.EndPhase(phase); }
+    void DeclareLeader() override { owner_.OnInnerElected(real()); }
 
    private:
     LeaseProcess& owner_;
-    Context& real_;
   };
 
   wire::Packet Wrap(wire::Packet p) {

@@ -6,18 +6,6 @@
 
 namespace celect::sim {
 
-namespace {
-
-// splitmix64 finalizer — full-avalanche mix for the sparse probe start.
-std::uint64_t Mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 void LinkTable::EnableFaults(const LinkFaultProfile& profile,
                              std::uint64_t seed) {
   faults_ = profile;
@@ -28,55 +16,10 @@ void LinkTable::EnableFaults(const LinkFaultProfile& profile,
 LinkTable::State& LinkTable::Obtain(NodeId from, NodeId to) {
   const std::uint64_t key = Key(from, to);
   if (dense()) {
-    if (dense_.empty()) {
-      dense_.resize(static_cast<std::size_t>(n_) * n_);
-    }
+    if (dense_.empty()) dense_.resize(static_cast<std::size_t>(n_) * n_);
     return dense_[key];
   }
-  if (sparse_.empty()) sparse_.resize(1024);
-  // Grow at 3/4 load so linear probes stay short.
-  if (sparse_used_ * 4 >= sparse_.size() * 3) GrowSparse();
-  const std::size_t mask = sparse_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(Mix(key)) & mask;
-  for (;;) {
-    FlatEntry& e = sparse_[i];
-    if (e.key == key) return e.s;
-    if (e.key == 0) {
-      e.key = key;
-      ++sparse_used_;
-      return e.s;
-    }
-    i = (i + 1) & mask;
-  }
-}
-
-const LinkTable::State* LinkTable::Find(NodeId from, NodeId to) const {
-  const std::uint64_t key = Key(from, to);
-  if (dense()) {
-    return dense_.empty() ? nullptr : &dense_[key];
-  }
-  if (sparse_.empty()) return nullptr;
-  const std::size_t mask = sparse_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(Mix(key)) & mask;
-  for (;;) {
-    const FlatEntry& e = sparse_[i];
-    if (e.key == key) return &e.s;
-    if (e.key == 0) return nullptr;
-    i = (i + 1) & mask;
-  }
-}
-
-void LinkTable::GrowSparse() {
-  std::vector<FlatEntry> old;
-  old.swap(sparse_);
-  sparse_.resize(old.size() * 2);
-  const std::size_t mask = sparse_.size() - 1;
-  for (const FlatEntry& e : old) {
-    if (e.key == 0) continue;
-    std::size_t i = static_cast<std::size_t>(Mix(e.key)) & mask;
-    while (sparse_[i].key != 0) i = (i + 1) & mask;
-    sparse_[i] = e;
-  }
+  return sparse_.Obtain(key);
 }
 
 Time LinkTable::AdmitOrdered(State& s, Time send_time,
@@ -150,10 +93,9 @@ Admission LinkTable::AdmitWithFaults(const LinkRef& l, NodeId from, NodeId to,
 }
 
 void LinkTable::NotifyDelivered(NodeId from, NodeId to) {
-  State* s = const_cast<State*>(Find(from, to));
-  CELECT_CHECK(s != nullptr && s->inflight > 0)
-      << "delivery on a link with nothing in flight";
-  --s->inflight;
+  State& s = Obtain(from, to);
+  CELECT_CHECK(s.inflight > 0) << "delivery on a link with nothing in flight";
+  --s.inflight;
 }
 
 }  // namespace celect::sim

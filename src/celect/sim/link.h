@@ -6,16 +6,10 @@
 // sent, and computes arrival times that respect FIFO and the delay
 // model's spacing choices.
 //
-// Storage is probed on every send, so it is hot-path critical. Two modes:
-//
-//   * dense (N <= kDenseMaxN): a flat N x N array of 16-byte States,
-//     allocated lazily on first traffic — one indexed load per send, no
-//     hashing. 4096 nodes tops out at 256 MB, the deliberate ceiling.
-//   * sparse (large N): a power-of-two open-addressing table with linear
-//     probing (key = from * N + to; 0 is a natural empty sentinel since
-//     from == to never carries traffic). Memory stays O(links actually
-//     used) — a million-node protocol-C run touches O(N log N) pairs, not
-//     N².
+// Storage is probed on every send, so it is hot-path critical. Up to
+// kDenseMaxN nodes it is a flat N x N array of 16-byte States, allocated
+// lazily on first traffic; past that, a PairMap keyed on from * N + to
+// (never 0, since from == to carries no traffic). See pair_table.h.
 //
 // When a FaultPlan enables link faults, admission draws from a dedicated
 // seeded RNG to decide, per message, whether it is lost (never arrives;
@@ -32,6 +26,7 @@
 
 #include "celect/sim/delay_model.h"
 #include "celect/sim/fault.h"
+#include "celect/sim/pair_table.h"
 #include "celect/sim/time.h"
 #include "celect/sim/types.h"
 #include "celect/util/rng.h"
@@ -49,10 +44,6 @@ struct Admission {
 
 class LinkTable {
  public:
-  // Largest N served by the dense per-pair array (N² x 16 B = 256 MB);
-  // beyond it the open-addressing table keeps memory O(used links).
-  static constexpr std::uint32_t kDenseMaxN = 4096;
-
   // Opaque handle to one directed link's state from Touch(). Valid only
   // until the next mutating call on a *different* pair (sparse growth
   // rehashes) — use it immediately, don't store it.
@@ -107,11 +98,6 @@ class LinkTable {
   };
   static_assert(sizeof(State) == 16);
 
-  struct FlatEntry {
-    std::uint64_t key = 0;  // 0 = empty (from == to carries no traffic)
-    State s;
-  };
-
   std::uint64_t Key(NodeId from, NodeId to) const {
     return static_cast<std::uint64_t>(from) * n_ + to;
   }
@@ -120,9 +106,6 @@ class LinkTable {
 
   // Find-or-insert (mutating path; allocates storage lazily).
   State& Obtain(NodeId from, NodeId to);
-  // Lookup only; nullptr when the pair never carried traffic.
-  const State* Find(NodeId from, NodeId to) const;
-  void GrowSparse();
 
   // The FIFO-respecting admission core.
   Time AdmitOrdered(State& s, Time send_time, const DelayDecision& d);
@@ -130,9 +113,8 @@ class LinkTable {
   std::uint32_t n_;
   // Dense mode: n_ x n_ States, indexed by Key(); empty until first use.
   std::vector<State> dense_;
-  // Sparse mode: open addressing, power-of-two capacity, linear probing.
-  std::vector<FlatEntry> sparse_;
-  std::size_t sparse_used_ = 0;
+  // Sparse mode, keyed by Key().
+  PairMap<State> sparse_;
   std::uint64_t max_load_ = 0;
   std::uint64_t max_inflight_ = 0;
 

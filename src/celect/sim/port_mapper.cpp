@@ -5,18 +5,6 @@
 
 namespace celect::sim {
 
-namespace {
-
-// splitmix64 finalizer — probe-start mix for the sparse traversal table.
-std::uint64_t MixKey(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 PortMapperBase::PortMapperBase(std::uint32_t n) : n_(n), cursor_(n, 1) {
   CELECT_CHECK(n >= 2);
   if (dense()) words_per_node_ = (n_ + 63) / 64;
@@ -25,33 +13,10 @@ PortMapperBase::PortMapperBase(std::uint32_t n) : n_(n), cursor_(n, 1) {
 bool PortMapperBase::Contains(NodeId node, Port port) const {
   if (dense()) {
     if (bits_.empty()) return false;
-    const std::uint64_t w =
-        bits_[node * words_per_node_ + (port >> 6)];
+    const std::uint64_t w = bits_[node * words_per_node_ + (port >> 6)];
     return (w >> (port & 63)) & 1;
   }
-  if (sparse_.empty()) return false;
-  const std::uint64_t key =
-      1 + static_cast<std::uint64_t>(node) * n_ + port;
-  const std::size_t mask = sparse_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(MixKey(key)) & mask;
-  for (;;) {
-    if (sparse_[i].key == key) return true;
-    if (sparse_[i].key == 0) return false;
-    i = (i + 1) & mask;
-  }
-}
-
-void PortMapperBase::GrowSparse() {
-  std::vector<SparseKey> old;
-  old.swap(sparse_);
-  sparse_.resize(old.size() * 2);
-  const std::size_t mask = sparse_.size() - 1;
-  for (const SparseKey& e : old) {
-    if (e.key == 0) continue;
-    std::size_t i = static_cast<std::size_t>(MixKey(e.key)) & mask;
-    while (sparse_[i].key != 0) i = (i + 1) & mask;
-    sparse_[i] = e;
-  }
+  return sparse_.Find(Key(node, port)) != nullptr;
 }
 
 std::optional<Port> PortMapperBase::FreshPort(NodeId node) {
@@ -73,27 +38,7 @@ void PortMapperBase::MarkTraversed(NodeId node, Port port) {
         std::uint64_t{1} << (port & 63);
     return;
   }
-  if (sparse_.empty()) sparse_.resize(1024);
-  if (sparse_used_ * 4 >= sparse_.size() * 3) GrowSparse();
-  const std::uint64_t key =
-      1 + static_cast<std::uint64_t>(node) * n_ + port;
-  const std::size_t mask = sparse_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(MixKey(key)) & mask;
-  for (;;) {
-    SparseKey& e = sparse_[i];
-    if (e.key == key) return;  // already traversed
-    if (e.key == 0) {
-      e.key = key;
-      ++sparse_used_;
-      return;
-    }
-    i = (i + 1) & mask;
-  }
-}
-
-bool PortMapperBase::IsTraversed(NodeId node, Port port) const {
-  CELECT_DCHECK(node < n_);
-  return Contains(node, port);
+  sparse_.Obtain(Key(node, port));
 }
 
 NodeId SodPortMapper::Resolve(NodeId node, Port port) {

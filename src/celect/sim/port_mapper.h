@@ -22,6 +22,7 @@
 #include <optional>
 #include <vector>
 
+#include "celect/sim/pair_table.h"
 #include "celect/sim/types.h"
 #include "celect/util/feistel.h"
 
@@ -50,51 +51,40 @@ class PortMapper {
   // Marks a port traversed. Runtime calls this on every send and
   // delivery.
   virtual void MarkTraversed(NodeId node, Port port) = 0;
-
-  virtual bool IsTraversed(NodeId node, Port port) const = 0;
 };
 
 // Shared traversal bookkeeping plus a monotone scan cursor, so FreshPort
 // is amortised O(1). MarkTraversed runs twice per message (send side and
-// arrival side), so the set is flat, not hashed:
-//
-//   * dense (N <= kDenseMaxN): one bitmap of N bits per node, the whole
-//     N x N block allocated lazily on the first mark — a mask-and-or per
-//     mark, 2 MB at the 4096-node ceiling;
-//   * sparse (large N): a single open-addressing table over (node, port)
-//     keys shared by all nodes — memory stays O(ports actually
-//     traversed), which for the paper's protocols is O(N log N) edges,
-//     not N².
+// arrival side), so the set is flat: up to kDenseMaxN nodes, one bitmap
+// of N bits per node, the whole N x N block allocated lazily on the
+// first mark (a mask-and-or per mark, 2 MB at the ceiling); past it, a
+// PairMap set of (node, port) keys (pair_table.h).
 class PortMapperBase : public PortMapper {
  public:
-  static constexpr std::uint32_t kDenseMaxN = 4096;
-
   explicit PortMapperBase(std::uint32_t n);
 
   std::uint32_t n() const override { return n_; }
   std::optional<Port> FreshPort(NodeId node) override;
   void MarkTraversed(NodeId node, Port port) override;
-  bool IsTraversed(NodeId node, Port port) const override;
 
  protected:
   std::uint32_t n_;
 
  private:
-  struct SparseKey {
-    std::uint64_t key = 0;  // 1 + node * n + port; 0 = empty
-  };
+  struct Traversed {};
 
   bool dense() const { return n_ <= kDenseMaxN; }
   bool Contains(NodeId node, Port port) const;
-  void GrowSparse();
+  // The sparse key; never 0, since ports start at 1.
+  std::uint64_t Key(NodeId node, Port port) const {
+    return static_cast<std::uint64_t>(node) * n_ + port;
+  }
 
   // Dense: n_ bitmap words per node (port bit index == port number),
   // empty until the first mark.
   std::size_t words_per_node_ = 0;
   std::vector<std::uint64_t> bits_;
-  // Sparse: linear-probed table of traversed (node, port) pairs.
-  std::vector<SparseKey> sparse_;
-  std::size_t sparse_used_ = 0;
+  PairMap<Traversed> sparse_;
   std::vector<Port> cursor_;  // smallest possibly-untraversed port
 };
 

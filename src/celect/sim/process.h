@@ -127,6 +127,60 @@ class Context {
   std::uint32_t port_count() const { return n() - 1; }
 };
 
+// A Context that forwards every call to another one. Layers that wrap
+// an inner process (the app wrapper, the lease engine) derive from it
+// and override only the calls they change, so a Context call added
+// later reaches the real context through every wrapper.
+class ForwardingContext : public Context {
+ public:
+  explicit ForwardingContext(Context& real) : real_(real) {}
+
+  NodeId address() const override { return real_.address(); }
+  Id id() const override { return real_.id(); }
+  std::uint32_t n() const override { return real_.n(); }
+  Time now() const override { return real_.now(); }
+  bool has_sense_of_direction() const override {
+    return real_.has_sense_of_direction();
+  }
+  void Send(Port port, wire::Packet p) override {
+    real_.Send(port, std::move(p));
+  }
+  std::optional<Port> SendFresh(wire::Packet p) override {
+    return real_.SendFresh(std::move(p));
+  }
+  void SendAll(wire::Packet p) override { real_.SendAll(std::move(p)); }
+  TimerId SetTimer(Time delay) override { return real_.SetTimer(delay); }
+  void CancelTimer(TimerId timer) override { real_.CancelTimer(timer); }
+  void DeclareLeader() override { real_.DeclareLeader(); }
+  void RecordLease(LeaseEvent event) override { real_.RecordLease(event); }
+  void AddCounter(std::string_view name, std::int64_t delta) override {
+    real_.AddCounter(name, delta);
+  }
+  void MaxCounter(std::string_view name, std::int64_t value) override {
+    real_.MaxCounter(name, value);
+  }
+  CounterRef ResolveCounter(std::string_view name) override {
+    return real_.ResolveCounter(name);
+  }
+  void AddCounter(const CounterRef& c, std::int64_t delta) override {
+    real_.AddCounter(c, delta);
+  }
+  void MaxCounter(const CounterRef& c, std::int64_t value) override {
+    real_.MaxCounter(c, value);
+  }
+  using Context::BeginPhase;
+  void BeginPhase(obs::PhaseId phase, std::int64_t level) override {
+    real_.BeginPhase(phase, level);
+  }
+  void EndPhase(obs::PhaseId phase) override { real_.EndPhase(phase); }
+
+ protected:
+  Context& real() const { return real_; }
+
+ private:
+  Context& real_;
+};
+
 // A protocol's monotone gauges: an inline list of (name, value) pairs
 // with a fixed capacity, so building one never touches the heap. The
 // widest protocol publishes 5; adding a gauge past kCapacity CHECK-fails.

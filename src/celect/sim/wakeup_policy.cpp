@@ -1,52 +1,62 @@
 #include "celect/sim/wakeup_policy.h"
 
-#include <algorithm>
-
 #include "celect/util/check.h"
 
 namespace celect::sim {
 
-Time WakeupPlan::LastWakeup() const {
-  Time last = Time::Zero();
-  for (const auto& [node, at] : wakeups) last = std::max(last, at);
-  return last;
+namespace {
+
+bool Alive(const std::vector<bool>& failed, NodeId node) {
+  return failed.empty() || !failed[node];
 }
 
-WakeupPlan WakeAllAtZero(std::uint32_t n) {
+}  // namespace
+
+// The plans grow their vector one emplace at a time rather than
+// reserving: harness::BuildNetwork builds every run's plan here, inside
+// the setup span perfbench times, and keeps that allocation pattern.
+
+WakeupPlan WakeAllAtZero(std::uint32_t n, const std::vector<bool>& failed) {
   WakeupPlan plan;
-  plan.wakeups.reserve(n);
-  for (NodeId i = 0; i < n; ++i) plan.wakeups.emplace_back(i, Time::Zero());
+  for (NodeId i = 0; i < n; ++i) {
+    if (Alive(failed, i)) plan.wakeups.emplace_back(i, Time::Zero());
+  }
   return plan;
 }
 
-WakeupPlan WakeSingle(std::uint32_t n, NodeId node) {
-  CELECT_CHECK(node < n);
+WakeupPlan WakeSingle(std::uint32_t n, NodeId node,
+                      const std::vector<bool>& failed) {
+  CELECT_CHECK(node < n && Alive(failed, node));
   WakeupPlan plan;
   plan.wakeups.emplace_back(node, Time::Zero());
   return plan;
 }
 
 WakeupPlan WakeRandomSubset(std::uint32_t n, std::uint32_t count,
-                            Time window, Rng& rng) {
+                            double window, Rng& rng,
+                            const std::vector<bool>& failed) {
   CELECT_CHECK(count >= 1 && count <= n);
-  auto perm = rng.Permutation(n);
+  const std::vector<std::uint32_t> perm = rng.Permutation(n);
   WakeupPlan plan;
-  plan.wakeups.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Time at = window == Time::Zero()
-                  ? Time::Zero()
-                  : Time::FromTicks(static_cast<std::int64_t>(
-                        rng.NextBelow(window.ticks() + 1)));
-    plan.wakeups.emplace_back(perm[i], at);
+  for (NodeId node : perm) {
+    if (!Alive(failed, node)) continue;
+    const Time at = window <= 0.0
+                        ? Time::Zero()
+                        : Time::FromDouble(window * rng.NextDouble());
+    plan.wakeups.emplace_back(node, at);
+    if (plan.wakeups.size() == count) break;
   }
+  CELECT_CHECK(plan.wakeups.size() == count) << "no live base node available";
   return plan;
 }
 
-WakeupPlan WakeStaggeredChain(std::uint32_t n, Time spacing) {
+WakeupPlan WakeStaggeredChain(std::uint32_t n, double spacing,
+                              const std::vector<bool>& failed) {
   WakeupPlan plan;
-  plan.wakeups.reserve(n);
   for (NodeId i = 0; i < n; ++i) {
-    plan.wakeups.emplace_back(i, spacing * static_cast<std::int64_t>(i));
+    if (Alive(failed, i)) {
+      plan.wakeups.emplace_back(i, Time::FromDouble(spacing * i));
+    }
   }
   return plan;
 }

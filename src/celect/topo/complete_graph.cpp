@@ -17,17 +17,6 @@ std::uint64_t CompleteGraph::edge_count() const {
   return n * (n - 1) / 2;
 }
 
-std::vector<std::pair<Position, Position>> CompleteGraph::Edges() const {
-  std::vector<std::pair<Position, Position>> edges;
-  edges.reserve(edge_count());
-  for (Position u = 0; u < ring_.n(); ++u) {
-    for (Position v = u + 1; v < ring_.n(); ++v) {
-      edges.emplace_back(u, v);
-    }
-  }
-  return edges;
-}
-
 std::string CompleteGraph::ValidateSenseOfDirection(
     celect::sim::PortMapper& mapper) const {
   std::ostringstream err;

@@ -2,14 +2,13 @@
 //
 // Figure 1 of the paper shows a six-node complete network whose edges are
 // labelled with Hamiltonian-cycle distances. CompleteGraph provides the
-// structural view of such a network — edge enumeration, labelling rules,
+// structural view of such a network — edge count, labelling rules,
 // and validators that check a PortMapper really implements a sense of
 // direction (used by tests and the E1 bench).
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "celect/sim/port_mapper.h"
 #include "celect/topo/ring_math.h"
@@ -23,9 +22,6 @@ class CompleteGraph {
   std::uint32_t n() const { return ring_.n(); }
   std::uint64_t edge_count() const;
   const RingMath& ring() const { return ring_; }
-
-  // All unordered edges {u, v}, u < v.
-  std::vector<std::pair<Position, Position>> Edges() const;
 
   // Checks that `mapper` is a consistent sense of direction:
   //  (1) port d at u leads to u[d];

@@ -14,58 +14,11 @@ Position RingMath::At(Position pos, Distance d) const {
       (static_cast<std::uint64_t>(pos) + d) % n_);
 }
 
-Distance RingMath::DistanceBetween(Position from, Position to) const {
-  CELECT_DCHECK(from < n_ && to < n_);
-  return to >= from ? to - from : n_ - (from - to);
-}
-
-std::vector<Position> RingMath::Segment(Position pos, Distance lo,
-                                        Distance hi) const {
-  CELECT_CHECK(lo <= hi);
-  CELECT_CHECK(hi - lo + 1 <= n_) << "segment longer than the ring";
-  std::vector<Position> out;
-  out.reserve(hi - lo + 1);
-  for (Distance d = lo; d <= hi; ++d) out.push_back(At(pos, d));
-  return out;
-}
-
-std::vector<Position> RingMath::Strided(Position pos,
-                                        Distance stride) const {
-  CELECT_CHECK(stride > 0);
-  CELECT_CHECK(Divides(stride)) << "stride " << stride
-                                << " must divide N=" << n_;
-  std::vector<Position> out;
-  out.reserve(n_ / stride - 1);
-  for (Distance d = stride; d <= n_ - stride; d += stride) {
-    out.push_back(At(pos, d));
-  }
-  return out;
-}
-
-std::vector<Position> RingMath::ResidueClass(Position ref, Distance j,
-                                             Distance k) const {
-  CELECT_CHECK(k > 0 && Divides(k));
-  CELECT_CHECK(j < k);
-  std::vector<Position> out;
-  out.reserve(n_ / k);
-  for (Distance d = j; d < n_; d += k) out.push_back(At(ref, d));
-  return out;
-}
-
-bool RingMath::Divides(Distance stride) const {
-  return stride > 0 && n_ % stride == 0;
-}
-
 std::uint32_t RingMath::FloorPow2(std::uint32_t x) {
   CELECT_CHECK(x >= 1);
   std::uint32_t p = 1;
   while (p <= x / 2) p *= 2;
   return p;
-}
-
-std::uint32_t RingMath::CeilPow2(std::uint32_t x) {
-  std::uint32_t p = FloorPow2(x);
-  return p == x ? p : p * 2;
 }
 
 std::uint32_t RingMath::FloorLog2(std::uint32_t x) {

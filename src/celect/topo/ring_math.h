@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace celect::topo {
 
@@ -27,33 +26,8 @@ class RingMath {
   // i[d]: position at distance d forward of pos. d may exceed N.
   Position At(Position pos, Distance d) const;
 
-  // Distance from `from` forward to `to` (the label of the edge
-  // from→to under sense of direction). 0 iff from == to.
-  Distance DistanceBetween(Position from, Position to) const;
-
-  // i[lo..hi]: the hi-lo+1 positions at forward distances lo..hi.
-  std::vector<Position> Segment(Position pos, Distance lo,
-                                Distance hi) const;
-
-  // {i[stride], i[2*stride], ..., i[N - stride]}: protocol A/C's capture
-  // targets. Requires stride to divide N.
-  std::vector<Position> Strided(Position pos, Distance stride) const;
-
-  // R_j relative to reference node at position `ref` with stride k:
-  // {ref[j + k], ref[j + 2k], ..., ref[j + N - k]} ∪ {ref[j]} — the
-  // residue class of positions congruent to ref + j modulo k (paper §3,
-  // second phase of protocol C).
-  std::vector<Position> ResidueClass(Position ref, Distance j,
-                                     Distance k) const;
-
-  // True iff stride divides N (protocol C requires this for the residue
-  // partition to be exact).
-  bool Divides(Distance stride) const;
-
   // Largest power of two ≤ x (≥ 1 for x ≥ 1).
   static std::uint32_t FloorPow2(std::uint32_t x);
-  // Smallest power of two ≥ x.
-  static std::uint32_t CeilPow2(std::uint32_t x);
   // ⌈log2 x⌉ for x ≥ 1.
   static std::uint32_t CeilLog2(std::uint32_t x);
   // ⌊log2 x⌋ for x ≥ 1.

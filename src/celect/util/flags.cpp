@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "celect/util/text.h"
+
 namespace celect {
 
 namespace {
@@ -61,12 +63,9 @@ std::int64_t Flags::GetInt(const std::string& name, std::int64_t fallback,
   help_entries_.push_back({name, std::to_string(fallback), help});
   auto raw = Raw(name);
   if (!raw) return fallback;
-  char* end = nullptr;
-  long long v = std::strtoll(raw->c_str(), &end, 10);
-  if (end == raw->c_str() || *end != '\0') {
-    Die("--" + name + " expects an integer, got '" + *raw + "'");
-  }
-  return v;
+  const auto v = ParseNumber<std::int64_t>(*raw);
+  if (!v) Die("--" + name + " expects an integer, got '" + *raw + "'");
+  return *v;
 }
 
 double Flags::GetDouble(const std::string& name, double fallback,

@@ -123,15 +123,4 @@ double BoundConstant(const std::vector<double>& xs,
   return worst;
 }
 
-double Percentile(std::vector<double> values, double p) {
-  CELECT_CHECK(!values.empty());
-  CELECT_CHECK(p >= 0.0 && p <= 100.0);
-  std::sort(values.begin(), values.end());
-  double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-  std::size_t lo = static_cast<std::size_t>(rank);
-  std::size_t hi = std::min(lo + 1, values.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
 }  // namespace celect

@@ -65,7 +65,4 @@ double FitLogSlope(const std::vector<double>& xs,
 double BoundConstant(const std::vector<double>& xs,
                      const std::vector<double>& ys, double (*f)(double));
 
-// Simple percentile over a copy of the data (p in [0,100]).
-double Percentile(std::vector<double> values, double p);
-
 }  // namespace celect

@@ -2,6 +2,9 @@
 // (paper §1/§6 equivalences).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "celect/apps/global_function.h"
 #include "celect/apps/spanning_tree.h"
 #include "celect/proto/nosod/protocol_g.h"
@@ -42,6 +45,26 @@ TEST(SpanningTree, BuildsATreeOverProtocolC) {
   }
   EXPECT_EQ(roots, 1u);
   EXPECT_EQ(joined, n - 1);
+}
+
+TEST(SpanningTree, CarriesTheElectionsPhaseRows) {
+  // The app wrapper forwards phase spans, so a tree over C reports the
+  // rows C alone reports: capture1, capture2, doubling.1, doubling.2.
+  RunOptions o;
+  o.n = 16;
+  o.mapper = MapperKind::kSenseOfDirection;
+  const sim::RunResult plain = harness::RunElection(ElectionC(), o);
+  const sim::RunResult tree =
+      harness::RunElection(MakeSpanningTree(ElectionC()), o);
+  const auto keys = [](const sim::RunResult& r) {
+    std::vector<std::string> out;
+    for (const auto& [key, agg] : r.phases) out.push_back(key);
+    return out;
+  };
+  EXPECT_EQ(keys(plain), (std::vector<std::string>{
+                             "capture1", "capture2", "doubling.1",
+                             "doubling.2"}));
+  EXPECT_EQ(keys(tree), keys(plain));
 }
 
 TEST(SpanningTree, BuildsOverProtocolGWithoutSod) {

@@ -25,6 +25,37 @@ class InstantWinner : public sim::Process {
   std::vector<std::uint16_t> seen;
 };
 
+// Records the crash hints and revivals the wrapper hands down; a
+// revived node declares at once, so the wrapper's interception shows.
+class HookRecorder : public sim::Process {
+ public:
+  void OnWakeup(sim::Context&) override {}
+  void OnMessage(sim::Context&, Port, const wire::Packet&) override {}
+  void OnPeerSuspected(sim::Context&, Port port) override {
+    suspected.push_back(port);
+  }
+  void OnRejoin(sim::Context& ctx) override {
+    ++rejoins;
+    ctx.DeclareLeader();
+  }
+  std::vector<Port> suspected;
+  int rejoins = 0;
+};
+
+TEST(AppBaseUnit, CrashHintsAndRejoinsReachTheInnerProcess) {
+  auto inner = std::make_unique<HookRecorder>();
+  auto* inner_view = inner.get();
+  SpanningTreeProcess app(std::move(inner));
+  MockContext ctx(1, 2, 8);
+  app.OnPeerSuspected(ctx, 3);
+  app.OnPeerSuspected(ctx, 5);
+  EXPECT_EQ(inner_view->suspected, (std::vector<Port>{3, 5}));
+  app.OnRejoin(ctx);
+  EXPECT_EQ(inner_view->rejoins, 1);
+  EXPECT_EQ(ctx.leader_declarations(), 1u);
+  EXPECT_TRUE(app.leader_here());
+}
+
 TEST(AppBaseUnit, ProtocolTrafficPassesThroughToInner) {
   auto inner = std::make_unique<InstantWinner>();
   auto* inner_view = inner.get();

@@ -193,7 +193,9 @@ TEST(ExplorerBugHunt, CounterexampleReplaysBitForBit) {
   ASSERT_FALSE(res.ok());
 
   // The emitted choice string round-trips and reproduces the violation.
-  const auto choices = ScheduleFromString(res.counterexample->schedule);
+  const auto parsed = ScheduleFromString(res.counterexample->schedule);
+  ASSERT_TRUE(parsed.has_value());
+  const std::vector<std::uint32_t>& choices = *parsed;
   EXPECT_EQ(choices, res.counterexample->choices);
   ReplayOutcome a = ReplaySchedule(MakeBrokenToy(), SmallNetwork(4), choices,
                                    opt.invariants);
@@ -237,13 +239,26 @@ TEST(ScheduleCodec, RoundTrips) {
   EXPECT_EQ(ScheduleFromString("2.0.1.15"), c);
 }
 
+TEST(ScheduleCodec, RejectsMalformedStrings) {
+  // Every token must be a plain decimal uint32: no stray characters,
+  // signs, spaces, empty tokens or values past 2^32 - 1.
+  for (const char* bad : {"1.x", "-1.3x", "4294967296.1", "1..2", ".", "1.",
+                          ".1", "+1", " 1", "1 ", "0x1", "-1"}) {
+    EXPECT_FALSE(ScheduleFromString(bad).has_value()) << '"' << bad << '"';
+  }
+  const std::vector<std::uint32_t> max{4294967295u, 0};
+  EXPECT_EQ(ScheduleFromString("4294967295.0"), max);
+}
+
 TEST(ScheduleCodec, AnyStringIsAValidSchedule) {
   // Out-of-range and too-long choice strings clamp instead of crashing,
   // so a repro pasted from a different build still replays.
-  ReplayOutcome out = ReplaySchedule(
-      proto::nosod::MakeProtocolD(), SmallNetwork(3),
-      ScheduleFromString("99.99.99.99.99.99.99.99.99.99.99.99.99.99"),
-      ExploreInvariants());
+  const auto choices =
+      ScheduleFromString("99.99.99.99.99.99.99.99.99.99.99.99.99.99");
+  ASSERT_TRUE(choices.has_value());
+  ReplayOutcome out = ReplaySchedule(proto::nosod::MakeProtocolD(),
+                                     SmallNetwork(3), *choices,
+                                     ExploreInvariants());
   EXPECT_EQ(out.result.leader_declarations, 1u);
   EXPECT_TRUE(out.violations.empty());
 }

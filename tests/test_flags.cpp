@@ -49,6 +49,15 @@ TEST(Flags, NegativeAndDoubleValues) {
   EXPECT_DOUBLE_EQ(f.GetDouble("b", 0, ""), 0.25);
 }
 
+TEST(FlagsDeathTest, IntegerOutOfRangeOrSpacedDies) {
+  // An integer flag is the whole value in range: an overflow must not
+  // saturate silently, and a stray space is not part of a number.
+  EXPECT_DEATH(Make({"--k=99999999999999999999"}).GetInt("k", 0, ""),
+               "expects an integer");
+  EXPECT_DEATH(Make({"--k= 7"}).GetInt("k", 0, ""), "expects an integer");
+  EXPECT_DEATH(Make({"--k=7x"}).GetInt("k", 0, ""), "expects an integer");
+}
+
 TEST(Flags, PositionalCollected) {
   Flags f = Make({"pos1", "--n=2", "pos2"});
   ASSERT_EQ(f.positional().size(), 2u);

@@ -383,7 +383,7 @@ std::uint64_t StridedMeshDigest(std::uint64_t seed) {
           st.sessions.out_of_order, st.sessions.stale_epoch,
           st.sessions.frame_errors, st.sessions.decode_errors,
           st.sessions.peer_restarts, st.sessions.suspicions,
-          st.sessions.rtt_count, st.sessions.rtt_sum_us}) {
+          st.sessions.rtt_us.count(), st.sessions.rtt_us.sum()}) {
       fold(v);
     }
     // Both in arrival order across the node's sessions, so they see

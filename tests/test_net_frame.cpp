@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <span>
 #include <string>
@@ -16,6 +17,8 @@
 #include "celect/net/datagram.h"
 #include "celect/net/frame.h"
 #include "celect/util/rng.h"
+#include "celect/wire/packet_codec.h"
+#include "celect/wire/varint.h"
 
 namespace celect::net {
 namespace {
@@ -330,22 +333,48 @@ std::vector<std::uint8_t> Bytes(std::span<const std::uint8_t> s) {
 }
 
 TEST(NetDatagramPool, DatagramsLongerThanASlotRoundTrip) {
+  // A slot holds the longest session frame inline; nothing longer is
+  // ever carried, so storing it is a bug.
   Rng rng(41);
   DatagramPool pool;
-  for (std::size_t len : {0, 1, 127, 128, 129, 300, 4'000}) {
+  for (std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{128},
+                          std::size_t{129}, kMaxDatagramBytes}) {
     std::vector<std::uint8_t> dgram(len);
     for (auto& b : dgram) b = static_cast<std::uint8_t>(rng.NextBelow(256));
     const DatagramPool::Handle h = pool.Store(dgram);
     EXPECT_EQ(Bytes(pool.bytes(h)), dgram) << "length " << len;
-    // The slot, and any spill buffer it took, serve the next datagram.
     pool.Release(h);
   }
-  const std::vector<std::uint8_t> longer(600, 0xAB);
+  const std::vector<std::uint8_t> longest(kMaxDatagramBytes, 0xAB);
   const std::vector<std::uint8_t> shorter = {1, 2, 3};
-  const DatagramPool::Handle a = pool.Store(longer);
+  const DatagramPool::Handle a = pool.Store(longest);
   const DatagramPool::Handle b = pool.Store(shorter);
-  EXPECT_EQ(Bytes(pool.bytes(a)), longer);
+  EXPECT_EQ(Bytes(pool.bytes(a)), longest);
   EXPECT_EQ(Bytes(std::as_const(pool).bytes(b)), shorter);
+  const std::vector<std::uint8_t> too_long(kMaxDatagramBytes + 1, 0);
+  EXPECT_DEATH(pool.Store(too_long), "longer than any session frame");
+}
+
+TEST(NetDatagramPool, LongestSessionFrameFillsASlot) {
+  // The bound is tight: a Data frame whose six session-header varints
+  // and packet fields all take ten bytes is exactly kMaxDatagramBytes.
+  std::vector<std::uint8_t> head;
+  for (int i = 0; i < 6; ++i) {
+    wire::PutVarint(head, std::numeric_limits<std::uint64_t>::max());
+  }
+  wire::Packet p;
+  p.type = std::numeric_limits<std::uint16_t>::max();
+  for (std::size_t i = 0; i < wire::kMaxPacketFields; ++i) {
+    p.fields.push_back(std::numeric_limits<std::int64_t>::min());
+  }
+  const std::vector<std::uint8_t> body = wire::Encode(p);
+  EXPECT_EQ(body.size(), kMaxPacketBytes);
+  std::vector<std::uint8_t> frame;
+  EncodeFrame(FrameKind::kData, head.data(), head.size(), body.data(),
+              body.size(), frame);
+  EXPECT_EQ(frame.size(), kMaxDatagramBytes);
+  DatagramPool pool;
+  EXPECT_EQ(Bytes(pool.bytes(pool.Store(frame))), frame);
 }
 
 TEST(NetDatagramPool, HeldBytesSurviveGrowthPastChunkBoundaries) {
@@ -353,7 +382,7 @@ TEST(NetDatagramPool, HeldBytesSurviveGrowthPastChunkBoundaries) {
   // own flush stores new datagrams; the slot must not move meanwhile.
   DatagramPool pool;
   const std::vector<std::uint8_t> early = {9, 8, 7, 6, 5};
-  const std::vector<std::uint8_t> early_long(200, 0x5A);
+  const std::vector<std::uint8_t> early_long(kMaxDatagramBytes, 0x5A);
   const DatagramPool::Handle h = pool.Store(early);
   const DatagramPool::Handle h_long = pool.Store(early_long);
   const std::span<const std::uint8_t> held = pool.bytes(h);
@@ -361,7 +390,8 @@ TEST(NetDatagramPool, HeldBytesSurviveGrowthPastChunkBoundaries) {
   const std::size_t slots_before = pool.slots();
   std::vector<DatagramPool::Handle> later;
   for (int i = 0; i < 1'000; ++i) {
-    std::vector<std::uint8_t> d(1 + i % 200, static_cast<std::uint8_t>(i));
+    std::vector<std::uint8_t> d(1 + i % kMaxDatagramBytes,
+                               static_cast<std::uint8_t>(i));
     later.push_back(pool.Store(d));
   }
   EXPECT_GT(pool.slots(), 8 * slots_before) << "no chunk boundary crossed";
@@ -370,7 +400,7 @@ TEST(NetDatagramPool, HeldBytesSurviveGrowthPastChunkBoundaries) {
   EXPECT_EQ(pool.bytes(h).data(), held.data());
   for (int i = 0; i < 1'000; ++i) {
     const auto d = pool.bytes(later[i]);
-    ASSERT_EQ(d.size(), 1u + i % 200);
+    ASSERT_EQ(d.size(), 1u + i % kMaxDatagramBytes);
     EXPECT_TRUE(std::all_of(d.begin(), d.end(), [i](std::uint8_t b) {
       return b == static_cast<std::uint8_t>(i);
     }));

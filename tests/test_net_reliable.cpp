@@ -478,8 +478,8 @@ TEST(NetReliable, RttSampleCapTruncatesVisibly) {
   // counted, and the histogram keeps absorbing every sample.
   EXPECT_EQ(st.rtt_samples.size(), 8u);
   EXPECT_GT(st.rtt_samples_dropped, 0u);
-  EXPECT_EQ(st.rtt_samples.size() + st.rtt_samples_dropped, st.rtt_count);
-  EXPECT_EQ(st.rtt_us.count(), st.rtt_count);
+  EXPECT_EQ(st.rtt_samples.size() + st.rtt_samples_dropped,
+            st.rtt_us.count());
 }
 
 TEST(NetReliable, SessionsOfOneEndpointShareItsStatsButNotTheRttCap) {
@@ -546,7 +546,7 @@ TEST(NetReliable, SessionsOfOneEndpointShareItsStatsButNotTheRttCap) {
   const SessionStats& st = hub.stats;
   EXPECT_EQ(st.data_sent, 2u * kPackets);
   EXPECT_EQ(st.data_retransmits, 0u);
-  EXPECT_EQ(st.rtt_count, 2u * kPackets);
+  EXPECT_EQ(st.rtt_us.count(), 2u * kPackets);
   EXPECT_EQ(st.rtt_us.count(), 2u * kPackets);
   // Each session keeps its own first three samples.
   EXPECT_EQ(st.rtt_samples.size(), 2 * sp.rtt_sample_cap);

@@ -31,8 +31,36 @@ TEST(SodPortMapper, FreshPortsScanInDistanceOrder) {
 TEST(SodPortMapper, TraversalIsPerNode) {
   SodPortMapper m(4);
   m.MarkTraversed(0, 1);
-  EXPECT_TRUE(m.IsTraversed(0, 1));
-  EXPECT_FALSE(m.IsTraversed(1, 1));
+  EXPECT_EQ(m.FreshPort(0), Port{2});
+  EXPECT_EQ(m.FreshPort(1), Port{1});
+}
+
+// Past kDenseMaxN nodes the traversed ports live in a PairMap set;
+// FreshPort must see exactly what MarkTraversed put there, per node.
+void CheckSparseTraversal(PortMapper& m) {
+  const std::uint32_t n = m.n();
+  ASSERT_EQ(n, kDenseMaxN + 1);
+  EXPECT_EQ(m.FreshPort(0), Port{1});
+  for (Port p = 1; p <= 2'000; ++p) m.MarkTraversed(7, p);
+  m.MarkTraversed(7, 2'002);
+  m.MarkTraversed(7, 2'002);  // marking twice changes nothing
+  EXPECT_EQ(m.FreshPort(7), Port{2'001});
+  m.MarkTraversed(7, 2'001);
+  EXPECT_EQ(m.FreshPort(7), Port{2'003});
+  EXPECT_EQ(m.FreshPort(8), Port{1});
+  for (Port p = n - 1; p >= 1; --p) m.MarkTraversed(n - 1, p);
+  EXPECT_FALSE(m.FreshPort(n - 1).has_value());
+  EXPECT_EQ(m.FreshPort(7), Port{2'003});
+}
+
+TEST(SodPortMapper, SparseTraversalPastTheDenseCeiling) {
+  SodPortMapper m(kDenseMaxN + 1);
+  CheckSparseTraversal(m);
+}
+
+TEST(RandomPortMapper, SparseTraversalPastTheDenseCeiling) {
+  RandomPortMapper m(kDenseMaxN + 1, /*seed=*/3);
+  CheckSparseTraversal(m);
 }
 
 TEST(RandomPortMapper, ResolveAndPortTowardAreInverse) {

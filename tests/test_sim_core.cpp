@@ -117,6 +117,35 @@ TEST(LinkTable, ReverseDirectionUnaffectedByForwardLoad) {
   EXPECT_EQ(back, Time::FromUnits(1));
 }
 
+TEST(LinkTable, SparseTablePastTheDenseCeiling) {
+  // Past kDenseMaxN nodes the per-link state lives in a PairMap. 3,000
+  // links outgrow its first 1,024 slots twice; each keeps its own FIFO
+  // backlog, sent count and in-flight count through the rehashes.
+  const std::uint32_t n = kDenseMaxN + 1;
+  LinkTable links(n);
+  const NodeId hub = n - 1;
+  constexpr NodeId kLinks = 3'000;
+  for (NodeId to = 0; to < kLinks; ++to) {
+    for (NodeId i = 0; i <= to % 3; ++i) {
+      ASSERT_EQ(Send(links, hub, to, Time::Zero(), {kUnit, kUnit}).arrival,
+                Time::FromUnits(i + 1));
+    }
+  }
+  EXPECT_EQ(links.MaxLinkLoad(), 3u);
+  EXPECT_EQ(links.MaxLinkInflight(), 3u);
+  for (NodeId to = 0; to < kLinks; ++to) {
+    ASSERT_EQ(SentCount(links, hub, to), to % 3 + 1u);
+    ASSERT_EQ(SentCount(links, to, hub), 0u);
+    for (NodeId i = 0; i <= to % 3; ++i) links.NotifyDelivered(hub, to);
+  }
+  EXPECT_DEATH(links.NotifyDelivered(hub, 0), "nothing in flight");
+  // A drained link still orders new traffic after its last arrival.
+  EXPECT_EQ(Send(links, hub, 2, Time::Zero(), {kUnit, kUnit}).arrival,
+            Time::FromUnits(4));
+  EXPECT_EQ(links.MaxLinkLoad(), 4u);
+  EXPECT_EQ(links.MaxLinkInflight(), 3u);
+}
+
 TEST(LinkTable, InjectedLossCountsAsSentButNeverArrives) {
   LinkTable links(4);
   links.EnableFaults({/*loss=*/1.0, 0.0, 0.0}, /*seed=*/7);
@@ -277,24 +306,43 @@ TEST(DelayModel, FunctionModelIsScriptable) {
 TEST(WakeupPlan, AllAtZeroCoversEveryNode) {
   auto plan = WakeAllAtZero(8);
   EXPECT_EQ(plan.base_count(), 8u);
-  EXPECT_EQ(plan.LastWakeup(), Time::Zero());
+  for (const auto& [node, at] : plan.wakeups) EXPECT_EQ(at, Time::Zero());
+  // Initially-failed nodes never wake.
+  std::vector<bool> failed(8, false);
+  failed[0] = failed[5] = true;
+  plan = WakeAllAtZero(8, failed);
+  ASSERT_EQ(plan.base_count(), 6u);
+  for (const auto& [node, at] : plan.wakeups) EXPECT_FALSE(failed[node]);
 }
 
 TEST(WakeupPlan, StaggeredChainSpacing) {
-  auto plan = WakeStaggeredChain(4, Time::FromDouble(0.9));
+  auto plan = WakeStaggeredChain(4, 0.9);
   ASSERT_EQ(plan.wakeups.size(), 4u);
   EXPECT_EQ(plan.wakeups[0].second, Time::Zero());
   EXPECT_NEAR(plan.wakeups[3].second.ToDouble(), 2.7, 1e-5);
+  // A failed node leaves a gap; the others keep their ring slot.
+  plan = WakeStaggeredChain(4, 0.9, {false, true, false, false});
+  ASSERT_EQ(plan.wakeups.size(), 3u);
+  EXPECT_EQ(plan.wakeups[1].first, 2u);
+  EXPECT_NEAR(plan.wakeups[1].second.ToDouble(), 1.8, 1e-5);
 }
 
 TEST(WakeupPlan, RandomSubsetRespectsCountAndWindow) {
   Rng rng(5);
-  auto plan = WakeRandomSubset(100, 10, Time::FromUnits(3), rng);
+  auto plan = WakeRandomSubset(100, 10, 3.0, rng);
   EXPECT_EQ(plan.base_count(), 10u);
+  std::set<NodeId> nodes;
   for (const auto& [node, at] : plan.wakeups) {
     EXPECT_LT(node, 100u);
+    EXPECT_TRUE(nodes.insert(node).second);
     EXPECT_LE(at, Time::FromUnits(3));
   }
+  // With all but ten nodes failed, exactly the live ten wake.
+  std::vector<bool> failed(100, true);
+  for (NodeId i = 0; i < 100; i += 10) failed[i] = false;
+  plan = WakeRandomSubset(100, 10, 3.0, rng, failed);
+  ASSERT_EQ(plan.base_count(), 10u);
+  for (const auto& [node, at] : plan.wakeups) EXPECT_EQ(node % 10, 0u);
 }
 
 TEST(Identities, AscendingAndRandomAreUniquePermutations) {

@@ -125,16 +125,5 @@ TEST(BoundConstant, FindsWorstRatio) {
   EXPECT_NEAR(c, 3.0, 1e-12);  // 90/30
 }
 
-TEST(Percentile, OrderStatistics) {
-  std::vector<double> v{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  EXPECT_DOUBLE_EQ(Percentile(v, 0), 1.0);
-  EXPECT_DOUBLE_EQ(Percentile(v, 100), 10.0);
-  EXPECT_DOUBLE_EQ(Percentile(v, 50), 5.5);
-}
-
-TEST(Percentile, SingleElement) {
-  EXPECT_DOUBLE_EQ(Percentile({42.0}, 37.0), 42.0);
-}
-
 }  // namespace
 }  // namespace celect

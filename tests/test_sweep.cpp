@@ -17,6 +17,7 @@
 #include "celect/harness/sweep.h"
 #include "celect/proto/nosod/protocol_d.h"
 #include "celect/proto/nosod/protocol_e.h"
+#include "celect/util/text.h"
 
 namespace celect::harness {
 namespace {
