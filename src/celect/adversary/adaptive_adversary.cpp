@@ -35,24 +35,6 @@ NeighborChooser UpFirstStrategy(std::uint32_t n, std::uint32_t k) {
   };
 }
 
-NeighborChooser RandomStrategy(std::uint32_t n, std::uint64_t seed) {
-  auto rng = std::make_shared<Rng>(seed);
-  return [n, rng](NodeId node,
-                  const std::function<bool(NodeId)>& unbound) -> NodeId {
-    // Rejection-sample first (fast while the graph is sparse), then scan.
-    for (int tries = 0; tries < 32; ++tries) {
-      NodeId v = static_cast<NodeId>(rng->NextBelow(n));
-      if (v != node && unbound(v)) return v;
-    }
-    std::vector<NodeId> avail;
-    for (NodeId v = 0; v < n; ++v) {
-      if (v != node && unbound(v)) avail.push_back(v);
-    }
-    CELECT_CHECK(!avail.empty());
-    return avail[rng->NextBelow(avail.size())];
-  };
-}
-
 NeighborChooser FunnelStrategy(std::uint32_t n, sim::NodeId victim) {
   CELECT_CHECK(victim < n);
   return [n, victim](NodeId node,
@@ -108,16 +90,6 @@ Port AdaptiveAdversaryMapper::PortToward(NodeId node, NodeId neighbor) {
   auto it = s.neighbor_to_port.find(neighbor);
   if (it != s.neighbor_to_port.end()) return it->second;
   return Bind(node, neighbor);
-}
-
-std::optional<Port> AdaptiveAdversaryMapper::FreshPort(NodeId node) {
-  CELECT_CHECK(node < n_);
-  const NodeState& s = state_[node];
-  // Fresh = untraversed in either direction. Arrivals bind and traverse
-  // their port, so every never-allocated port is fresh, and those are
-  // exactly where the adversary still has freedom.
-  if (s.next_port <= n_ - 1) return s.next_port;
-  return std::nullopt;
 }
 
 std::uint32_t AdaptiveAdversaryMapper::BoundDegree(NodeId node) const {

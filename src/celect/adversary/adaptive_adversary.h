@@ -11,18 +11,18 @@
 //
 // AdaptiveAdversaryMapper implements exactly that lazy binding; a
 // pluggable strategy selects the neighbour, with UpFirst as the paper's
-// choice and RandomStrategy as a control.
+// choice. A node's never-bound ports are handed out in number order: a
+// send on an unbound port must use the smallest one, and the adversary
+// decides at that moment where it leads.
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "celect/sim/port_mapper.h"
 #include "celect/sim/types.h"
-#include "celect/util/rng.h"
 
 namespace celect::adversary {
 
@@ -36,9 +36,6 @@ using NeighborChooser = std::function<sim::NodeId(
 // (descending), then everything else in ascending order. k is the
 // neighbourhood radius (k = 2d for a message budget of Nd).
 NeighborChooser UpFirstStrategy(std::uint32_t n, std::uint32_t k);
-
-// Control strategy: uniformly random unbound neighbour.
-NeighborChooser RandomStrategy(std::uint32_t n, std::uint64_t seed);
 
 // Funnel strategy: every node's first fresh edge leads to `victim`
 // (then ascending fallback). This concentrates all first captures on one
@@ -55,10 +52,6 @@ class AdaptiveAdversaryMapper : public sim::PortMapper {
   bool HasSenseOfDirection() const override { return false; }
   sim::NodeId Resolve(sim::NodeId node, sim::Port port) override;
   sim::Port PortToward(sim::NodeId node, sim::NodeId neighbor) override;
-  std::optional<sim::Port> FreshPort(sim::NodeId node) override;
-  // Binding is the adversary's only record of use: FreshPort serves the
-  // never-bound ports, so a traversal adds nothing to track.
-  void MarkTraversed(sim::NodeId, sim::Port) override {}
 
   // Diagnostics for the lower-bound experiment: how many distinct
   // neighbours each node actually communicated with, and the maximum

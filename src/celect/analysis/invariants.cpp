@@ -155,24 +155,22 @@ void InvariantRegistry::AfterEvent(sim::NodeId target,
   }
   st.was_failed = !alive;
   CheckLeader(in);
-  if (alive && (opt_.monotone_observables || opt_.at_most_one_lease_holder)) {
+  if (alive) {
     const sim::ProtocolObservables& obs = in.Observed(target);
-    if (opt_.monotone_observables) CheckMonotone(target, in, obs);
-    if (opt_.at_most_one_lease_holder) CheckLease(target, in, &obs);
-  } else if (!alive && opt_.at_most_one_lease_holder) {
+    CheckMonotone(target, in, obs);
+    CheckLease(target, in, &obs);
+  } else {
     CheckLease(target, in, nullptr);
   }
-  if (opt_.message_conservation) CheckConservation(in);
+  CheckConservation(in);
 }
 
 void InvariantRegistry::AtQuiescence(const sim::RunInspect& in) {
-  if (opt_.message_conservation) {
-    CheckConservation(in);
-    if (in.deliveries_inflight != 0) {
-      std::ostringstream os;
-      os << in.deliveries_inflight << " deliveries in flight at quiescence";
-      Violate(in, kInvConservation, os.str());
-    }
+  CheckConservation(in);
+  if (in.deliveries_inflight != 0) {
+    std::ostringstream os;
+    os << in.deliveries_inflight << " deliveries in flight at quiescence";
+    Violate(in, kInvConservation, os.str());
   }
   if (!opt_.quiescence_termination) return;
   if (in.metrics->leader_declarations() == 0) {

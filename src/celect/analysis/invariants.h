@@ -28,6 +28,9 @@
 //                      declared and no node still claims to be mid-
 //                      pursuit (quiescence implies termination).
 //
+// monotone, lease_overlap and conservation are always checked; the
+// other three are InvariantOptions.
+//
 // Violations are recorded as human-readable strings (capped) and as
 // per-cause tallies in the run's Metrics, surfacing in
 // RunResult::counters as "invariant.<kind>" — mirroring the per-cause
@@ -58,11 +61,6 @@ struct InvariantOptions {
   // Requires a configuration where the max-id node participates and
   // cannot crash; enable for fault-free all-base runs only.
   bool leader_is_max_id = false;
-  bool monotone_observables = true;
-  bool message_conservation = true;
-  // At most one unexpired ProtocolObservables::lease claim across live
-  // nodes after every event. Free for protocols that publish no claims.
-  bool at_most_one_lease_holder = true;
   // Quiescence-implies-termination: at quiescence a leader exists and
   // every live node reporting a termination claim reports true. Enable
   // for fault-free runs (a protocol pushed past its fault tolerance may

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "celect/adversary/adaptive_adversary.h"
 #include "celect/sim/network.h"
 #include "celect/util/check.h"
 #include "celect/util/logging.h"
@@ -56,10 +55,6 @@ sim::NetworkConfig BuildNetwork(const RunOptions& options) {
     case MapperKind::kRandom:
       config.mapper = sim::MakeRandomMapper(options.n,
                                             rng.Split(3).Next());
-      break;
-    case MapperKind::kUpAdversary:
-      config.mapper =
-          adversary::MakeUpFirstMapper(options.n, options.adversary_k);
       break;
   }
 
@@ -131,7 +126,6 @@ sim::RuntimeOptions RuntimeOptionsFor(const RunOptions& options) {
   rt.enable_trace = options.enable_trace;
   rt.trace_cap = options.trace_cap;
   rt.enable_telemetry = options.enable_telemetry;
-  rt.serialize_packets = options.serialize_packets;
   return rt;
 }
 
@@ -164,9 +158,6 @@ std::string Describe(const RunOptions& o) {
       break;
     case MapperKind::kRandom:
       os << "random";
-      break;
-    case MapperKind::kUpAdversary:
-      os << "adversary(k=" << o.adversary_k << ")";
       break;
   }
   os << " delay=";

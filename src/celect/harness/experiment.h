@@ -13,8 +13,7 @@ namespace celect::harness {
 
 enum class MapperKind {
   kSenseOfDirection,
-  kRandom,       // fixed pseudo-random port permutation per node
-  kUpAdversary,  // §5 adaptive adversary (needs adversary_k)
+  kRandom,  // fixed pseudo-random port permutation per node
 };
 
 enum class DelayKind {
@@ -43,8 +42,6 @@ struct RunOptions {
   double wakeup_window = 0.0;        // units
   double stagger_spacing = 0.9;      // units, < 1 reproduces the pathology
   std::uint32_t failures = 0;        // random initially-crashed nodes
-  std::uint32_t adversary_k = 4;     // kUpAdversary radius
-  bool serialize_packets = false;
   bool enable_trace = false;
   // Trace record cap (RuntimeOptions::trace_cap); truncation surfaces as
   // counters["sim.trace_truncated"].

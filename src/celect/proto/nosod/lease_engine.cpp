@@ -161,9 +161,6 @@ class LeaseProcess : public sim::Process {
     void Send(Port port, wire::Packet p) override {
       real().Send(port, owner_.Wrap(std::move(p)));
     }
-    std::optional<Port> SendFresh(wire::Packet p) override {
-      return real().SendFresh(owner_.Wrap(std::move(p)));
-    }
     void SendAll(wire::Packet p) override {
       real().SendAll(owner_.Wrap(std::move(p)));
     }

@@ -41,7 +41,6 @@ void NodeCore::Receive(NodeId from, Port port, std::uint16_t type,
 void NodeCore::Deliver(Process& p, NodeId from, Port port,
                        const wire::Packet& packet, std::uint64_t send_clock,
                        std::uint64_t mid) {
-  stores_.mapper->MarkTraversed(self_, port);
   Receive(from, port, packet.type, send_clock, mid);
   p.OnMessage(*this, port, packet);
 }
@@ -86,17 +85,9 @@ void NodeCore::Send(Port port, wire::Packet p) {
   if (down_) return;
   CELECT_CHECK(port >= 1 && port <= n_ - 1)
       << "node " << self_ << " sent on invalid port " << port;
-  PortMapper& mapper = *stores_.mapper;
-  const NodeId to = mapper.Resolve(self_, port);
+  const NodeId to = stores_.mapper->Resolve(self_, port);
   CELECT_DCHECK(to != self_);
-  mapper.MarkTraversed(self_, port);
   Emit(to, port, std::move(p));
-}
-
-std::optional<Port> NodeCore::SendFresh(wire::Packet p) {
-  const std::optional<Port> port = stores_.mapper->FreshPort(self_);
-  if (port) Send(*port, std::move(p));
-  return port;
 }
 
 void NodeCore::SendAll(wire::Packet p) {

@@ -2,7 +2,7 @@
 //
 // NodeCore implements the paper's node model (§2: identity, N, local
 // ports) once for every driver. It owns the node's Lamport clock and
-// open phase spans, resolves and marks ports through the PortMapper,
+// open phase spans, resolves ports through the PortMapper,
 // mints message uids, stamps each TraceRecord with clock and phase, and
 // records protocol counters and timer tallies. How packets and time
 // actually move is the NodeHost's business: the simulator's Runtime and
@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -75,12 +74,12 @@ class NodeCore final : public Context {
 
   // Entry points the host calls.
   void Wakeup(Process& p);
-  // A protocol delivery: joins the clock, records kDeliver, marks the
-  // arrival port traversed and runs OnMessage.
+  // A protocol delivery: joins the clock, records kDeliver and runs
+  // OnMessage.
   void Deliver(Process& p, NodeId from, Port port, const wire::Packet& packet,
                std::uint64_t send_clock, std::uint64_t mid);
-  // A host-level arrival (no traversal mark, no OnMessage): joins the
-  // clock and records kDeliver.
+  // A host-level arrival (no OnMessage): joins the clock and records
+  // kDeliver.
   void Receive(NodeId from, Port port, std::uint16_t type,
                std::uint64_t send_clock, std::uint64_t mid);
   void FireTimer(Process& p, TimerId timer);
@@ -89,7 +88,7 @@ class NodeCore final : public Context {
   // Revives the node (unclocked) and runs OnRejoin on `p`.
   void Rejoin(Process& p);
   // Host traffic toward `to` (announce gossip): ticks, mints, records
-  // kSend and transmits, but marks no port traversed.
+  // kSend and transmits.
   void SendHost(NodeId to, wire::Packet packet);
   void CloseAllPhases();
   // Records a trace event stamped with this node's clock and innermost
@@ -105,7 +104,6 @@ class NodeCore final : public Context {
     return stores_.mapper->HasSenseOfDirection();
   }
   void Send(Port port, wire::Packet p) override;
-  std::optional<Port> SendFresh(wire::Packet p) override;
   void SendAll(wire::Packet p) override;
   TimerId SetTimer(Time delay) override;
   void CancelTimer(TimerId timer) override;

@@ -1,11 +1,10 @@
-// Per-pair state for the two structures probed on every send.
+// Per-pair storage for LinkTable, which keeps state per directed
+// (from, to) link and is probed on every send.
 //
-// LinkTable keeps state per directed (from, to) link and PortMapperBase
-// keeps the traversed (node, port) pairs. Both serve N <= kDenseMaxN
-// from their own flat N x N layout — one indexed load per probe, no
-// hashing — and larger N from a PairMap, so memory stays O(pairs
-// actually used): a million-node protocol-C run touches O(N log N)
-// pairs, not N².
+// LinkTable serves N <= kDenseMaxN from its own flat N x N layout — one
+// indexed load per probe, no hashing — and larger N from a PairMap, so
+// memory stays O(pairs actually used): a million-node protocol-C run
+// touches O(N log N) pairs, not N².
 #pragma once
 
 #include <cstddef>
@@ -17,14 +16,13 @@
 
 namespace celect::sim {
 
-// Largest N served by the dense per-pair layouts: LinkTable's N² x 16 B
+// Largest N served by LinkTable's dense layout: its N² x 16 B
 // tops out at 256 MB here, the deliberate ceiling.
 inline constexpr std::uint32_t kDenseMaxN = 4096;
 
 // An open-addressing map from a nonzero 64-bit pair key to a Value
 // (0 marks an empty slot): power-of-two capacity, linear probing from
-// SplitMix64 of the key, doubled at 3/4 load. An empty Value makes it
-// a set of 8-byte keys.
+// SplitMix64 of the key, doubled at 3/4 load.
 template <typename Value>
 class PairMap {
  public:
@@ -43,17 +41,10 @@ class PairMap {
     return e.value;
   }
 
-  // nullptr when `key` was never obtained.
-  const Value* Find(std::uint64_t key) const {
-    if (slots_.empty()) return nullptr;
-    const Entry& e = slots_[Probe(slots_, key)];
-    return e.key == key ? &e.value : nullptr;
-  }
-
  private:
   struct Entry {
     std::uint64_t key = 0;
-    [[no_unique_address]] Value value{};
+    Value value{};
   };
   static constexpr std::size_t kFirstCapacity = 1024;
 

@@ -5,40 +5,8 @@
 
 namespace celect::sim {
 
-PortMapperBase::PortMapperBase(std::uint32_t n) : n_(n), cursor_(n, 1) {
+SodPortMapper::SodPortMapper(std::uint32_t n) : n_(n) {
   CELECT_CHECK(n >= 2);
-  if (dense()) words_per_node_ = (n_ + 63) / 64;
-}
-
-bool PortMapperBase::Contains(NodeId node, Port port) const {
-  if (dense()) {
-    if (bits_.empty()) return false;
-    const std::uint64_t w = bits_[node * words_per_node_ + (port >> 6)];
-    return (w >> (port & 63)) & 1;
-  }
-  return sparse_.Find(Key(node, port)) != nullptr;
-}
-
-std::optional<Port> PortMapperBase::FreshPort(NodeId node) {
-  CELECT_DCHECK(node < n_);
-  Port& c = cursor_[node];
-  while (c <= n_ - 1 && Contains(node, c)) ++c;
-  if (c > n_ - 1) return std::nullopt;
-  return c;
-}
-
-void PortMapperBase::MarkTraversed(NodeId node, Port port) {
-  CELECT_DCHECK(node < n_);
-  CELECT_DCHECK(port >= 1 && port <= n_ - 1);
-  if (dense()) {
-    if (bits_.empty()) {
-      bits_.resize(static_cast<std::size_t>(n_) * words_per_node_, 0);
-    }
-    bits_[node * words_per_node_ + (port >> 6)] |=
-        std::uint64_t{1} << (port & 63);
-    return;
-  }
-  sparse_.Obtain(Key(node, port));
 }
 
 NodeId SodPortMapper::Resolve(NodeId node, Port port) {
@@ -55,7 +23,9 @@ Port SodPortMapper::PortToward(NodeId node, NodeId neighbor) {
 }
 
 RandomPortMapper::RandomPortMapper(std::uint32_t n, std::uint64_t seed)
-    : PortMapperBase(n), seed_(seed), perms_(n) {}
+    : n_(n), seed_(seed), perms_(n) {
+  CELECT_CHECK(n >= 2);
+}
 
 const FeistelPermutation& RandomPortMapper::PermFor(NodeId node) {
   auto& p = perms_[node];

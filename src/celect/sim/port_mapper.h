@@ -12,17 +12,15 @@
 //    neighbours lazily, at first use, which is exactly the freedom the §5
 //    lower-bound adversary exploits.
 //
-// The mapper also tracks which ports each node has traversed (sent or
-// received on); protocols that walk "untraversed incident edges" pull
-// fresh ports from here.
+// A mapper only maps ports; it keeps no record of which ports a node
+// has used. A protocol that walks "untraversed incident edges" (§4)
+// keeps that record itself, as a node in a port-numbered network must.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
-#include "celect/sim/pair_table.h"
 #include "celect/sim/types.h"
 #include "celect/util/feistel.h"
 
@@ -42,71 +40,33 @@ class PortMapper {
   // The port at `node` whose edge leads to `neighbor`; used by the
   // runtime to compute arrival ports. Adaptive mappers may bind here.
   virtual Port PortToward(NodeId node, NodeId neighbor) = 0;
-
-  // An untraversed port of `node`, or nullopt when all N-1 ports are
-  // traversed. Which untraversed port comes back is mapper policy — this
-  // is the adversary's lever.
-  virtual std::optional<Port> FreshPort(NodeId node) = 0;
-
-  // Marks a port traversed. Runtime calls this on every send and
-  // delivery.
-  virtual void MarkTraversed(NodeId node, Port port) = 0;
-};
-
-// Shared traversal bookkeeping plus a monotone scan cursor, so FreshPort
-// is amortised O(1). MarkTraversed runs twice per message (send side and
-// arrival side), so the set is flat: up to kDenseMaxN nodes, one bitmap
-// of N bits per node, the whole N x N block allocated lazily on the
-// first mark (a mask-and-or per mark, 2 MB at the ceiling); past it, a
-// PairMap set of (node, port) keys (pair_table.h).
-class PortMapperBase : public PortMapper {
- public:
-  explicit PortMapperBase(std::uint32_t n);
-
-  std::uint32_t n() const override { return n_; }
-  std::optional<Port> FreshPort(NodeId node) override;
-  void MarkTraversed(NodeId node, Port port) override;
-
- protected:
-  std::uint32_t n_;
-
- private:
-  struct Traversed {};
-
-  bool dense() const { return n_ <= kDenseMaxN; }
-  bool Contains(NodeId node, Port port) const;
-  // The sparse key; never 0, since ports start at 1.
-  std::uint64_t Key(NodeId node, Port port) const {
-    return static_cast<std::uint64_t>(node) * n_ + port;
-  }
-
-  // Dense: n_ bitmap words per node (port bit index == port number),
-  // empty until the first mark.
-  std::size_t words_per_node_ = 0;
-  std::vector<std::uint64_t> bits_;
-  PairMap<Traversed> sparse_;
-  std::vector<Port> cursor_;  // smallest possibly-untraversed port
 };
 
 // Sense of direction: port == Hamiltonian distance.
-class SodPortMapper : public PortMapperBase {
+class SodPortMapper : public PortMapper {
  public:
-  explicit SodPortMapper(std::uint32_t n) : PortMapperBase(n) {}
+  explicit SodPortMapper(std::uint32_t n);
+  std::uint32_t n() const override { return n_; }
   bool HasSenseOfDirection() const override { return true; }
   NodeId Resolve(NodeId node, Port port) override;
   Port PortToward(NodeId node, NodeId neighbor) override;
+
+ private:
+  std::uint32_t n_;
 };
 
 // No sense of direction: per-node pseudo-random permutation.
-class RandomPortMapper : public PortMapperBase {
+class RandomPortMapper : public PortMapper {
  public:
   RandomPortMapper(std::uint32_t n, std::uint64_t seed);
+  std::uint32_t n() const override { return n_; }
   bool HasSenseOfDirection() const override { return false; }
   NodeId Resolve(NodeId node, Port port) override;
   Port PortToward(NodeId node, NodeId neighbor) override;
 
  private:
   const FeistelPermutation& PermFor(NodeId node);
+  std::uint32_t n_;
   std::uint64_t seed_;
   std::vector<std::unique_ptr<FeistelPermutation>> perms_;
 };

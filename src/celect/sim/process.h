@@ -63,10 +63,15 @@ class Context {
   // "send to i[d]".
   virtual void Send(Port port, wire::Packet p) = 0;
 
-  // Sends on some untraversed port (mapper policy — possibly adversarial
-  // — picks which). Returns the port used, or nullopt when every
-  // incident edge is already traversed.
-  virtual std::optional<Port> SendFresh(wire::Packet p) = 0;
+  // No host implements this: a protocol that walks untraversed edges
+  // keeps its own record of them and sends with Send. The declaration
+  // stays only because perfbench's TimingContext still overrides it; the
+  // next change to the benchmark drops that override, and then this.
+  virtual std::optional<Port> SendFresh(wire::Packet) {
+    CELECT_CHECK(false) << "Context::SendFresh has no host: send on an "
+                           "explicit port with Send";
+    return std::nullopt;
+  }
 
   // Sends on all N-1 ports (protocol D's broadcast).
   virtual void SendAll(wire::Packet p) = 0;
@@ -144,9 +149,6 @@ class ForwardingContext : public Context {
   }
   void Send(Port port, wire::Packet p) override {
     real_.Send(port, std::move(p));
-  }
-  std::optional<Port> SendFresh(wire::Packet p) override {
-    return real_.SendFresh(std::move(p));
   }
   void SendAll(wire::Packet p) override { real_.SendAll(std::move(p)); }
   TimerId SetTimer(Time delay) override { return real_.SetTimer(delay); }

@@ -197,19 +197,7 @@ void Runtime::MarkRejoined(NodeId node) {
 void Runtime::Transmit(NodeId from, NodeId to, wire::Packet packet,
                        std::uint64_t clock, std::uint64_t mid) {
   Metrics& metrics = stores_.metrics;
-  std::size_t bytes;
-  if (options_.serialize_packets) {
-    // Round-trip through the codec: catches any packet the wire format
-    // cannot represent, and measures true on-the-wire size.
-    auto encoded = wire::Encode(packet);
-    bytes = encoded.size();
-    auto decoded = wire::Decode(encoded);
-    CELECT_CHECK(decoded.has_value() && *decoded == packet)
-        << "codec round-trip failed for " << wire::ToString(packet);
-  } else {
-    bytes = wire::EncodedSize(packet);
-  }
-  metrics.RecordSend(packet.type, bytes);
+  metrics.RecordSend(packet.type, wire::EncodedSize(packet));
 
   // A send-count crash trigger fires *after* this send completes: the
   // message still goes out, later sends in the same handler do not.

@@ -52,10 +52,6 @@ struct RuntimeOptions {
   // delivery latency, per-node queue depth, capture-span width, global
   // in-flight series. Off by default — zero work on the hot path.
   bool enable_telemetry = false;
-  // When true, every packet is encoded and re-decoded through the wire
-  // codec (full serialisation validation). Off by default: byte sizes
-  // are still accounted via EncodedSize.
-  bool serialize_packets = false;
   // Invariant observer, called after every dispatched event and at
   // quiescence. Not owned; may be null.
   RunObserver* observer = nullptr;

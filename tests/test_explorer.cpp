@@ -47,8 +47,6 @@ InvariantOptions ExploreInvariants() {
   InvariantOptions io;
   io.unique_leader = true;
   io.leader_is_max_id = false;
-  io.monotone_observables = true;
-  io.message_conservation = true;
   io.quiescence_termination = true;
   return io;
 }

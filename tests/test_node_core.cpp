@@ -26,8 +26,8 @@ using sim::TraceRecord;
 constexpr std::uint32_t kN = 5;
 constexpr std::uint16_t kScript = 7;
 
-// Node 0 opens nested phases, sends on port 1, twice on fresh ports and
-// on all ports, then arms three timers. It cancels the second before it
+// Node 0 opens nested phases, sends on ports 1, 2 and 3 and on all
+// ports, then arms three timers. It cancels the second before it
 // fires and the first after it fired; the third closes the outer phase
 // and sends once more. Every other node stays passive.
 class Script final : public sim::Process {
@@ -39,8 +39,8 @@ class Script final : public sim::Process {
     ctx.BeginPhase(PhaseId::kCapture1);
     ctx.BeginPhase(PhaseId::kDoubling, 2);
     ctx.Send(1, wire::Packet{kScript, {1}});
-    ctx.SendFresh(wire::Packet{kScript, {2}});
-    ctx.SendFresh(wire::Packet{kScript, {3}});
+    ctx.Send(2, wire::Packet{kScript, {2}});
+    ctx.Send(3, wire::Packet{kScript, {3}});
     ctx.EndPhase(PhaseId::kDoubling);
     ctx.SendAll(wire::Packet{kScript, {4}});
     first_ = ctx.SetTimer(sim::Time::FromUnits(1));

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
+#include "celect/adversary/adaptive_adversary.h"
 #include "celect/harness/experiment.h"
 #include "celect/harness/registry.h"
 #include "test_util.h"
@@ -116,7 +118,6 @@ TEST_P(MessageSizeProperty, MessagesStaySmall) {
   ASSERT_TRUE(spec.has_value());
   RunOptions o;
   o.n = 32;
-  o.serialize_packets = true;  // full codec round-trip on every message
   o.mapper = spec->needs_sense_of_direction ? MapperKind::kSenseOfDirection
                                             : MapperKind::kRandom;
   auto r = RunElection(spec->make(0), o);
@@ -157,14 +158,17 @@ TEST_P(AdversaryProperty, ExactlyOneLeaderUnderAdaptiveBinding) {
   RunOptions o;
   o.n = c.n;
   o.seed = c.seed;
-  o.mapper = MapperKind::kUpAdversary;
-  o.adversary_k = c.radius;
   o.delay = c.seed % 2 ? DelayKind::kRandom : DelayKind::kUnit;
   o.wakeup = c.seed % 3 ? WakeupKind::kAllAtZero
                         : WakeupKind::kRandomSubset;
   o.wakeup_count = 1 + static_cast<std::uint32_t>(c.seed % c.n);
 
-  auto r = RunElection(spec->make(0), o);
+  // BuildNetwork draws each part from its own split stream, so swapping
+  // in the adversary moves no other draw.
+  sim::NetworkConfig config = BuildNetwork(o);
+  config.mapper = adversary::MakeUpFirstMapper(c.n, c.radius);
+  sim::Runtime runtime(std::move(config), spec->make(0));
+  auto r = runtime.Run();
   EXPECT_EQ(r.leader_declarations, 1u);
   EXPECT_TRUE(r.leader_id.has_value());
 }

@@ -82,13 +82,25 @@ TEST(Runtime, MessagesByTypeAccounting) {
   EXPECT_GT(r.total_bytes, 0u);
 }
 
-TEST(Runtime, SerializedPacketsRoundTripThroughCodec) {
-  NetworkConfig c = BasicConfig(6);
-  RuntimeOptions opts;
-  opts.serialize_packets = true;
-  Runtime rt(std::move(c), PingPongFactory(), opts);
-  auto r = rt.Run();
-  EXPECT_EQ(r.leader_declarations, 1u);
+// No host implements Context::SendFresh; a protocol that calls it must
+// stop at once rather than send somewhere.
+class SendsFresh : public Process {
+ public:
+  void OnWakeup(Context& ctx) override {
+    ctx.SendFresh(wire::Packet{kPing, {}});
+  }
+  void OnMessage(Context&, Port, const wire::Packet&) override {}
+};
+
+TEST(ContextDeathTest, SendFreshHasNoHost) {
+  EXPECT_DEATH(
+      {
+        Runtime rt(BasicConfig(4), [](const ProcessInit&) {
+          return std::make_unique<SendsFresh>();
+        });
+        rt.Run();
+      },
+      "Context::SendFresh has no host");
 }
 
 TEST(Runtime, FailedNodesEatMessages) {
