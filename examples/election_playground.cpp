@@ -65,7 +65,6 @@ int main(int argc, char** argv) {
              : wakeup == "staggered" ? harness::WakeupKind::kStaggeredChain
                                      : harness::WakeupKind::kAllAtZero;
   o.wakeup_count = subset;
-  o.enable_trace = trace;
 
   std::cout << "protocol " << spec->name << " — " << spec->description
             << "\n"

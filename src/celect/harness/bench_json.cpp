@@ -182,9 +182,7 @@ BenchEnv::BenchEnv(int argc, const char* const* argv, std::string suite)
 
 int BenchEnv::Finish() {
   if (json_path_.empty()) return 0;
-  if (!reporter_.WriteFile(json_path_)) return 1;
-  CELECT_LOG(Info) << "wrote " << json_path_;
-  return 0;
+  return reporter_.WriteFile(json_path_) ? 0 : 1;
 }
 
 }  // namespace celect::harness

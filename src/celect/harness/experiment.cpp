@@ -123,7 +123,6 @@ namespace {
 sim::RuntimeOptions RuntimeOptionsFor(const RunOptions& options) {
   sim::RuntimeOptions rt;
   rt.max_events = options.max_events;
-  rt.enable_trace = options.enable_trace;
   rt.trace_cap = options.trace_cap;
   rt.enable_telemetry = options.enable_telemetry;
   return rt;

@@ -42,7 +42,6 @@ struct RunOptions {
   double wakeup_window = 0.0;        // units
   double stagger_spacing = 0.9;      // units, < 1 reproduces the pathology
   std::uint32_t failures = 0;        // random initially-crashed nodes
-  bool enable_trace = false;
   // Trace record cap (RuntimeOptions::trace_cap); truncation surfaces as
   // counters["sim.trace_truncated"].
   std::size_t trace_cap = 10'000'000;

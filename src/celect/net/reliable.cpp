@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "celect/obs/shard.h"
-#include "celect/util/logging.h"
 #include "celect/wire/packet_codec.h"
 #include "celect/wire/varint.h"
 
@@ -16,10 +15,11 @@ namespace {
 // buffered. Anything beyond is dropped (the sender's window is far
 // smaller, so only corruption gets here).
 constexpr std::uint64_t kRecvWindow = 256;
-// Ceiling on the RTT samples one endpoint keeps across its sessions
-// (each session's own is SessionParams::rtt_sample_cap); overflow is
-// counted, never silent.
+// Ceiling on the RTT samples one endpoint keeps across its sessions;
+// overflow is counted, never silent.
 constexpr std::size_t kMaxRttSamples = 4096;
+// Max unacked data frames a session keeps in flight.
+constexpr std::size_t kWindow = 32;
 // Retransmit backoff doubles from SessionParams::rto_initial up to this
 // ceiling, and every timeout is jittered by +/- this percentage.
 constexpr Micros kRtoMax = 1'000'000;
@@ -47,40 +47,31 @@ SessionEndpoint::SessionEndpoint() {
 }
 
 ReliableSession::ReliableSession(std::uint64_t local_epoch,
+                                 std::uint64_t seed,
                                  const SessionParams& params,
-                                 SessionEndpoint& endpoint)
+                                 SessionEndpoint& endpoint,
+                                 obs::FlightRecorder* recorder,
+                                 std::uint32_t peer)
     : params_(params),
-      rng_(SplitMix64(params.seed ^ local_epoch).Next()),
+      recorder_(recorder),
+      peer_(peer),
+      rng_(SplitMix64(seed ^ local_epoch).Next()),
       local_epoch_(local_epoch == 0 ? 1 : local_epoch),
       endpoint_(&endpoint) {}
 
 void ReliableSession::Flight(Micros now, obs::FlightKind kind,
                              std::uint64_t a, std::uint64_t b) {
-  if (params_.recorder != nullptr) {
-    params_.recorder->Note(now, params_.recorder_peer, kind, a, b);
-  }
+  if (recorder_ != nullptr) recorder_->Note(now, peer_, kind, a, b);
 }
 
 void ReliableSession::NoteRttSample(Micros rtt) {
   SessionStats& st = endpoint_->stats;
   st.rtt_us.Add(rtt);
-  if (rtt_kept_ < params_.rtt_sample_cap) {
-    ++rtt_kept_;
-    if (st.rtt_samples.size() < kMaxRttSamples) {
-      if (st.rtt_samples.empty()) st.rtt_samples.reserve(kRttSamplesReserve);
-      st.rtt_samples.push_back(rtt);
-    } else {
-      ++st.rtt_samples_dropped;
-    }
-    return;
-  }
-  ++st.rtt_samples_dropped;
-  if (!rtt_cap_warned_) {
-    rtt_cap_warned_ = true;
-    CELECT_LOG(Warn) << "rtt sample cap (" << params_.rtt_sample_cap
-                     << ") hit; further samples counted in "
-                        "rtt_samples_dropped, percentiles over the "
-                        "sample vector are truncated";
+  if (st.rtt_samples.size() < kMaxRttSamples) {
+    if (st.rtt_samples.empty()) st.rtt_samples.reserve(kRttSamplesReserve);
+    st.rtt_samples.push_back(rtt);
+  } else {
+    ++st.rtt_samples_dropped;
   }
 }
 
@@ -204,7 +195,7 @@ void ReliableSession::TransmitData(Outgoing& u, Micros now,
 
 void ReliableSession::FillWindow(Micros now) {
   if (!established_) return;
-  while (in_flight_ < queue_.size() && in_flight_ < params_.window) {
+  while (in_flight_ < queue_.size() && in_flight_ < kWindow) {
     Outgoing& u = queue_[in_flight_++];
     u.seq = next_seq_++;
     TransmitData(u, now, /*retransmit=*/false);

@@ -68,19 +68,8 @@ struct TraceContext {
 };
 
 struct SessionParams {
-  std::uint32_t window = 32;       // max unacked data frames in flight
   Micros rto_initial = 40'000;     // first retransmit timeout
   std::uint32_t max_retries = 8;   // budget before a frame is "exhausted"
-  std::uint64_t seed = 1;          // jitter stream
-  // Karn-filtered RTT samples this session keeps for bench
-  // percentiles (in its endpoint's SessionStats); overflow is counted
-  // in rtt_samples_dropped and warn-logged once per session.
-  std::size_t rtt_sample_cap = 4096;
-  // Optional flight recorder (owned by the transport endpoint, shared
-  // across its sessions); session-layer moments are Note()d into it so
-  // a SIGKILLed process's shard still shows its last retransmit storm.
-  obs::FlightRecorder* recorder = nullptr;
-  std::uint32_t recorder_peer = 0;  // peer id stamped on flight events
 };
 
 struct SessionStats {
@@ -102,11 +91,10 @@ struct SessionStats {
   std::uint64_t exhaustions = 0;        // retransmit budgets spent
   std::uint64_t suspicions = 0;         // suspect episodes signalled
   std::uint64_t version_mismatch = 0;   // handshakes rejected on version
-  // Capped, for bench percentiles: each session keeps its first
-  // rtt_sample_cap samples, in arrival order, and an endpoint keeps at
-  // most 4,096.
+  // Capped, for bench percentiles: the endpoint keeps its sessions'
+  // first 4,096 samples, in arrival order.
   std::vector<Micros> rtt_samples;
-  // Samples discarded at either cap — never silent, so a capped p99 is
+  // Samples discarded at the cap — never silent, so a capped p99 is
   // visibly capped.
   std::uint64_t rtt_samples_dropped = 0;
 
@@ -132,10 +120,16 @@ struct SessionEndpoint {
 class ReliableSession {
  public:
   // local_epoch must be nonzero and unique per incarnation of this
-  // node (tests pass counters; real transports use HostEpoch()). The
-  // session records into endpoint, which must outlive it.
-  ReliableSession(std::uint64_t local_epoch, const SessionParams& params,
-                  SessionEndpoint& endpoint);
+  // node (tests pass counters; real transports use HostEpoch()), and
+  // seed picks the jitter stream. The session records into endpoint,
+  // which must outlive it. Session-layer moments are Note()d into
+  // recorder, if any, stamped with peer, so a SIGKILLed process's
+  // shard still shows its last retransmit storm; the recorder is the
+  // endpoint owner's, shared across its sessions.
+  ReliableSession(std::uint64_t local_epoch, std::uint64_t seed,
+                  const SessionParams& params, SessionEndpoint& endpoint,
+                  obs::FlightRecorder* recorder = nullptr,
+                  std::uint32_t peer = 0);
 
   // A packet delivered exactly once, in order, with the trace context
   // its sender stamped on the wire.
@@ -229,6 +223,8 @@ class ReliableSession {
   void OnReset(const FrameView& f, Micros now);
 
   SessionParams params_;
+  obs::FlightRecorder* recorder_;
+  std::uint32_t peer_;
   Rng rng_;
   std::uint64_t local_epoch_;
   std::uint64_t remote_epoch_ = 0;
@@ -255,8 +251,6 @@ class ReliableSession {
   Micros suspect_since_ = 0;                // episode start (for duration)
   bool peer_restart_pending_ = false;
   bool ack_dirty_ = false;
-  std::size_t rtt_kept_ = 0;                // kept toward rtt_sample_cap
-  bool rtt_cap_warned_ = false;
 
   std::vector<Delivered> delivered_;
   SessionEndpoint* endpoint_;

@@ -16,12 +16,8 @@ SessionTable::SessionTable(PeerId n, std::uint64_t epoch,
 ReliableSession& SessionTable::Session(PeerId peer) {
   Slot& slot = slots_[peer];
   if (slot.session == nullptr) {
-    SessionParams params = params_;
-    params.seed = seed_of_(peer);
-    params.recorder = &recorder_;
-    params.recorder_peer = peer;
-    slot.session =
-        std::make_unique<ReliableSession>(epoch_, params, endpoint_);
+    slot.session = std::make_unique<ReliableSession>(
+        epoch_, seed_of_(peer), params_, endpoint_, &recorder_, peer);
   }
   return *slot.session;
 }

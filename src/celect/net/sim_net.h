@@ -53,7 +53,7 @@ namespace celect::net {
 struct SimNetConfig {
   std::uint32_t n = 2;
   FakeLinkParams link;      // per-channel chaos (seed is re-derived)
-  SessionParams session;    // per-session knobs (seed is re-derived)
+  SessionParams session;    // retransmit timing of every session
   std::uint64_t seed = 1;
 };
 

@@ -1,20 +1,10 @@
 #include "celect/sim/delay_model.h"
 
-#include "celect/util/check.h"
-
 namespace celect::sim {
 
-RandomDelayModel::RandomDelayModel(std::uint64_t seed, double min_transit,
-                                   double max_spacing)
-    : rng_(seed), min_transit_(min_transit), max_spacing_(max_spacing) {
-  CELECT_CHECK(min_transit >= 0.0 && min_transit < 1.0);
-  CELECT_CHECK(max_spacing >= 0.0 && max_spacing <= 1.0);
-}
-
 DelayDecision RandomDelayModel::Decide(const MessageInfo&) {
-  double transit =
-      min_transit_ + (1.0 - min_transit_) * rng_.NextPositiveDouble();
-  double spacing = max_spacing_ * rng_.NextDouble();
+  double transit = rng_.NextPositiveDouble();
+  double spacing = rng_.NextDouble();
   return {Time::FromDouble(transit), Time::FromDouble(spacing)};
 }
 

@@ -11,9 +11,10 @@
 //
 // With d = s = 1 (UnitDelayModel) every link behaves like a one-message-
 // per-unit pipe — exactly the adversary behind the paper's congestion
-// pathologies (the O(N)-forwarding example in §4). Random and eager
-// models cover the benign part of the space; FunctionDelayModel lets
-// tests and the §5 lower-bound adversary script arbitrary schedules.
+// pathologies (the O(N)-forwarding example in §4), and the one the §5
+// lower-bound adversary runs under. Random and eager models cover the
+// benign part of the space; FunctionDelayModel lets tests script
+// arbitrary schedules.
 #pragma once
 
 #include <functional>
@@ -62,18 +63,15 @@ class EagerDelayModel : public DelayModel {
   }
 };
 
-// Independent uniform delays: transit ∈ (min_transit, 1], spacing ∈
-// [0, max_spacing]. Reproducible from the seed.
+// Independent uniform delays over the whole of the model: transit ∈
+// (0, 1], spacing ∈ [0, 1]. Reproducible from the seed.
 class RandomDelayModel : public DelayModel {
  public:
-  explicit RandomDelayModel(std::uint64_t seed, double min_transit = 0.0,
-                            double max_spacing = 1.0);
+  explicit RandomDelayModel(std::uint64_t seed) : rng_(seed) {}
   DelayDecision Decide(const MessageInfo& info) override;
 
  private:
   Rng rng_;
-  double min_transit_;
-  double max_spacing_;
 };
 
 // Fully scripted delays for adversarial executions.

@@ -28,10 +28,10 @@ RandomPortMapper::RandomPortMapper(std::uint32_t n, std::uint64_t seed)
 }
 
 const FeistelPermutation& RandomPortMapper::PermFor(NodeId node) {
-  auto& p = perms_[node];
+  std::optional<FeistelPermutation>& p = perms_[node];
   if (!p) {
     SplitMix64 sm(seed_ ^ (0x9e3779b97f4a7c15ULL * (node + 1)));
-    p = std::make_unique<FeistelPermutation>(n_ - 1, sm.Next());
+    p.emplace(n_ - 1, sm.Next());
   }
   return *p;
 }

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "celect/sim/types.h"
@@ -68,7 +69,8 @@ class RandomPortMapper : public PortMapper {
   const FeistelPermutation& PermFor(NodeId node);
   std::uint32_t n_;
   std::uint64_t seed_;
-  std::vector<std::unique_ptr<FeistelPermutation>> perms_;
+  // Each node's permutation, built on first use.
+  std::vector<std::optional<FeistelPermutation>> perms_;
 };
 
 std::unique_ptr<PortMapper> MakeSodMapper(std::uint32_t n);

@@ -2,49 +2,20 @@
 
 #include <cstdio>
 
-namespace celect {
+namespace celect::detail {
 
-namespace {
-LogLevel g_min_level = LogLevel::kWarn;
-}  // namespace
-
-void SetLogLevel(LogLevel level) { g_min_level = level; }
-LogLevel GetLogLevel() { return g_min_level; }
-
-const char* LogLevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarn:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
+LogLine::LogLine(LogLevel level, const char* file, int line) {
+  const char* base = file;
+  for (const char* p = file; *p; ++p) {
+    if (*p == '/') base = p + 1;
   }
-  return "?";
-}
-
-namespace detail {
-
-LogLine::LogLine(LogLevel level, const char* file, int line)
-    : enabled_(level >= g_min_level), level_(level) {
-  if (enabled_) {
-    const char* base = file;
-    for (const char* p = file; *p; ++p) {
-      if (*p == '/') base = p + 1;
-    }
-    stream_ << "[" << LogLevelName(level) << " " << base << ":" << line
-            << "] ";
-  }
+  stream_ << "[" << (level == LogLevel::kWarn ? "WARN" : "ERROR") << " "
+          << base << ":" << line << "] ";
 }
 
 LogLine::~LogLine() {
-  if (enabled_) {
-    stream_ << "\n";
-    std::fputs(stream_.str().c_str(), stderr);
-  }
+  stream_ << "\n";
+  std::fputs(stream_.str().c_str(), stderr);
 }
 
-}  // namespace detail
-}  // namespace celect
+}  // namespace celect::detail

@@ -1,19 +1,13 @@
-// Minimal leveled logging. Off by default so tests and benches stay quiet;
-// examples turn it on for narrative output.
+// Minimal logging: warnings and errors, always printed to stderr with
+// their source location. Nothing below Warn is logged, so tests and
+// benches stay quiet unless something needs a reader's attention.
 #pragma once
 
 #include <sstream>
-#include <string>
 
 namespace celect {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
-
-// Global minimum level; messages below it are discarded.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
-const char* LogLevelName(LogLevel level);
+enum class LogLevel { kWarn, kError };
 
 namespace detail {
 class LogLine {
@@ -22,13 +16,11 @@ class LogLine {
   ~LogLine();
   template <typename T>
   LogLine& operator<<(const T& v) {
-    if (enabled_) stream_ << v;
+    stream_ << v;
     return *this;
   }
 
  private:
-  bool enabled_;
-  LogLevel level_;
   std::ostringstream stream_;
 };
 }  // namespace detail

@@ -3,9 +3,8 @@
 // Wrappers so annotated code still compiles under gcc (which has no
 // such attributes): the macros expand to nothing unless the compiler
 // is clang and knows the attribute. Annotate every mutex-guarded
-// member with CELECT_GUARDED_BY and every must-hold function with
-// CELECT_REQUIRES; the CI static-analysis job compiles with clang and
-// -Wthread-safety promoted to an error.
+// member with CELECT_GUARDED_BY; a clang build (CMakeLists.txt adds
+// -Wthread-safety for it) checks each access holds the mutex.
 #pragma once
 
 #if defined(__clang__) && defined(__has_attribute)
@@ -17,30 +16,5 @@
 #define CELECT_THREAD_ANNOTATION(x)
 #endif
 
-// A type that acts as a lock (std::mutex is pre-annotated by libc++;
-// use this for home-grown capabilities).
-#define CELECT_CAPABILITY(x) CELECT_THREAD_ANNOTATION(capability(x))
-
 // Data member readable/writable only while `x` is held.
 #define CELECT_GUARDED_BY(x) CELECT_THREAD_ANNOTATION(guarded_by(x))
-
-// Pointer member whose pointee is guarded by `x`.
-#define CELECT_PT_GUARDED_BY(x) CELECT_THREAD_ANNOTATION(pt_guarded_by(x))
-
-// Caller must hold the given capabilities.
-#define CELECT_REQUIRES(...) \
-  CELECT_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-
-// Function acquires / releases the given capabilities.
-#define CELECT_ACQUIRE(...) \
-  CELECT_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define CELECT_RELEASE(...) \
-  CELECT_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-
-// Caller must NOT hold the given capabilities (deadlock guard).
-#define CELECT_EXCLUDES(...) \
-  CELECT_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-
-// Escape hatch for functions the analysis cannot model.
-#define CELECT_NO_THREAD_SAFETY_ANALYSIS \
-  CELECT_THREAD_ANNOTATION(no_thread_safety_analysis)

@@ -112,7 +112,6 @@ TEST(ChordalCoordinator, TimeIsLogarithmic) {
 
 TEST(ChordalCoordinator, OnlyChordPortsAreUsed) {
   auto o = ChordalOptions(64);
-  o.enable_trace = true;
   auto config = harness::BuildNetwork(o);
   sim::RuntimeOptions rt_opts;
   rt_opts.enable_trace = true;

@@ -112,7 +112,6 @@ TEST_P(Indistinguishability, SimulationIsAPureFunctionOfTheSeed) {
   o.mapper = spec->needs_sense_of_direction
                  ? harness::MapperKind::kSenseOfDirection
                  : harness::MapperKind::kRandom;
-  o.enable_trace = true;
 
   sim::RuntimeOptions rt_opts;
   rt_opts.enable_trace = true;

@@ -27,12 +27,15 @@ std::vector<std::string> Keys(const LintResult& r) {
 
 TEST(LintFixtures, EveryRuleFiresExactlyOnItsFixtureLine) {
   LintResult r = LintTree(CELECT_LINT_FIXTURES);
-  EXPECT_EQ(r.files_scanned, 10u);
+  EXPECT_EQ(r.files_scanned, 13u);
   const std::vector<std::string> expected = {
       "celect/proto/bad_engine.cpp:7 proto-observe error",
       "celect/proto/bad_engine.cpp:7 proto-phase-spans error",
       "celect/proto/bad_engine.h:11 proto-packet-arms error",
       "celect/proto/bad_engine.h:12 proto-packet-arms error",
+      "celect/proto/forwarding_engine.cpp:6 proto-phase-spans error",
+      "celect/proto/silent_engine.h:7 proto-observe error",
+      "celect/proto/silent_engine.h:7 proto-phase-spans error",
       "celect/sim/bad_layering.cpp:2 layering error",
       "celect/sim/bad_pointer_key.cpp:13 no-pointer-keys error",
       "celect/sim/bad_pointer_key.cpp:14 no-pointer-keys error",
@@ -51,7 +54,7 @@ TEST(LintFixtures, EveryRuleFiresExactlyOnItsFixtureLine) {
   };
   EXPECT_EQ(Keys(r), expected);
   EXPECT_TRUE(r.HasErrors());
-  EXPECT_EQ(r.ErrorCount(), 18u);
+  EXPECT_EQ(r.ErrorCount(), 21u);
   EXPECT_EQ(r.WarningCount(), 1u);
 }
 
@@ -69,14 +72,17 @@ TEST(LintFixtures, JustifiedSuppressionSilencesTheNextLine) {
 }
 
 // The negative halves of the contract rules: kPing (handler + send
-// site) and live_counter() (consumed by the harness emitter) must NOT
-// be reported.
+// site), live_counter() (consumed by the harness emitter) and
+// LoudEngine (both hooks, one of them out of line) must NOT be
+// reported.
 TEST(LintFixtures, SatisfiedContractsStayQuiet) {
   LintResult r = LintTree(CELECT_LINT_FIXTURES);
   for (const Finding& f : r.findings) {
     EXPECT_EQ(f.message.find("kPing"), std::string::npos)
         << FormatFinding(f);
     EXPECT_EQ(f.message.find("live_counter"), std::string::npos)
+        << FormatFinding(f);
+    EXPECT_EQ(f.message.find("LoudEngine"), std::string::npos)
         << FormatFinding(f);
   }
 }

@@ -65,10 +65,10 @@ namespace celect::net {
 namespace {
 
 constexpr PeerId kNodes = 4;
-// Samples kept per session for RTT percentiles. The sample vector and
-// each endpoint's flight recorder grow until their caps by design; a
-// small sample cap lets the warm-up reach it quickly.
-constexpr std::size_t kRttCap = 64;
+// RTT samples an endpoint keeps for percentiles, across its sessions.
+// The sample vector and each endpoint's flight recorder grow until
+// their caps by design, so the warm-up runs until both are full.
+constexpr std::size_t kRttCap = 4096;
 
 SimNetConfig ChaosConfig() {
   SimNetConfig c;
@@ -78,7 +78,6 @@ SimNetConfig ChaosConfig() {
   c.link.duplicate = 0.05;
   c.link.reorder = 0.20;
   c.link.corrupt = 0.02;
-  c.session.rtt_sample_cap = kRttCap;
   return c;
 }
 
@@ -115,14 +114,13 @@ struct Mesh {
     net.virtual_clock().AdvanceTo(until);
   }
 
-  // Every flight recorder is full and every session's RTT sample
+  // Every flight recorder is full and every endpoint's RTT sample
   // vector is at its cap.
   bool AtCaps() {
     for (PeerId i = 0; i < kNodes; ++i) {
       const obs::FlightRecorder* rec = net.at(i).recorder();
       if (rec->seen() < rec->cap()) return false;
-      if (net.at(i).Stats().sessions.rtt_samples.size() <
-          (kNodes - 1) * kRttCap) {
+      if (net.at(i).Stats().sessions.rtt_samples.size() < kRttCap) {
         return false;
       }
     }

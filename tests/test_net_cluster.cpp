@@ -217,7 +217,7 @@ TEST(NetCluster, ScheduledLoopMatchesPinnedRuns) {
   }
 }
 
-// ClusterResult::metrics of four n = 16 elections in the compact wire
+// ClusterResult::metrics of three n = 16 elections in the compact wire
 // form "c:counter=v,... h:histogram=count;sum;min;max;buckets,...":
 // every counter, and every session histogram with its count, sum, min,
 // max and buckets through the last non-empty one. A session histogram
@@ -255,17 +255,6 @@ constexpr char kDeadPeerMetrics[] =
     "suspicion_us=261;211043;10;3227;0:0:0:0:3:5:3:13:33:49:74:67:14,"
     "window_occupancy=595;657;1;6;0:545:47:3";
 
-constexpr char kCappedRttMetrics[] =
-    "c:net.datagrams_received=1045,net.datagrams_sent=1345,"
-    "net.delivered=343,net.peer_restarts=0,net.retransmits=40,"
-    "net.rtt_samples_dropped=12,net.suspicions=0,net.version_mismatch=0,"
-    "node.events_dispatched=343,node.suspicions_seen=0,"
-    "node.trace_dropped=0,proto.f.broadcasters=1,proto.f.fwd_queue_peak=3 "
-    "h:backoff_us=40;3673785;60066;197972;"
-    "0:0:0:0:0:0:0:0:0:0:0:0:0:0:0:0:5:30:5,"
-    "rtt_us=269;1334303;1138;18339;0:0:0:0:0:0:0:0:0:0:0:23:147:47:51:1,"
-    "window_occupancy=481;530;1;3;0:436:45";
-
 void ExpectPinnedStats(const ClusterConfig& config, Micros rtt_p50_us,
                        Micros rtt_p99_us, const std::string& metrics) {
   const ClusterResult r = RunSimElection(config, MakeFaultTolerant(1));
@@ -301,13 +290,6 @@ TEST(NetCluster, SessionStatsMatchPinnedRuns) {
     config.session.max_retries = 1;
     config.chaos = {{4'000, 1, ChaosEvent::What::kKill}};
     ExpectPinnedStats(config, 0, 0, kDeadPeerMetrics);
-  }
-  {
-    // Each session keeps 4 samples; the percentiles are over those.
-    SCOPED_TRACE("chaos links, 4 RTT samples per session");
-    ClusterConfig config = PinnedConfig(Setup::kChaosLinks, 16);
-    config.session.rtt_sample_cap = 4;
-    ExpectPinnedStats(config, 3692, 13578, kCappedRttMetrics);
   }
 }
 

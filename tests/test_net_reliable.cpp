@@ -106,16 +106,13 @@ struct Pair {
   std::vector<TraceContext> tc_b;   // trace context riding each delivery
   bool b_attached = true;  // false models a dead/unstarted peer
 
+  // a's jitter stream is seed, b's seed + 1.
   Pair(const SessionParams& sp, const FakeLinkParams& lp,
-       std::uint64_t epoch_a = 0xA, std::uint64_t epoch_b = 0xB)
-      : a(epoch_a, sp, side_a),
-        b(epoch_b, WithSeed(sp, sp.seed + 1), side_b),
+       std::uint64_t seed = 1)
+      : a(0xA, seed, sp, side_a),
+        b(0xB, seed + 1, sp, side_b),
         ab(lp, pool), ba(WithSeed(lp, lp.seed + 1), pool) {}
 
-  static SessionParams WithSeed(SessionParams sp, std::uint64_t seed) {
-    sp.seed = seed;
-    return sp;
-  }
   static FakeLinkParams WithSeed(FakeLinkParams lp, std::uint64_t seed) {
     lp.seed = seed;
     return lp;
@@ -201,14 +198,26 @@ TEST(NetReliable, CleanLinkDeliversInOrderExactlyOnce) {
 
 TEST(NetReliable, WindowBoundsInFlightFrames) {
   SessionParams sp;
-  sp.window = 8;
   FakeLinkParams lp;
   Pair pair(sp, lp);
   for (int i = 0; i < 50; ++i) {
     pair.a.SendPacket(MakePacket(i), pair.clock.Now());
-    EXPECT_LE(pair.a.in_flight(), 8u);
   }
-  pair.RunUntil(10'000'000);
+  // Once the handshake completes, the 50 packets fill the 32-frame
+  // window and the rest queue behind it.
+  std::size_t peak = 0;
+  pair.Pump();
+  for (auto next = pair.NextEvent(); next && *next <= 10'000'000;
+       next = pair.NextEvent()) {
+    pair.clock.AdvanceTo(std::max(*next, pair.clock.Now() + 1));
+    pair.Pump();
+    EXPECT_LE(pair.a.in_flight(), 32u);
+    if (pair.a.in_flight() > peak) {
+      peak = pair.a.in_flight();
+      EXPECT_EQ(pair.a.queued(), 50u - peak);
+    }
+  }
+  EXPECT_EQ(peak, 32u);
   EXPECT_EQ(pair.got_b.size(), 50u);
   EXPECT_EQ(pair.a.in_flight(), 0u);
   EXPECT_EQ(pair.a.queued(), 0u);
@@ -233,14 +242,13 @@ TEST(NetReliable, DifferentialChaosSweep) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
       SessionParams sp;
       sp.rto_initial = 20'000;
-      sp.seed = seed;
       FakeLinkParams lp;
       lp.loss = m.loss;
       lp.duplicate = m.dup;
       lp.reorder = m.reorder;
       lp.corrupt = m.corrupt;
       lp.seed = seed * 101;
-      Pair pair(sp, lp);
+      Pair pair(sp, lp, seed);
       constexpr int kForward = 160;
       constexpr int kBackward = 40;
       for (int i = 0; i < kForward; ++i) {
@@ -299,14 +307,13 @@ TEST(NetReliable, ChaosRunsAreBitReproduciblePerSeed) {
   };
   auto run = [](std::uint64_t seed) {
     SessionParams sp;
-    sp.seed = seed;
     FakeLinkParams lp;
     lp.loss = 0.2;
     lp.duplicate = 0.1;
     lp.reorder = 0.2;
     lp.corrupt = 0.03;
     lp.seed = seed * 7;
-    Pair pair(sp, lp);
+    Pair pair(sp, lp, seed);
     for (int i = 0; i < 120; ++i) {
       pair.a.SendPacket(MakePacket(i), pair.clock.Now());
     }
@@ -341,7 +348,7 @@ TEST(NetReliable, PeerRestartIsDetectedAndStreamResyncs) {
   ASSERT_EQ(pair.got_b.size(), 10u);
 
   // Kill B: replace it with a fresh incarnation under a new epoch.
-  pair.b = ReliableSession(0xB2, Pair::WithSeed(sp, 99), pair.side_b);
+  pair.b = ReliableSession(0xB2, 99, sp, pair.side_b);
   pair.got_b.clear();
   // A keeps sending; B2 must Reset the unknown stream, the handshake
   // must re-run, and delivery must resume exactly once, in order.
@@ -375,7 +382,7 @@ TEST(NetReliable, StaleAcksFromDeadIncarnationAreRejected) {
   ASSERT_FALSE(stale_acks.empty());
 
   // B restarts; A adopts the new epoch; then the old ack arrives.
-  pair.b = ReliableSession(0xB3, Pair::WithSeed(sp, 77), pair.side_b);
+  pair.b = ReliableSession(0xB3, 77, sp, pair.side_b);
   pair.clock.AdvanceTo(later);
   pair.RunUntil(later + 20'000'000);
   std::uint64_t stale_before = pair.a.stats().stale_epoch;
@@ -463,41 +470,69 @@ TEST(NetReliable, CorruptDatagramsNeverDeliverWrongPackets) {
   EXPECT_GT(pair.b.stats().frame_errors + pair.a.stats().frame_errors, 0u);
 }
 
+// The endpoint keeps its sessions' first 4,096 RTT samples.
+constexpr std::size_t kRttCap = 4096;
+
 TEST(NetReliable, RttSampleCapTruncatesVisibly) {
   SessionParams sp;
-  sp.rtt_sample_cap = 8;
   FakeLinkParams lp;
   Pair pair(sp, lp);
-  for (int i = 0; i < 50; ++i) {
+  constexpr int kPackets = 5000;
+  for (int i = 0; i < kPackets; ++i) {
     pair.a.SendPacket(MakePacket(i), pair.clock.Now());
   }
-  pair.RunUntil(30'000'000);
-  ASSERT_EQ(pair.got_b.size(), 50u);
+  pair.RunUntil(600'000'000);
+  ASSERT_EQ(pair.got_b.size(), static_cast<std::size_t>(kPackets));
   const SessionStats& st = pair.a.stats();
-  // The bounded percentile buffer stops at the cap, the overflow is
-  // counted, and the histogram keeps absorbing every sample.
-  EXPECT_EQ(st.rtt_samples.size(), 8u);
-  EXPECT_GT(st.rtt_samples_dropped, 0u);
-  EXPECT_EQ(st.rtt_samples.size() + st.rtt_samples_dropped,
-            st.rtt_us.count());
+  // Every packet gave a clean sample; the bounded percentile buffer
+  // stops at the cap, the overflow is counted, and the histogram keeps
+  // absorbing every sample.
+  ASSERT_EQ(st.data_retransmits, 0u);
+  EXPECT_EQ(st.rtt_us.count(), static_cast<std::uint64_t>(kPackets));
+  EXPECT_EQ(st.rtt_samples.size(), kRttCap);
+  EXPECT_EQ(st.rtt_samples_dropped, kPackets - kRttCap);
 }
 
-TEST(NetReliable, SessionsOfOneEndpointShareItsStatsButNotTheRttCap) {
+TEST(NetReliable, SessionsOfOneEndpointShareOneRttCap) {
+  // Two sessions of one endpoint, each toward its own peer, whose
+  // samples together overflow the cap while neither session's alone
+  // does: the cap counts the endpoint's samples, not a session's.
+  SessionParams sp;
+  FakeLinkParams lp;
+  Pair first(sp, lp, 1);
+  Pair second(sp, lp, 3);
+  second.a = ReliableSession(0xA2, 5, sp, first.side_a);
+  constexpr int kPackets = 2500;
+  for (Pair* pair : {&first, &second}) {
+    for (int i = 0; i < kPackets; ++i) {
+      pair->a.SendPacket(MakePacket(i), pair->clock.Now());
+    }
+    pair->RunUntil(600'000'000);
+    ASSERT_EQ(pair->got_b.size(), static_cast<std::size_t>(kPackets));
+  }
+  const SessionStats& st = first.side_a.stats;
+  EXPECT_EQ(&second.a.stats(), &st);
+  ASSERT_EQ(st.data_retransmits, 0u);
+  EXPECT_EQ(st.rtt_us.count(), 2u * kPackets);
+  EXPECT_EQ(st.rtt_samples.size(), kRttCap);
+  EXPECT_EQ(st.rtt_samples_dropped, 2 * kPackets - kRttCap);
+}
+
+TEST(NetReliable, SessionsOfOneEndpointShareItsStats) {
   // A hub endpoint with a session to each of two spokes, over clean
   // instant links. The hub's sessions record into one SessionEndpoint
   // and share its outbox, so each call's datagrams go out before the
   // next call, as SessionTable does it.
   SessionParams sp;
-  sp.rtt_sample_cap = 3;
   SessionEndpoint hub;
   SessionEndpoint spoke_side[2];
   // Sessions 0 and 1 are the hub's, toward spokes 0 and 1; sessions 2
   // and 3 are the spokes', toward the hub. Session i talks to i ^ 2.
   std::vector<ReliableSession> session;
-  session.emplace_back(0xA, Pair::WithSeed(sp, 1), hub);
-  session.emplace_back(0xA, Pair::WithSeed(sp, 2), hub);
-  session.emplace_back(0xB, Pair::WithSeed(sp, 3), spoke_side[0]);
-  session.emplace_back(0xC, Pair::WithSeed(sp, 4), spoke_side[1]);
+  session.emplace_back(0xA, 1, sp, hub);
+  session.emplace_back(0xA, 2, sp, hub);
+  session.emplace_back(0xB, 3, sp, spoke_side[0]);
+  session.emplace_back(0xC, 4, sp, spoke_side[1]);
   // Datagrams in flight: (receiving session, bytes).
   std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> wire;
   auto flush = [&](std::size_t i) {
@@ -547,16 +582,12 @@ TEST(NetReliable, SessionsOfOneEndpointShareItsStatsButNotTheRttCap) {
   EXPECT_EQ(st.data_sent, 2u * kPackets);
   EXPECT_EQ(st.data_retransmits, 0u);
   EXPECT_EQ(st.rtt_us.count(), 2u * kPackets);
-  EXPECT_EQ(st.rtt_us.count(), 2u * kPackets);
-  // Each session keeps its own first three samples.
-  EXPECT_EQ(st.rtt_samples.size(), 2 * sp.rtt_sample_cap);
-  EXPECT_EQ(st.rtt_samples_dropped, 2u * kPackets - 2 * sp.rtt_sample_cap);
 }
 
 TEST(NetReliable, WrongWireVersionIsRejectedAtTheDoor) {
   SessionParams sp;
   SessionEndpoint endpoint;
-  ReliableSession s(0xB0B, sp, endpoint);
+  ReliableSession s(0xB0B, 1, sp, endpoint);
 
   // A future-version peer: Hello carrying kWireVersion + 1.
   std::vector<std::uint8_t> payload;

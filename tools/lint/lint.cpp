@@ -500,6 +500,18 @@ void Linter::CheckPointerKeys(SourceFile& f) {
   }
 }
 
+// Offset just past the ')' closing the '(' at open (text.size() when
+// unbalanced), and likewise for a '{' and its '}'.
+std::size_t PastClose(const std::string& text, std::size_t open, char o,
+                      char c) {
+  int depth = 0;
+  for (std::size_t i = open; i < text.size(); ++i) {
+    if (text[i] == o) ++depth;
+    if (text[i] == c && --depth == 0) return i + 1;
+  }
+  return text.size();
+}
+
 // Class declarations deriving (transitively, by token) from the
 // asynchronous Process hierarchy.
 struct ClassDecl {
@@ -544,16 +556,118 @@ std::vector<ClassDecl> FindProcessClasses(const std::string& text) {
       pos += 5;
       continue;
     }
-    int depth = 1;
-    std::size_t b = stop + 1;
-    for (; b < text.size() && depth > 0; ++b) {
-      if (text[b] == '{') ++depth;
-      if (text[b] == '}') --depth;
-    }
-    out.push_back({name, stop + 1, b > 0 ? b - 1 : stop + 1, decl_pos});
+    std::size_t b = PastClose(text, stop, '{', '}');
+    out.push_back({name, stop + 1, b - 1, decl_pos});
     pos = stop + 1;
   }
   return out;
+}
+
+// The receiver of a member access ending at pos (`x.` or `x->` right
+// before it), or "" when the name at pos is not a member access.
+std::string Receiver(const std::string& text, std::size_t pos) {
+  std::size_t b = pos;
+  while (b > 0 && std::isspace(static_cast<unsigned char>(text[b - 1])) != 0) {
+    --b;
+  }
+  if (b >= 1 && text[b - 1] == '.') {
+    b -= 1;
+  } else if (b >= 2 && text.compare(b - 2, 2, "->") == 0) {
+    b -= 2;
+  } else {
+    return "";
+  }
+  std::size_t e = b;
+  if (e > 0 && text[e - 1] == ')') {  // a call: real().
+    std::size_t open = text.rfind('(', e - 1);
+    if (open == std::string::npos) return ")";
+    b = open;
+  }
+  while (b > 0 && IsIdentChar(text[b - 1])) --b;
+  return text.substr(b, e - b);
+}
+
+// What a class contributes to its engine contract: its body plus the
+// bodies of its `Name::member(...) { ... }` definitions in its own file
+// or the pair file.
+struct OwnCode {
+  struct Range {
+    const std::string* text;
+    std::size_t begin;
+    std::size_t end;
+  };
+  std::vector<Range> ranges;
+  bool defines_observe = false;  // an Observe override with a body
+};
+
+OwnCode CollectOwnCode(const ClassDecl& c, const SourceFile& f,
+                       const SourceFile* pair) {
+  OwnCode own;
+  const std::string& text = f.joined;
+  own.ranges.push_back({&text, c.body_begin, c.body_end});
+  // An in-class Observe definition: a declarator, not a member call,
+  // whose parameter list is followed by qualifiers and then a body.
+  std::size_t pos = c.body_begin;
+  while ((pos = text.find("Observe(", pos)) < c.body_end) {
+    if ((pos == 0 || !IsIdentChar(text[pos - 1])) &&
+        Receiver(text, pos).empty()) {
+      std::size_t i = PastClose(text, pos + 7, '(', ')');
+      while (i < c.body_end &&
+             (IsIdentChar(text[i]) ||
+              std::isspace(static_cast<unsigned char>(text[i])) != 0)) {
+        ++i;
+      }
+      if (i < c.body_end && text[i] == '{') own.defines_observe = true;
+    }
+    pos += 8;
+  }
+  // Out-of-line members: Name::member(...) ... { body }.
+  const std::string qualifier = c.name + "::";
+  for (const SourceFile* file : {&f, pair}) {
+    if (file == nullptr) continue;
+    const std::string& t = file->joined;
+    std::size_t q = 0;
+    while ((q = t.find(qualifier, q)) != std::string::npos) {
+      bool word = q == 0 || !IsIdentChar(t[q - 1]);
+      q += qualifier.size();
+      if (!word) continue;
+      std::size_t name_end = q;
+      while (name_end < t.size() &&
+             (IsIdentChar(t[name_end]) || t[name_end] == '~')) {
+        ++name_end;
+      }
+      if (name_end >= t.size() || t[name_end] != '(') continue;
+      std::size_t stop =
+          t.find_first_of("{;", PastClose(t, name_end, '(', ')'));
+      if (stop == std::string::npos || t[stop] != '{') continue;
+      own.ranges.push_back({&t, stop + 1, PastClose(t, stop, '{', '}')});
+      if (t.compare(q, name_end - q, "Observe") == 0) {
+        own.defines_observe = true;
+      }
+    }
+  }
+  return own;
+}
+
+// Whether code calls `name(` on a context of its own: `ctx.name(` or
+// `ctx->name(`, but not a forwarding call on the context it wraps
+// (`real_.name(`, `real().name(`) and not a declaration.
+bool CallsOnOwnContext(const OwnCode& own, const std::string& name) {
+  const std::string token = name + "(";
+  for (const OwnCode::Range& r : own.ranges) {
+    const std::string& text = *r.text;
+    std::size_t pos = r.begin;
+    while ((pos = text.find(token, pos)) < r.end) {
+      if (pos > 0 && !IsIdentChar(text[pos - 1])) {
+        const std::string recv = Receiver(text, pos);
+        if (!recv.empty() && recv != "real_" && recv != "real()") {
+          return true;
+        }
+      }
+      pos += token.size();
+    }
+  }
+  return false;
 }
 
 void Linter::CheckProtoContracts(SourceFile& f) {
@@ -586,20 +700,19 @@ void Linter::CheckProtoContracts(SourceFile& f) {
       pv += 4;
     }
     if (abstract) continue;
-    auto in_class_or_pair = [&](const std::string& token) {
-      if (body.find(token) != std::string::npos) return true;
-      // Out-of-line definitions live in the pair file.
-      return pair != nullptr &&
-             pair->joined.find(token) != std::string::npos;
-    };
+    // Only the class's own code counts: its body and its Name::
+    // members. Another class in the same file or the pair file, a
+    // forwarding context, or an override declaration does not.
+    const OwnCode own = CollectOwnCode(c, f, pair);
     int line = LineOf(f, c.decl_pos);
-    if (!in_class_or_pair("Observe(")) {
+    if (!own.defines_observe) {
       Report(f, line, "proto-observe",
              "engine class " + c.name +
                  " never overrides Observe() — the invariant registry "
                  "needs per-protocol monotone progress gauges");
     }
-    if (!in_class_or_pair("BeginPhase(") || !in_class_or_pair("EndPhase(")) {
+    if (!CallsOnOwnContext(own, "BeginPhase") ||
+        !CallsOnOwnContext(own, "EndPhase")) {
       Report(f, line, "proto-phase-spans",
              "engine class " + c.name +
                  " emits no BeginPhase/EndPhase spans — phase tables "

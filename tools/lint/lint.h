@@ -28,8 +28,12 @@
 //
 //   protocol contracts
 //     proto-observe         every engine class under proto/ deriving
-//                           from sim::Process overrides Observe()
-//     proto-phase-spans     ... and emits BeginPhase/EndPhase spans
+//                           from sim::Process defines Observe()
+//     proto-phase-spans     ... and calls BeginPhase/EndPhase on a
+//                           context; each rule looks only at the
+//                           class's body and its Name:: members, and
+//                           a forward to a wrapped context (real_.,
+//                           real().) does not count
 //     proto-packet-arms     every enumerator of a *Msg packet enum has
 //                           a handler (case) arm and a send site
 //     metrics-surfaced      every sim::Metrics getter is consumed
